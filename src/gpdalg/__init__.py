@@ -27,7 +27,6 @@ from .linalg import (
     left_kernel,
     subspace_intersect,
     subspace_preimage,
-    enumerate_subspaces,
 )
 from .groupoid import (
     FiniteGroupoid,
@@ -129,7 +128,7 @@ __all__ = [
     "ScalarRing", "RationalField", "PrimeField", "IntegersMod",
     "ring_from_spec",
     "Matrix", "Subspace", "canonical_rows", "mat_kernel", "left_kernel",
-    "subspace_intersect", "subspace_preimage", "enumerate_subspaces",
+    "subspace_intersect", "subspace_preimage",
     "FiniteGroupoid", "validate", "pair_groupoid", "group_groupoid",
     "cyclic_table", "action_groupoid", "disjoint_union", "orbits",
     "OrbitPartition", "isotropy", "IsotropyGroup", "LocalBisection",

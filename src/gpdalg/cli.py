@@ -64,12 +64,13 @@ def parse_generator_spec(spec: str) -> FiniteGroupoid:
         fields = part.strip().split(":")
         kind = fields[0]
         if kind == "pair" and len(fields) == 2:
-            gs.append(pair_groupoid(int(fields[1])))
+            gs.append(pair_groupoid(_int(fields[1], "pair size")))
         elif kind == "group" and len(fields) == 2:
             gs.append(group_groupoid(cyclic_table(_cyclic_order(fields[1]))))
         elif kind == "action" and len(fields) == 3:
             k = _cyclic_order(fields[1])
-            gen = tuple(int(x) for x in fields[2].split(","))
+            gen = tuple(_int(x, "permutation entry")
+                        for x in fields[2].split(","))
             perms = [tuple(range(len(gen)))]
             cur = gen
             for _ in range(k - 1):
@@ -86,6 +87,13 @@ def parse_generator_spec(spec: str) -> FiniteGroupoid:
     for extra in gs[1:]:
         g = disjoint_union(g, extra)
     return g
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConstructionError("bad %s %r: not an integer" % (what, text))
 
 
 def _cyclic_order(name: str) -> int:
@@ -133,7 +141,7 @@ def _resolve_module(args, g, ring):
     if name == "regular":
         return regular_module(G, ring)
     if name.startswith("simple:"):
-        idx = int(name.split(":", 1)[1])
+        idx = _int(name.split(":", 1)[1], "simple module index")
         sims = simple_modules_group(G, ring, bound=args.bound)
         if not 0 <= idx < len(sims):
             raise ConstructionError("simple module index %d out of range "
@@ -155,17 +163,11 @@ def _dump(obj) -> str:
 
 
 def cmd_generate(args) -> int:
-    if args.kind == "pair":
-        g = pair_groupoid(int(args.params[0]))
-    elif args.kind == "group":
-        g = group_groupoid(cyclic_table(_cyclic_order(args.params[0])))
-    elif args.kind == "action":
-        g = parse_generator_spec("action:%s:%s" % tuple(args.params[:2]))
-    elif args.kind == "union":
-        g = parse_generator_spec("+".join(args.params))
+    if args.kind == "union":
+        spec = "+".join(args.params)
     else:
-        raise ConstructionError("unknown generator kind %r" % args.kind)
-    _emit(args, _dump(g.to_json_dict()))
+        spec = ":".join([args.kind] + args.params)
+    _emit(args, _dump(parse_generator_spec(spec).to_json_dict()))
     return 0
 
 
@@ -277,7 +279,11 @@ def cmd_verify(args) -> int:
         else:
             gens = []
             if args.ideal_gens:
-                vectors = json.loads(args.ideal_gens)
+                try:
+                    vectors = json.loads(args.ideal_gens)
+                except json.JSONDecodeError as exc:
+                    raise ConstructionError("invalid --ideal-gens JSON: %s"
+                                            % exc)
                 gens = [AlgebraElement(g, ring, ring.coerce_vector(v))
                         for v in vectors]
             I = ideal_from_generators(g, ring, gens)
@@ -368,6 +374,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "bound", 1) < 1:
+            raise ConstructionError("--bound must be at least 1, got %d"
+                                    % args.bound)
         return args.func(args)
     except BoundExceededError as exc:
         print("bound exceeded: %s" % exc, file=sys.stderr)

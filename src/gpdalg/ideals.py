@@ -7,9 +7,9 @@ under convolution by every basis element on both sides.
 from __future__ import annotations
 
 from .algebra import AlgebraElement, basis_element, convolve
-from .errors import BoundExceededError, NotAnIdealError, UnsupportedRingError
+from .errors import NotAnIdealError, UnsupportedRingError
 from .groupoid import FiniteGroupoid
-from .linalg import Subspace, enumerate_subspaces
+from .linalg import Subspace, join_closure, nonzero_vectors
 from .rings import ScalarRing
 
 
@@ -122,15 +122,14 @@ def ideal_equal(a: Ideal, b: Ideal) -> bool:
 
 def enumerate_all_ideals(g: FiniteGroupoid, ring: ScalarRing,
                          bound: int = 1 << 20) -> list[Ideal]:
-    """Every two-sided ideal, by exhaustive subspace enumeration (finite
-    fields only)."""
+    """Every two-sided ideal (finite fields only): the principal ideals of
+    the nonzero vectors, closed under joins."""
     if not ring.is_field or ring.size is None:
         raise UnsupportedRingError(
             "ideal enumeration runs over finite fields, not %s"
             % ring.spec_string())
-    out = []
-    for space in enumerate_subspaces(ring, g.n_arrows, bound=bound):
-        if _closed_two_sided(g, ring, space) is None:
-            out.append(Ideal(g, ring, space, check=False))
-    out.sort(key=lambda ideal: (len(ideal.space.basis), ideal.space.basis))
-    return out
+    principal = (ideal_from_generators(g, ring, [v]).space
+                 for v in nonzero_vectors(ring, g.n_arrows, bound))
+    return [Ideal(g, ring, space, check=False)
+            for space in join_closure(Subspace.zero(ring, g.n_arrows),
+                                      principal)]

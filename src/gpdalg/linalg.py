@@ -10,6 +10,7 @@ then be tested by straight reduction.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 
 from .errors import (
@@ -487,24 +488,35 @@ def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
     return Subspace(R, k, gens)
 
 
-def enumerate_subspaces(ring, dim, bound=1 << 20):
-    """All subspaces of F_q^dim, one canonical RREF basis each."""
-    from itertools import combinations, product
+def nonzero_vectors(ring, dim, bound):
+    """Every nonzero vector of R^dim, for a finite ring R.
 
-    if not ring.is_field or ring.size is None:
-        raise UnsupportedRingError("subspace enumeration needs a finite field")
+    The one guarded exhaustive enumerator: raises BoundExceededError when
+    the state space |R|^dim exceeds `bound`.
+    """
     if ring.size ** dim > bound:
         raise BoundExceededError("state space %d^%d exceeds bound %d"
                                  % (ring.size, dim, bound))
-    elems = list(ring.elements())
-    for k in range(dim + 1):
-        for pivs in combinations(range(dim), k):
-            free = [(i, j) for i in range(k) for j in range(dim)
-                    if j > pivs[i] and j not in pivs]
-            for vals in product(elems, repeat=len(free)):
-                rows = [[ring.zero] * dim for _ in range(k)]
-                for i in range(k):
-                    rows[i][pivs[i]] = ring.one
-                for (i, j), v in zip(free, vals):
-                    rows[i][j] = v
-                yield Subspace._trusted(ring, dim, [tuple(r) for r in rows])
+    zero = (ring.zero,) * dim
+    return (v for v in product(list(ring.elements()), repeat=dim)
+            if v != zero)
+
+
+def join_closure(zero: Subspace, spaces) -> list[Subspace]:
+    """The spans closed under joins, with `zero`, sorted by size then basis.
+
+    Every submodule is a join of cyclic ones and every ideal a join of
+    principal ones, so this turns the cyclic (or principal) spans into the
+    whole lattice.
+    """
+    found = {zero}
+    found.update(spaces)
+    queue = list(found)
+    while queue:
+        S = queue.pop()
+        for T in list(found):
+            U = S.join(T)
+            if U not in found:
+                found.add(U)
+                queue.append(U)
+    return sorted(found, key=lambda s: (s.num_rows, s.basis))

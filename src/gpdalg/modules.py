@@ -26,7 +26,14 @@ from .errors import (
 )
 from .groupoid import FiniteGroupoid, IsotropyGroup, group_groupoid
 from .ideals import Ideal
-from .linalg import Matrix, Subspace, canonical_rows, mat_kernel
+from .linalg import (
+    Matrix,
+    Subspace,
+    canonical_rows,
+    join_closure,
+    mat_kernel,
+    nonzero_vectors,
+)
 from .rings import PrimeField, RationalField, ScalarRing
 
 DEFAULT_BOUND = 1 << 20
@@ -231,15 +238,12 @@ def is_invariant(module, space: Subspace) -> bool:
                for v in space.basis for M in module.action_mats())
 
 
-def _all_vectors(ring, dim):
-    return product(list(ring.elements()), repeat=dim)
-
-
 def is_simple(module, bound: int = DEFAULT_BOUND) -> bool:
     """No invariant subspace other than zero and the whole space.
 
     Finite coefficient rings are handled exhaustively: the spin of every
-    nonzero vector must be everything.  Over the rationals the same test
+    nonzero vector must be everything, with ``nonzero_vectors`` charging
+    the state space against `bound`.  Over the rationals the same test
     runs on the basis vectors and their pairwise sums only, which settles
     the module classes this library constructs.
     """
@@ -260,16 +264,8 @@ def is_simple(module, bound: int = DEFAULT_BOUND) -> bool:
                 v[j] = MR.one
                 seeds.append(tuple(v))
         return all(spin(module, [v]) == full for v in seeds)
-    if MR.size ** d > bound:
-        raise BoundExceededError("state space %d^%d exceeds bound %d"
-                                 % (MR.size, d, bound))
-    zero = tuple([MR.zero] * d)
-    for v in _all_vectors(MR, d):
-        if v == zero:
-            continue
-        if spin(module, [v]) != full:
-            return False
-    return True
+    return all(spin(module, [v]) == full
+               for v in nonzero_vectors(MR, d, bound))
 
 
 def hom_space(A, B) -> Subspace:
@@ -360,41 +356,30 @@ def all_submodules(module, bound: int = DEFAULT_BOUND) -> list[Subspace]:
     if MR.size is None:
         raise UnsupportedRingError("submodule enumeration needs finite "
                                    "coefficients")
-    if MR.size ** d > bound:
-        raise BoundExceededError("state space %d^%d exceeds bound %d"
-                                 % (MR.size, d, bound))
-    zero = tuple([MR.zero] * d)
-    found = {Subspace.zero(MR, d)}
-    for v in _all_vectors(MR, d):
-        if v != zero:
-            found.add(spin(module, [v]))
-    queue = list(found)
-    while queue:
-        S = queue.pop()
-        for T in list(found):
-            U = S.join(T)
-            if U not in found:
-                found.add(U)
-                queue.append(U)
-    return sorted(found, key=lambda s: (s.num_rows, s.basis))
+    return join_closure(Subspace.zero(MR, d),
+                        (spin(module, [v])
+                         for v in nonzero_vectors(MR, d, bound)))
+
+
+def maximal_submodules(module, bound: int = DEFAULT_BOUND) -> list[Subspace]:
+    """The maximal proper invariant subspaces, largest element count
+    first, then by least canonical basis."""
+    full = Subspace.full(module.matrix_ring, module.dim)
+    proper = [S for S in all_submodules(module, bound) if S != full]
+    maximal = [S for S in proper
+               if not any(T != S and T.contains_subspace(S) for T in proper)]
+    maximal.sort(key=lambda s: (-s.element_count(), s.basis))
+    return maximal
 
 
 def maximal_submodule(module, bound: int = DEFAULT_BOUND) -> Subspace:
     """A maximal proper invariant subspace; zero when the module is simple.
 
-    Deterministic tie-break: largest element count, then the
-    lexicographically least canonical basis.
+    Deterministic tie-break: the first of ``maximal_submodules``.
     """
-    d = module.dim
-    if d == 0:
+    if module.dim == 0:
         raise ConstructionError("the zero module has no maximal submodule")
-    MR = module.matrix_ring
-    full = Subspace.full(MR, d)
-    proper = [S for S in all_submodules(module, bound) if S != full]
-    maximal = [S for S in proper
-               if not any(T != S and T.contains_subspace(S) for T in proper)]
-    maximal.sort(key=lambda s: (-s.element_count(), s.basis))
-    return maximal[0]
+    return maximal_submodules(module, bound)[0]
 
 
 def rep_submodule(rho: Rep, space: Subspace) -> Rep:

@@ -1,6 +1,7 @@
 """Verification suite: ideals as intersections of induced annihilators,
 primitive ideals from a single inducer, and the match between the
-induction enumeration and a regular-module oracle.
+induction enumeration and an oracle that reads the primitive ideals off
+the submodule lattice of the regular module.
 
 Every check returns a VerificationReport rather than asserting, with
 verdict ``verified``, ``refuted`` or ``skipped`` (bound exceeded), and
@@ -18,16 +19,19 @@ from .linalg import Matrix, Subspace, subspace_intersect, subspace_preimage
 from .modules import (
     DEFAULT_BOUND,
     annihilator,
-    is_invariant,
     is_simple,
+    maximal_submodules,
     quotient_algebra_rep,
     regular_rep,
     rep_quotient,
     simple_modules_group,
     Rep,
 )
-from .induction import induced_annihilator_direct, induced_annihilator_from_space
-from .linalg import enumerate_subspaces
+from .induction import (
+    induce,
+    induced_annihilator_direct,
+    induced_annihilator_from_space,
+)
 from .rings import ScalarRing
 from .sheaves import sheaf_of, stalk_isotropy_module
 
@@ -213,20 +217,14 @@ def enumerate_primitive_ideals(g: FiniteGroupoid, ring: ScalarRing,
 def primitive_ideal_oracle(g: FiniteGroupoid, ring: ScalarRing,
                            bound: int = DEFAULT_BOUND) -> list[Ideal]:
     """Primitive ideals from first principles: annihilators of the simple
-    quotients of the regular module, via exhaustive invariant-subspace
-    search over a finite field.  Independent of the induction machinery."""
+    quotients of the regular module, read off its maximal submodules in
+    the submodule lattice over a finite field.  Independent of the
+    induction machinery."""
     if not ring.is_field or ring.size is None:
-        raise UnsupportedRingError("the oracle enumerates subspaces over a "
-                                   "finite field")
+        raise UnsupportedRingError("the oracle needs a finite field")
     reg = regular_rep(g, ring)
-    full = Subspace.full(ring, reg.dim)
-    invariant = [S for S in enumerate_subspaces(ring, reg.dim, bound=bound)
-                 if S != full and is_invariant(reg, S)]
-    maximal = [S for S in invariant
-               if not any(T != S and T.contains_subspace(S)
-                          for T in invariant)]
     out = []
-    for N in maximal:
+    for N in maximal_submodules(reg, bound):
         J = annihilator(rep_quotient(reg, N))
         if not any(J == K for K in out):
             out.append(J)
@@ -246,39 +244,24 @@ def verify_primitive_ideals(g: FiniteGroupoid, ring: ScalarRing,
     t0 = time.perf_counter()
     try:
         prims = enumerate_primitive_ideals(g, ring, bound=bound)
-    except BoundExceededError as exc:
-        return VerificationReport("primitive-ideals", instance,
-                                  ring.spec_string(), "skipped",
-                                  reason=str(exc), seed=seed,
-                                  wall_time=time.perf_counter() - t0)
-    witnesses = {"primitive_ideals": [_basis_strs(J.space) for J in prims]}
-    if ring.is_field and ring.size is not None:
-        try:
+        witnesses = {"primitive_ideals": [_basis_strs(J.space)
+                                          for J in prims]}
+        if ring.is_field and ring.size is not None:
             oracle = primitive_ideal_oracle(g, ring, bound=bound)
-        except BoundExceededError as exc:
-            return VerificationReport("primitive-ideals", instance,
-                                      ring.spec_string(), "skipped",
-                                      reason=str(exc), seed=seed,
-                                      wall_time=time.perf_counter() - t0)
-        witnesses["oracle_ideals"] = [_basis_strs(J.space) for J in oracle]
-        verdict = "verified" if prims == oracle else "refuted"
-        return VerificationReport("primitive-ideals", instance,
-                                  ring.spec_string(), verdict,
-                                  witnesses=witnesses, seed=seed,
-                                  wall_time=time.perf_counter() - t0)
-    from .induction import induce, transversal
-
-    try:
-        ok = True
-        for u in orbits(g).representatives:
-            G = isotropy(g, u)
-            for N in simple_modules_group(G, ring, bound=bound):
-                rho = induce(g, ring, u, N)
-                if not is_simple(rho, bound=bound):
-                    ok = False
-                J = induced_annihilator_direct(g, ring, u, N)
-                if annihilator(rho) != J:
-                    ok = False
+            witnesses["oracle_ideals"] = [_basis_strs(J.space)
+                                          for J in oracle]
+            ok = prims == oracle
+        else:
+            ok = True
+            for u in orbits(g).representatives:
+                G = isotropy(g, u)
+                for N in simple_modules_group(G, ring, bound=bound):
+                    rho = induce(g, ring, u, N)
+                    if not is_simple(rho, bound=bound):
+                        ok = False
+                    J = induced_annihilator_direct(g, ring, u, N)
+                    if annihilator(rho) != J:
+                        ok = False
     except BoundExceededError as exc:
         return VerificationReport("primitive-ideals", instance,
                                   ring.spec_string(), "skipped",

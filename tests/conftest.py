@@ -1,6 +1,9 @@
+from itertools import combinations, product
+
 import pytest
 
 from gpdalg import (
+    Subspace,
     action_groupoid,
     cyclic_table,
     disjoint_union,
@@ -54,6 +57,27 @@ def named_pool():
         ("z2+pt", disjoint_union(zg(2), pair_groupoid(1))),
         ("pair2+z3", disjoint_union(pair_groupoid(2), zg(3))),
     ]
+
+
+def all_subspaces(ring, dim):
+    """Brute-force reference: every subspace of F_q^dim, one RREF each.
+
+    Lists the reduced echelon bases directly, pivot set by pivot set, with
+    every choice of free entries; no bound, so keep dim small.
+    """
+    elems = list(ring.elements())
+    for k in range(dim + 1):
+        for pivs in combinations(range(dim), k):
+            free = [(i, j) for i in range(k) for j in range(dim)
+                    if j > pivs[i] and j not in pivs]
+            for vals in product(elems, repeat=len(free)):
+                rows = [[ring.zero] * dim for _ in range(k)]
+                for i in range(k):
+                    rows[i][pivs[i]] = ring.one
+                for (i, j), v in zip(free, vals):
+                    rows[i][j] = v
+                yield Subspace._trusted(ring, dim,
+                                        [tuple(r) for r in rows])
 
 
 RING_SPECS = ("q", "fp:2", "fp:3", "zn:4")

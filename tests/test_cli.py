@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gpdalg
 from gpdalg.cli import main, parse_generator_spec
 from gpdalg import validate
 
@@ -190,6 +194,34 @@ def test_bound_exceeded_exits_3(capsys):
     code, _, err = run(capsys, "verify", "primitive-ideals", "--gen",
                        "group:z3", "--ring", "fp:2", "--bound", "2")
     assert code == 3
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_bound_below_one_exits_2(capsys, bound):
+    code, out, err = run(capsys, "verify", "primitive-ideals", "--gen",
+                         "group:z3", "--ring", "fp:2", "--bound", bound)
+    assert code == 2 and out == ""
+    assert err == "error: --bound must be at least 1, got %s\n" % bound
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "orbits", "--gen", "pair:x"],
+    ["generate", "pair", "x"],
+    ["generate", "action", "z2"],
+    ["compute", "annihilator", "--gen", "group:z2", "--ring", "fp:3",
+     "--module", "simple:x"],
+    ["verify", "ideal-intersection", "--gen", "group:z2", "--ring", "fp:3",
+     "--ideal-gens", "[1"],
+])
+def test_malformed_input_exits_2_without_traceback(argv):
+    src = os.path.dirname(os.path.dirname(gpdalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "gpdalg.cli"] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_text_format_summary(capsys):

@@ -9,13 +9,16 @@ from gpdalg import (
     NonFreeQuotientError,
     Subspace,
     canonical_rows,
-    enumerate_subspaces,
     left_kernel,
     mat_kernel,
     ring_from_spec,
     subspace_intersect,
     subspace_preimage,
 )
+
+from gpdalg.linalg import nonzero_vectors
+
+from conftest import all_subspaces
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -139,16 +142,24 @@ def test_preimage_exhaustive():
 
 
 def test_subspace_counts_over_small_fields():
-    assert len(list(enumerate_subspaces(F2, 4))) == 67
-    assert len(list(enumerate_subspaces(F3, 2))) == 6
-    assert len(list(enumerate_subspaces(F2, 3))) == 16
-    for S in enumerate_subspaces(F3, 2):
+    assert len(list(all_subspaces(F2, 4))) == 67
+    assert len(list(all_subspaces(F3, 2))) == 6
+    assert len(list(all_subspaces(F2, 3))) == 16
+    for S in all_subspaces(F3, 2):
         assert Subspace(F3, 2, list(S.basis)) == S
+    assert len(set(all_subspaces(F2, 4))) == 67
 
 
-def test_enumerate_subspaces_bound():
-    with pytest.raises(BoundExceededError):
-        list(enumerate_subspaces(F3, 6, bound=100))
+def test_nonzero_vectors_bound():
+    vecs = list(nonzero_vectors(F3, 2, 9))
+    assert len(vecs) == 8 == len(set(vecs))
+    assert (0, 0) not in vecs
+    with pytest.raises(BoundExceededError,
+                       match=r"state space 3\^2 exceeds bound 8"):
+        nonzero_vectors(F3, 2, 8)
+    with pytest.raises(BoundExceededError,
+                       match=r"state space 3\^6 exceeds bound 100"):
+        nonzero_vectors(F3, 6, 100)
 
 
 def test_coordinates_need_unit_pivots():

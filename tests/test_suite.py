@@ -5,6 +5,7 @@ import pytest
 from gpdalg import (
     AlgebraElement,
     UnsupportedRingError,
+    all_submodules,
     enumerate_all_ideals,
     enumerate_primitive_ideals,
     full_ideal,
@@ -23,7 +24,11 @@ from gpdalg import (
     zero_ideal,
 )
 
-from conftest import named_pool, swap3, zg
+from gpdalg.cli import parse_generator_spec
+from gpdalg.ideals import _closed_two_sided
+from gpdalg.modules import is_invariant
+
+from conftest import all_subspaces, named_pool, swap3, zg
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -108,6 +113,31 @@ def test_oracle_matches_enumeration():
                 == primitive_ideal_oracle(g, ring)
     with pytest.raises(UnsupportedRingError):
         primitive_ideal_oracle(zg(2), Q)
+
+
+@pytest.mark.parametrize("ring_spec", ["fp:2", "fp:3"])
+@pytest.mark.parametrize("spec", ["pair:2", "group:z2", "group:z3",
+                                  "group:z4", "action:z2:1,0,2",
+                                  "group:z2+pair:1"])
+def test_lattice_matches_brute_force_subspaces(spec, ring_spec):
+    g = parse_generator_spec(spec)
+    ring = ring_from_spec(ring_spec)
+    key = lambda S: (S.num_rows, S.basis)
+    reg = regular_rep(g, ring)
+    invariant = sorted((S for S in all_subspaces(ring, g.n_arrows)
+                        if is_invariant(reg, S)), key=key)
+    assert all_submodules(reg) == invariant
+    # A two-sided ideal is in particular a left submodule.
+    assert [I.space for I in enumerate_all_ideals(g, ring)] == [
+        S for S in invariant if _closed_two_sided(g, ring, S) is None]
+
+
+def test_pair3_over_f2_matches_oracle():
+    # M_3(F_2) is simple: the zero ideal is its only primitive ideal.
+    rep = verify_primitive_ideals(pair_groupoid(3), F2, instance="pair:3")
+    assert rep.verified
+    assert rep.witnesses["oracle_ideals"] \
+        == rep.witnesses["primitive_ideals"] == [[]]
 
 
 def test_qz2_primitive_ideals_frozen():
