@@ -8,7 +8,11 @@ finite; the unit is the indicator of the unit arrows.
 
 from __future__ import annotations
 
-from .errors import GroupoidMismatchError, RingMismatchError
+from .errors import (
+    DimensionMismatchError,
+    GroupoidMismatchError,
+    RingMismatchError,
+)
 from .groupoid import FiniteGroupoid, LocalBisection
 from .linalg import Matrix
 from .rings import ScalarRing
@@ -20,7 +24,7 @@ class AlgebraElement:
     def __init__(self, groupoid: FiniteGroupoid, ring: ScalarRing, coeffs):
         coeffs = tuple(ring.coerce(c) for c in coeffs)
         if len(coeffs) != groupoid.n_arrows:
-            raise RingMismatchError("coefficient vector has wrong length")
+            raise DimensionMismatchError("coefficient vector has wrong length")
         self.groupoid = groupoid
         self.ring = ring
         self.coeffs = coeffs
@@ -133,11 +137,6 @@ def involution(f: AlgebraElement) -> AlgebraElement:
     g = f.groupoid
     return AlgebraElement(g, f.ring,
                           [f.coeffs[g.inv[a]] for a in range(g.n_arrows)])
-
-
-def structure_constants(g: FiniteGroupoid) -> dict:
-    """Basis products: (a, b) -> c means e_a e_b = e_c; absent pairs vanish."""
-    return dict(g.comp)
 
 
 def left_mult_matrix(g: FiniteGroupoid, ring: ScalarRing, a: int) -> Matrix:

@@ -30,11 +30,10 @@ from .groupoid import (
     pair_groupoid,
     validate,
 )
-from .ideals import Ideal, enumerate_all_ideals, ideal_from_generators
+from .ideals import enumerate_all_ideals, ideal_from_generators
 from .induction import induce, induced_annihilator_direct
 from .modules import (
     DEFAULT_BOUND,
-    annihilator,
     regular_rep,
     regular_module,
     sign_module,
@@ -42,7 +41,7 @@ from .modules import (
     trivial_module,
 )
 from .rings import ring_from_spec
-from .sheaves import gamma_c, sheaf_of
+from .sheaves import sheaf_of
 from .suite import (
     enumerate_primitive_ideals,
     verify_ideal_is_intersection,
@@ -71,6 +70,9 @@ def parse_generator_spec(spec: str) -> FiniteGroupoid:
             k = _cyclic_order(fields[1])
             gen = tuple(_int(x, "permutation entry")
                         for x in fields[2].split(","))
+            if sorted(gen) != list(range(len(gen))):
+                raise ConstructionError("%r is not a permutation of 0..%d"
+                                        % (list(gen), len(gen) - 1))
             perms = [tuple(range(len(gen)))]
             cur = gen
             for _ in range(k - 1):
@@ -120,7 +122,7 @@ def _load_groupoid(args) -> FiniteGroupoid:
                 raw = fh.read()
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConstructionError("invalid JSON: %s" % exc)
         g = FiniteGroupoid.from_json_dict(data)
     else:
@@ -182,7 +184,7 @@ def cmd_validate(args) -> int:
     try:
         data = json.loads(raw)
         g = FiniteGroupoid.from_json_dict(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConstructionError("invalid JSON: %s" % exc)
     errs = validate(g)
     _emit(args, _dump({"valid": not errs, "violations": errs}))
@@ -243,7 +245,8 @@ def _report_exit(reports) -> int:
 
 def _render_reports(args, reports) -> str:
     if args.format == "json":
-        return "".join(_dump(r.to_json_dict(include_timing=args.timings))
+        return "".join(_dump(dict(r.to_json_dict(include_timing=args.timings),
+                                  seed=args.seed))
                        for r in reports)
     lines = []
     for r in reports:
@@ -267,44 +270,41 @@ def cmd_verify(args) -> int:
     reports = []
     if args.check == "ideal-intersection":
         if args.all_ideals:
-            try:
-                ideals = enumerate_all_ideals(g, ring, bound=args.bound)
-            except BoundExceededError as exc:
-                print("bound exceeded: %s" % exc, file=sys.stderr)
-                return 3
+            ideals = enumerate_all_ideals(g, ring, bound=args.bound)
             for i, I in enumerate(ideals):
                 reports.append(verify_ideal_is_intersection(
-                    g, ring, I, instance="%s#%d" % (name, i),
-                    bound=args.bound, seed=args.seed))
+                    g, ring, I, instance="%s#%d" % (name, i)))
         else:
             gens = []
             if args.ideal_gens:
                 try:
                     vectors = json.loads(args.ideal_gens)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:
                     raise ConstructionError("invalid --ideal-gens JSON: %s"
                                             % exc)
+                if not (isinstance(vectors, list)
+                        and all(isinstance(v, list) and len(v) == g.n_arrows
+                                for v in vectors)):
+                    raise ConstructionError(
+                        "--ideal-gens must be a list of coefficient lists "
+                        "of length %d" % g.n_arrows)
                 gens = [AlgebraElement(g, ring, ring.coerce_vector(v))
                         for v in vectors]
             I = ideal_from_generators(g, ring, gens)
-            reports.append(verify_ideal_is_intersection(
-                g, ring, I, instance=name, bound=args.bound, seed=args.seed))
+            reports.append(verify_ideal_is_intersection(g, ring, I,
+                                                        instance=name))
     elif args.check == "primitive-single":
         for u in orbits(g).representatives:
             G = isotropy(g, u)
-            try:
-                sims = simple_modules_group(G, ring, bound=args.bound)
-            except BoundExceededError as exc:
-                print("bound exceeded: %s" % exc, file=sys.stderr)
-                return 3
+            sims = simple_modules_group(G, ring, bound=args.bound)
             for i, N in enumerate(sims):
                 rho = induce(g, ring, u, N)
                 reports.append(verify_primitive_single_inducer(
                     g, ring, rho, instance="%s@%d#%d" % (name, u, i),
-                    bound=args.bound, seed=args.seed))
+                    bound=args.bound))
     elif args.check == "primitive-ideals":
         reports.append(verify_primitive_ideals(
-            g, ring, instance=name, bound=args.bound, seed=args.seed))
+            g, ring, instance=name, bound=args.bound))
     else:
         raise ConstructionError("unknown check %r" % args.check)
     _emit(args, _render_reports(args, reports))
@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         if ring:
             p.add_argument("--ring", default="q",
                            help="q, fp:<p> or zn:<n> (default q)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="recorded in JSON reports; changes no result")
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
                        help="state-space cap for exhaustive searches")
         p.add_argument("--format", choices=["json", "text"], default="json")

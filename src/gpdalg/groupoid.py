@@ -7,7 +7,7 @@ range objects of arrow ``a``; ``comp`` maps exactly the composable pairs
 
 from __future__ import annotations
 
-from .errors import ConstructionError, GroupoidMismatchError, NotABisectionError
+from .errors import ConstructionError, NotABisectionError
 
 
 class FiniteGroupoid:

@@ -146,15 +146,6 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.nrows)]
 
 
-def vec_add(ring, u, v):
-    return tuple(ring.add(a, b) for a, b in zip(u, v))
-
-def vec_sub(ring, u, v):
-    return tuple(ring.sub(a, b) for a, b in zip(u, v))
-
-def vec_scale(ring, c, v):
-    return tuple(ring.mul(c, x) for x in v)
-
 def vec_is_zero(ring, v):
     return all(x == ring.zero for x in v)
 
@@ -454,16 +445,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
                 v[j] = R.add(v[j], R.mul(c, row[j]))
         gens.append(tuple(v))
     return Subspace(R, a.ambient_dim, gens)
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    a._check_compatible(b)
-    return a.basis == b.basis
-
-
-def subspace_contains(a: Subspace, b: Subspace) -> bool:
-    """Whether a contains b."""
-    return a.contains_subspace(b)
 
 
 def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:

@@ -11,12 +11,8 @@ back to the ambient ring.
 
 from __future__ import annotations
 
-from itertools import product
-import random
-
 from .algebra import AlgebraElement, left_mult_matrix
 from .errors import (
-    BoundExceededError,
     ConstructionError,
     DimensionMismatchError,
     GroupoidMismatchError,
@@ -34,7 +30,7 @@ from .linalg import (
     mat_kernel,
     nonzero_vectors,
 )
-from .rings import PrimeField, RationalField, ScalarRing
+from .rings import RationalField, ScalarRing
 
 DEFAULT_BOUND = 1 << 20
 
@@ -118,7 +114,7 @@ def module_validate(N: IsotropyModule) -> list[str]:
     """Group-module axioms: multiplicative, identity, invertible."""
     errs = []
     G = N.group
-    if not matrix_invertible_all(N.mats):
+    if not all(matrix_invertible(M) for M in N.mats):
         errs.append("some group element acts non-invertibly")
     ident = Matrix.identity(N.matrix_ring, N.dim)
     if N.mats[G.identity] != ident:
@@ -135,10 +131,6 @@ def matrix_invertible(M: Matrix) -> bool:
         return False
     can = canonical_rows(M.ring, M.rows(), M.ncols)
     return list(can) == Matrix.identity(M.ring, M.ncols).rows()
-
-
-def matrix_invertible_all(mats) -> bool:
-    return all(matrix_invertible(M) for M in mats)
 
 
 def rep_validate(rho: Rep) -> list[str]:
@@ -298,11 +290,14 @@ def hom_space(A, B) -> Subspace:
     return mat_kernel(Matrix.from_rows(MR, rows))
 
 
-def is_isomorphic(A, B, bound: int = DEFAULT_BOUND, seed: int = 0) -> bool:
-    """Search the hom space for an invertible intertwiner.
+def is_isomorphic(A, B, bound: int = DEFAULT_BOUND) -> bool:
+    """Whether some intertwiner A -> B is invertible.
 
-    Exhaustive over finite coefficient rings; over the rationals, 64
-    seeded random integer combinations plus the hom basis itself.
+    Over the rationals every module of a finite groupoid algebra is
+    semisimple (Maschke), so A and B are isomorphic exactly when
+    dim Hom(A, B) = dim End(A) = dim End(B).  Over finite coefficient
+    rings every combination of the hom basis is tried, with
+    ``nonzero_vectors`` charging the coefficient vectors against `bound`.
     """
     if A.dim != B.dim:
         return False
@@ -311,40 +306,19 @@ def is_isomorphic(A, B, bound: int = DEFAULT_BOUND, seed: int = 0) -> bool:
     if A.matrix_ring != B.matrix_ring:
         return False
     H = hom_space(A, B)
-    h = len(H.basis)
-    if h == 0:
-        return False
     MR = A.matrix_ring
+    if MR.size is None:
+        return H.num_rows == hom_space(A, A).num_rows \
+            == hom_space(B, B).num_rows
     d = A.dim
-
-    def as_matrix(flat):
-        return Matrix(MR, d, d, flat)
-
-    if MR.size is not None:
-        if MR.size ** h > bound:
-            raise BoundExceededError("hom space %d^%d exceeds bound %d"
-                                     % (MR.size, h, bound))
-        for coeffs in product(list(MR.elements()), repeat=h):
-            flat = [MR.zero] * (d * d)
-            for c, b in zip(coeffs, H.basis):
-                if c == MR.zero:
-                    continue
-                for t in range(d * d):
-                    flat[t] = MR.add(flat[t], MR.mul(c, b[t]))
-            if matrix_invertible(as_matrix(flat)):
-                return True
-        return False
-    for b in H.basis:
-        if matrix_invertible(as_matrix(list(b))):
-            return True
-    rng = random.Random(seed)
-    for _ in range(64):
-        coeffs = [MR.coerce(rng.randint(-9, 9)) for _ in range(h)]
+    for coeffs in nonzero_vectors(MR, H.num_rows, bound):
         flat = [MR.zero] * (d * d)
         for c, b in zip(coeffs, H.basis):
+            if c == MR.zero:
+                continue
             for t in range(d * d):
                 flat[t] = MR.add(flat[t], MR.mul(c, b[t]))
-        if matrix_invertible(as_matrix(flat)):
+        if matrix_invertible(Matrix(MR, d, d, flat)):
             return True
     return False
 
@@ -523,7 +497,9 @@ def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
                          bound: int = DEFAULT_BOUND) -> list[IsotropyModule]:
     """All simple modules of the group algebra, up to isomorphism.
 
-    Prime fields: split a composition series of the regular module.
+    Prime fields: split a composition series of the regular module; a top
+    factor is new unless a simple found before has its dimension and a
+    nonzero map from it (Schur's lemma makes that map an isomorphism).
     Rationals: one simple per cyclotomic factor of x^n - 1 (cyclic groups).
     Z/p^k: the simples of the residue field group algebra, with scalars
     acting through reduction mod p.
@@ -570,7 +546,8 @@ def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
             continue
         N = maximal_submodule(M, bound)
         top = rep_quotient(M, N)
-        if not any(is_isomorphic(top, S, bound) for S in sims):
+        if not any(S.dim == top.dim and hom_space(top, S).basis
+                   for S in sims):
             sims.append(top)
         if not N.is_zero():
             stack.append(rep_submodule(M, N))

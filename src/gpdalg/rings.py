@@ -90,7 +90,10 @@ class RationalField(ScalarRing):
         if isinstance(x, Fraction):
             return x
         if isinstance(x, (int, str)):
-            return Fraction(x)
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                pass
         raise ConstructionError("cannot coerce %r into the rationals" % (x,))
 
     def add(self, a, b):
@@ -117,7 +120,11 @@ class _FiniteRing(ScalarRing):
 
     def coerce(self, x):
         if isinstance(x, str):
-            x = int(x)
+            try:
+                x = int(x)
+            except ValueError:
+                raise ConstructionError("cannot coerce %r mod %d"
+                                        % (x, self.modulus))
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 num = x.numerator % self.modulus

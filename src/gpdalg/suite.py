@@ -38,17 +38,16 @@ from .sheaves import sheaf_of, stalk_isotropy_module
 
 class VerificationReport:
     __slots__ = ("check", "instance", "ring", "verdict", "reason",
-                 "witnesses", "seed", "wall_time")
+                 "witnesses", "wall_time")
 
     def __init__(self, check, instance, ring, verdict, reason=None,
-                 witnesses=None, seed=0, wall_time=0.0):
+                 witnesses=None, wall_time=0.0):
         self.check = check
         self.instance = instance
         self.ring = ring
         self.verdict = verdict
         self.reason = reason
         self.witnesses = witnesses or {}
-        self.seed = seed
         self.wall_time = wall_time
 
     @property
@@ -58,8 +57,7 @@ class VerificationReport:
     def to_json_dict(self, include_timing: bool = False) -> dict:
         d = {"check": self.check, "instance": self.instance,
              "ring": self.ring, "verdict": self.verdict,
-             "reason": self.reason, "witnesses": self.witnesses,
-             "seed": self.seed}
+             "reason": self.reason, "witnesses": self.witnesses}
         if include_timing:
             d["wall_time"] = self.wall_time
         return d
@@ -99,10 +97,9 @@ def stalk_annihilator_space(g: FiniteGroupoid, ring: ScalarRing, I: Ideal,
     return subspace_preimage(L, target)
 
 
-def verify_ideal_is_intersection(g: FiniteGroupoid, ring: ScalarRing,
-                                 I: Ideal, instance: str = "",
-                                 bound: int = DEFAULT_BOUND,
-                                 seed: int = 0) -> VerificationReport:
+def verify_ideal_is_intersection(
+        g: FiniteGroupoid, ring: ScalarRing, I: Ideal,
+        instance: str = "") -> VerificationReport:
     """Check that I equals the intersection, over orbit representatives,
     of the annihilators induced from the stalks of the quotient by I.
 
@@ -114,22 +111,16 @@ def verify_ideal_is_intersection(g: FiniteGroupoid, ring: ScalarRing,
     t0 = time.perf_counter()
     orb = orbits(g)
     per_object = {}
-    try:
-        if ring.is_field:
-            rho = quotient_algebra_rep(g, ring, I)
-            S = sheaf_of(rho)
-            for u in range(g.n_objects):
-                N = stalk_isotropy_module(S, u)
-                per_object[u] = induced_annihilator_direct(g, ring, u, N)
-        else:
-            for u in range(g.n_objects):
-                ann = stalk_annihilator_space(g, ring, I, u)
-                per_object[u] = induced_annihilator_from_space(g, ring, u, ann)
-    except BoundExceededError as exc:
-        return VerificationReport("ideal-intersection", instance,
-                                  ring.spec_string(), "skipped",
-                                  reason=str(exc), seed=seed,
-                                  wall_time=time.perf_counter() - t0)
+    if ring.is_field:
+        rho = quotient_algebra_rep(g, ring, I)
+        S = sheaf_of(rho)
+        for u in range(g.n_objects):
+            N = stalk_isotropy_module(S, u)
+            per_object[u] = induced_annihilator_direct(g, ring, u, N)
+    else:
+        for u in range(g.n_objects):
+            ann = stalk_annihilator_space(g, ring, I, u)
+            per_object[u] = induced_annihilator_from_space(g, ring, u, ann)
     meet = Subspace.full(ring, g.n_arrows)
     for u in orb.representatives:
         meet = subspace_intersect(meet, per_object[u].space)
@@ -147,14 +138,13 @@ def verify_ideal_is_intersection(g: FiniteGroupoid, ring: ScalarRing,
     }
     return VerificationReport("ideal-intersection", instance,
                               ring.spec_string(), verdict,
-                              witnesses=witnesses, seed=seed,
+                              witnesses=witnesses,
                               wall_time=time.perf_counter() - t0)
 
 
-def verify_primitive_single_inducer(g: FiniteGroupoid, ring: ScalarRing,
-                                    rho: Rep, instance: str = "",
-                                    bound: int = DEFAULT_BOUND,
-                                    seed: int = 0) -> VerificationReport:
+def verify_primitive_single_inducer(
+        g: FiniteGroupoid, ring: ScalarRing, rho: Rep, instance: str = "",
+        bound: int = DEFAULT_BOUND) -> VerificationReport:
     """For a simple module, check its annihilator equals the annihilator
     induced from the stalk at one support object (the smallest).
 
@@ -167,12 +157,11 @@ def verify_primitive_single_inducer(g: FiniteGroupoid, ring: ScalarRing,
         return VerificationReport("primitive-single", instance,
                                   ring.spec_string(), "skipped",
                                   reason="simplicity check: %s" % exc,
-                                  seed=seed,
                                   wall_time=time.perf_counter() - t0)
     if not simple:
         return VerificationReport("primitive-single", instance,
                                   ring.spec_string(), "skipped",
-                                  reason="module is not simple", seed=seed,
+                                  reason="module is not simple",
                                   wall_time=time.perf_counter() - t0)
     I = annihilator(rho)
     S = sheaf_of(rho)
@@ -195,7 +184,7 @@ def verify_primitive_single_inducer(g: FiniteGroupoid, ring: ScalarRing,
     }
     return VerificationReport("primitive-single", instance,
                               ring.spec_string(), verdict,
-                              witnesses=witnesses, seed=seed,
+                              witnesses=witnesses,
                               wall_time=time.perf_counter() - t0)
 
 
@@ -232,10 +221,9 @@ def primitive_ideal_oracle(g: FiniteGroupoid, ring: ScalarRing,
     return out
 
 
-def verify_primitive_ideals(g: FiniteGroupoid, ring: ScalarRing,
-                            instance: str = "",
-                            bound: int = DEFAULT_BOUND,
-                            seed: int = 0) -> VerificationReport:
+def verify_primitive_ideals(
+        g: FiniteGroupoid, ring: ScalarRing, instance: str = "",
+        bound: int = DEFAULT_BOUND) -> VerificationReport:
     """Check the induction enumeration of primitive ideals.
 
     Over a finite field the enumeration must match the regular-module
@@ -265,10 +253,10 @@ def verify_primitive_ideals(g: FiniteGroupoid, ring: ScalarRing,
     except BoundExceededError as exc:
         return VerificationReport("primitive-ideals", instance,
                                   ring.spec_string(), "skipped",
-                                  reason=str(exc), seed=seed,
+                                  reason=str(exc),
                                   wall_time=time.perf_counter() - t0)
     verdict = "verified" if ok else "refuted"
     return VerificationReport("primitive-ideals", instance,
                               ring.spec_string(), verdict,
-                              witnesses=witnesses, seed=seed,
+                              witnesses=witnesses,
                               wall_time=time.perf_counter() - t0)

@@ -212,6 +212,12 @@ def test_bound_below_one_exits_2(capsys, bound):
      "--module", "simple:x"],
     ["verify", "ideal-intersection", "--gen", "group:z2", "--ring", "fp:3",
      "--ideal-gens", "[1"],
+    ["verify", "ideal-intersection", "--gen", "group:z2", "--ring", "q",
+     "--ideal-gens", '{"a":1}'],
+    ["verify", "ideal-intersection", "--gen", "group:z2", "--ring", "q",
+     "--ideal-gens", "[1]"],
+    ["verify", "ideal-intersection", "--gen", "group:z2", "--ring", "q",
+     "--ideal-gens", "[[1,2,3]]"],
 ])
 def test_malformed_input_exits_2_without_traceback(argv):
     src = os.path.dirname(os.path.dirname(gpdalg.__file__))

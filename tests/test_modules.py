@@ -4,6 +4,7 @@ from gpdalg import (
     AlgebraElement,
     BoundExceededError,
     ConstructionError,
+    IsotropyModule,
     Matrix,
     NonFreeQuotientError,
     NotAnIdealError,
@@ -212,6 +213,42 @@ def test_hom_space_and_isomorphism():
     regf = regular_module(G, F2)
     assert is_isomorphic(regf, regf)
     assert not is_isomorphic(trivial_module(G, F2), regf)
+
+
+def _direct_sum(*modules):
+    """Block-diagonal sum of isotropy modules over one group."""
+    first = modules[0]
+    R = first.matrix_ring
+    d = sum(N.dim for N in modules)
+    mats = []
+    for k in range(first.group.order):
+        ent = [R.zero] * (d * d)
+        off = 0
+        for N in modules:
+            for i in range(N.dim):
+                for j in range(N.dim):
+                    ent[(off + i) * d + off + j] = N.mats[k].at(i, j)
+            off += N.dim
+        mats.append(Matrix(R, d, d, ent))
+    return IsotropyModule(first.group, first.ring, d, mats)
+
+
+def test_isomorphism_of_semisimple_modules_with_multiplicity():
+    G2 = iso_group(zg(2))
+    for ring in (Q, ring_from_spec("fp:5")):
+        reg = regular_module(G2, ring)
+        triv = trivial_module(G2, ring)
+        assert is_isomorphic(reg, _direct_sum(triv, sign_module(G2, ring)))
+        assert not is_isomorphic(reg, _direct_sum(triv, triv))
+    G3 = iso_group(zg(3))
+    triv, phi3 = simple_modules_group(G3, Q)
+    assert (triv.dim, phi3.dim) == (1, 2)
+    reg = regular_module(G3, Q)
+    assert is_isomorphic(reg, _direct_sum(triv, phi3))
+    assert is_isomorphic(_direct_sum(phi3, triv), reg)
+    assert not is_isomorphic(reg, _direct_sum(triv, triv, triv))
+    assert not is_isomorphic(_direct_sum(phi3, phi3), _direct_sum(phi3, triv,
+                                                                  triv))
 
 
 def test_rep_submodule_and_quotient():

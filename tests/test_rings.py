@@ -85,3 +85,13 @@ def test_coerce_vector():
     assert R.coerce_vector([1, -1, 4, "2"]) == (1, 2, 1, 2)
     with pytest.raises(ConstructionError):
         IntegersMod(4).coerce_vector([Fraction(1, 2)])
+
+
+def test_coerce_rejects_malformed_strings():
+    for spec in ("q", "fp:3", "zn:4"):
+        R = ring_from_spec(spec)
+        for text in ("a", "", "1/0", "1.5.2"):
+            with pytest.raises(ConstructionError):
+                R.coerce(text)
+    assert RationalField().coerce("-3/6") == Fraction(-1, 2)
+    assert IntegersMod(4).coerce("-3") == 1

@@ -116,9 +116,9 @@ def test_round_trip_is_isomorphic_to_input():
         for u, builder in ((0, trivial_module), (2, sign_module)):
             rho = induce(g, ring, u, builder(isotropy(g, u), ring))
             sec = gamma_c(sheaf_of(rho))
-            assert is_isomorphic(rho, sec, seed=3)
+            assert is_isomorphic(rho, sec)
     reg = regular_rep(zg(2), Q)
-    assert is_isomorphic(reg, gamma_c(sheaf_of(reg)), seed=3)
+    assert is_isomorphic(reg, gamma_c(sheaf_of(reg)))
 
 
 def test_sections_of_pair_groupoid():
