@@ -111,20 +111,25 @@ def _cyclic_order(name: str) -> int:
     return k
 
 
+def _read_groupoid(infile: str) -> FiniteGroupoid:
+    """Groupoid JSON from a file, or from stdin when `infile` is "-"."""
+    if infile == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(infile) as fh:
+            raw = fh.read()
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:
+        raise ConstructionError("invalid JSON: %s" % exc)
+    return FiniteGroupoid.from_json_dict(data)
+
+
 def _load_groupoid(args) -> FiniteGroupoid:
     if getattr(args, "gen", None):
         g = parse_generator_spec(args.gen)
     elif getattr(args, "infile", None):
-        if args.infile == "-":
-            raw = sys.stdin.read()
-        else:
-            with open(args.infile) as fh:
-                raw = fh.read()
-        try:
-            data = json.loads(raw)
-        except ValueError as exc:
-            raise ConstructionError("invalid JSON: %s" % exc)
-        g = FiniteGroupoid.from_json_dict(data)
+        g = _read_groupoid(args.infile)
     else:
         raise ConstructionError("need --gen or --in")
     errs = validate(g)
@@ -174,18 +179,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.infile is None:
-        args.infile = "-"
-    if args.infile == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.infile) as fh:
-            raw = fh.read()
-    try:
-        data = json.loads(raw)
-        g = FiniteGroupoid.from_json_dict(data)
-    except ValueError as exc:
-        raise ConstructionError("invalid JSON: %s" % exc)
+    g = _read_groupoid("-" if args.infile is None else args.infile)
     errs = validate(g)
     _emit(args, _dump({"valid": not errs, "violations": errs}))
     return 0 if not errs else 1

@@ -12,7 +12,7 @@ from .errors import ConstructionError, NotABisectionError
 
 class FiniteGroupoid:
     __slots__ = ("n_objects", "src", "tgt", "unit_of", "comp", "inv",
-                 "_by_src_tgt")
+                 "_by_src_tgt", "memo")
 
     def __init__(self, n_objects, arrows, units, comp, inv):
         self.n_objects = n_objects
@@ -25,6 +25,7 @@ class FiniteGroupoid:
         for a in range(len(self.src)):
             by.setdefault((self.src[a], self.tgt[a]), []).append(a)
         self._by_src_tgt = by
+        self.memo = {}  # tables derived on first use; not part of the value
 
     @property
     def n_arrows(self) -> int:
@@ -41,9 +42,6 @@ class FiniteGroupoid:
 
     def composable(self, a: int, b: int) -> bool:
         return self.src[a] == self.tgt[b]
-
-    def compose(self, a: int, b: int) -> int:
-        return self.comp[(a, b)]
 
     def arrows_from_to(self, v: int, w: int) -> tuple:
         """Arrows with domain v and range w, ascending ids."""

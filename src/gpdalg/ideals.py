@@ -1,29 +1,39 @@
 """Two-sided ideals of a groupoid convolution algebra.
 
 An ideal is a canonical subspace of the coefficient space that is closed
-under convolution by every basis element on both sides.
+under convolution by every basis element on both sides.  The arrows span
+the algebra, so that closure is invariance under the left and right
+multiplication matrices of the arrows.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, basis_element, convolve
+from .algebra import AlgebraElement, left_mult_matrix, right_mult_matrix
 from .errors import NotAnIdealError, UnsupportedRingError
 from .groupoid import FiniteGroupoid
-from .linalg import Subspace, join_closure, nonzero_vectors
+from .linalg import Subspace, closure, invariant_lattice
 from .rings import ScalarRing
+
+
+def _arrow_actions(g: FiniteGroupoid, ring: ScalarRing) -> tuple:
+    """Left and right multiplication by each arrow, interleaved; built once
+    per groupoid object and ring."""
+    key = ("arrow_actions", ring)
+    if key not in g.memo:
+        g.memo[key] = tuple(M for a in range(g.n_arrows)
+                            for M in (left_mult_matrix(g, ring, a),
+                                      right_mult_matrix(g, ring, a)))
+    return g.memo[key]
 
 
 def _closed_two_sided(g: FiniteGroupoid, ring: ScalarRing,
                       space: Subspace) -> tuple | None:
     """None when closed; otherwise a witness (side, arrow, basis_vector)."""
+    actions = _arrow_actions(g, ring)
     for v in space.basis:
-        f = AlgebraElement(g, ring, v)
-        for a in range(g.n_arrows):
-            e = basis_element(g, ring, a)
-            if not space.contains(convolve(e, f).coeffs):
-                return ("left", a, v)
-            if not space.contains(convolve(f, e).coeffs):
-                return ("right", a, v)
+        for i, M in enumerate(actions):
+            if not space.contains(M.apply(v)):
+                return ("right" if i % 2 else "left", i // 2, v)
     return None
 
 
@@ -56,10 +66,6 @@ class Ideal:
         if isinstance(f, AlgebraElement):
             f = f.coeffs
         return self.space.contains(f)
-
-    def basis_elements(self) -> list[AlgebraElement]:
-        return [AlgebraElement(self.groupoid, self.ring, v)
-                for v in self.space.basis]
 
     def is_zero(self) -> bool:
         return self.space.is_zero()
@@ -94,25 +100,9 @@ def full_ideal(g: FiniteGroupoid, ring: ScalarRing) -> Ideal:
 def ideal_from_generators(g: FiniteGroupoid, ring: ScalarRing,
                           generators) -> Ideal:
     """Smallest two-sided ideal containing the generators."""
-    gens = []
-    for f in generators:
-        gens.append(f.coeffs if isinstance(f, AlgebraElement) else tuple(f))
-    space = Subspace(ring, g.n_arrows, gens)
-    while True:
-        witness = _closed_two_sided(g, ring, space)
-        if witness is None:
-            break
-        new_rows = list(space.basis)
-        for v in space.basis:
-            f = AlgebraElement(g, ring, v)
-            for a in range(g.n_arrows):
-                e = basis_element(g, ring, a)
-                new_rows.append(convolve(e, f).coeffs)
-                new_rows.append(convolve(f, e).coeffs)
-        bigger = Subspace(ring, g.n_arrows, new_rows)
-        if bigger == space:
-            break
-        space = bigger
+    gens = [f.coeffs if isinstance(f, AlgebraElement) else tuple(f)
+            for f in generators]
+    space = closure(_arrow_actions(g, ring), Subspace(ring, g.n_arrows, gens))
     return Ideal(g, ring, space, check=False)
 
 
@@ -128,8 +118,6 @@ def enumerate_all_ideals(g: FiniteGroupoid, ring: ScalarRing,
         raise UnsupportedRingError(
             "ideal enumeration runs over finite fields, not %s"
             % ring.spec_string())
-    principal = (ideal_from_generators(g, ring, [v]).space
-                 for v in nonzero_vectors(ring, g.n_arrows, bound))
     return [Ideal(g, ring, space, check=False)
-            for space in join_closure(Subspace.zero(ring, g.n_arrows),
-                                      principal)]
+            for space in invariant_lattice(_arrow_actions(g, ring), ring,
+                                           g.n_arrows, bound)]

@@ -88,7 +88,9 @@ class Matrix:
             acc = R.zero
             base = i * self.ncols
             for j in range(self.ncols):
-                acc = R.add(acc, R.mul(self.entries[base + j], vec[j]))
+                x = self.entries[base + j]
+                if x:
+                    acc = R.add(acc, R.mul(x, vec[j]))
             out.append(acc)
         return tuple(out)
 
@@ -119,12 +121,6 @@ class Matrix:
         R = self.ring
         return Matrix(R, self.nrows, self.ncols,
                       [R.add(a, b) for a, b in zip(self.entries, other.entries)])
-
-    def scale(self, c):
-        R = self.ring
-        c = R.coerce(c)
-        return Matrix(R, self.nrows, self.ncols,
-                      [R.mul(c, x) for x in self.entries])
 
     def is_zero(self) -> bool:
         z = self.ring.zero
@@ -222,7 +218,9 @@ def _howell(n, rows, width):
                 return True
             p = pivots[j]
             a, b = p[j], row[j]
-            g, s, t = _egcd(a, b)
+            # Keep the pivot when a divides b: _egcd(a, a) would hand its
+            # slot to the incoming row, and saturation would loop forever.
+            g, s, t = (a, 1, 0) if b % a == 0 else _egcd(a, b)
             new = [(s * x + t * y) % n for x, y in zip(p, row)]
             rem = [((-(b // g)) * x + (a // g) * y) % n for x, y in zip(p, row)]
             # [new; rem] is a unimodular image of [p; row]: span preserved.
@@ -483,15 +481,36 @@ def nonzero_vectors(ring, dim, bound):
             if v != zero)
 
 
-def join_closure(zero: Subspace, spaces) -> list[Subspace]:
-    """The spans closed under joins, with `zero`, sorted by size then basis.
+def closure(maps, space: Subspace) -> Subspace:
+    """Smallest subspace containing `space` that every map sends into itself.
 
-    Every submodule is a join of cyclic ones and every ideal a join of
-    principal ones, so this turns the cyclic (or principal) spans into the
-    whole lattice.
+    Spins the basis: each image outside the span is joined in, until a
+    full pass adds nothing.
     """
-    found = {zero}
-    found.update(spaces)
+    R, dim = space.ring, space.ambient_dim
+    while True:
+        new_rows = []
+        for v in space.basis:
+            for M in maps:
+                w = M.apply(v)
+                if not space.contains(w):
+                    new_rows.append(w)
+        if not new_rows:
+            return space
+        space = space.join(Subspace(R, dim, new_rows))
+
+
+def invariant_lattice(maps, ring, dim, bound) -> list[Subspace]:
+    """Every subspace of R^dim that all maps send into itself, sorted by
+    size then basis (finite rings only).
+
+    Every invariant subspace is a join of the closures of single vectors,
+    so the closures of ``nonzero_vectors`` (which charges them against
+    `bound`) are closed under joins.
+    """
+    found = {Subspace.zero(ring, dim)}
+    found.update(closure(maps, Subspace(ring, dim, [v]))
+                 for v in nonzero_vectors(ring, dim, bound))
     queue = list(found)
     while queue:
         S = queue.pop()

@@ -11,7 +11,7 @@ back to the ambient ring.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, left_mult_matrix
+from .algebra import left_mult_matrix
 from .errors import (
     ConstructionError,
     DimensionMismatchError,
@@ -26,7 +26,8 @@ from .linalg import (
     Matrix,
     Subspace,
     canonical_rows,
-    join_closure,
+    closure,
+    invariant_lattice,
     mat_kernel,
     nonzero_vectors,
 )
@@ -54,16 +55,6 @@ class Rep:
         self.matrix_ring = matrix_ring
         self.dim = dim
         self.mats = mats
-
-    def act(self, f: AlgebraElement) -> Matrix:
-        """Matrix of the element f on this module."""
-        MR = self.matrix_ring
-        out = Matrix.zeros(MR, self.dim, self.dim)
-        for a, c in enumerate(f.coeffs):
-            c = MR.coerce(c)
-            if c != MR.zero:
-                out = out + self.mats[a].scale(c)
-        return out
 
     def action_mats(self):
         return self.mats
@@ -210,19 +201,9 @@ def module_annihilator_space(N: IsotropyModule) -> Subspace:
 
 def spin(module, seeds) -> Subspace:
     """Smallest action-invariant subspace containing the seed vectors."""
-    MR = module.matrix_ring
-    S = Subspace(MR, module.dim, [tuple(v) for v in seeds])
-    mats = module.action_mats()
-    while True:
-        new_rows = []
-        for v in S.basis:
-            for M in mats:
-                w = M.apply(v)
-                if not S.contains(w):
-                    new_rows.append(w)
-        if not new_rows:
-            return S
-        S = S.join(Subspace(MR, module.dim, new_rows))
+    return closure(module.action_mats(),
+                   Subspace(module.matrix_ring, module.dim,
+                            [tuple(v) for v in seeds]))
 
 
 def is_invariant(module, space: Subspace) -> bool:
@@ -326,13 +307,10 @@ def is_isomorphic(A, B, bound: int = DEFAULT_BOUND) -> bool:
 def all_submodules(module, bound: int = DEFAULT_BOUND) -> list[Subspace]:
     """Every invariant subspace: cyclic spins closed under joins."""
     MR = module.matrix_ring
-    d = module.dim
     if MR.size is None:
         raise UnsupportedRingError("submodule enumeration needs finite "
                                    "coefficients")
-    return join_closure(Subspace.zero(MR, d),
-                        (spin(module, [v])
-                         for v in nonzero_vectors(MR, d, bound)))
+    return invariant_lattice(module.action_mats(), MR, module.dim, bound)
 
 
 def maximal_submodules(module, bound: int = DEFAULT_BOUND) -> list[Subspace]:

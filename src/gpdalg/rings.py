@@ -9,7 +9,6 @@ in the canonical range [0, n).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import ConstructionError, UnsupportedRingError
 
@@ -89,6 +88,11 @@ class RationalField(ScalarRing):
     def coerce(self, x):
         if isinstance(x, Fraction):
             return x
+        if isinstance(x, str) and ("e" in x or "E" in x):
+            # Fraction would expand the exponent: "1e2000000" alone
+            # costs seconds and megabytes.
+            raise ConstructionError("cannot coerce %r into the rationals: "
+                                    "no exponent notation" % (x,))
         if isinstance(x, (int, str)):
             try:
                 return Fraction(x)
@@ -104,9 +108,6 @@ class RationalField(ScalarRing):
 
     def mul(self, a, b):
         return a * b
-
-    def is_unit(self, a):
-        return a != 0
 
     def inv(self, a):
         if a == 0:
@@ -169,9 +170,6 @@ class PrimeField(_FiniteRing):
     def spec_string(self):
         return "fp:%d" % self.modulus
 
-    def is_unit(self, a):
-        return a % self.modulus != 0
-
     def inv(self, a):
         return pow(a, -1, self.modulus)
 
@@ -195,9 +193,6 @@ class IntegersMod(_FiniteRing):
 
     def spec_string(self):
         return "zn:%d" % self.modulus
-
-    def is_unit(self, a):
-        return gcd(a, self.modulus) == 1
 
     def inv(self, a):
         return pow(a, -1, self.modulus)

@@ -3,8 +3,11 @@ from itertools import combinations, product
 import pytest
 
 from gpdalg import (
+    AlgebraElement,
     Subspace,
     action_groupoid,
+    basis_element,
+    convolve,
     cyclic_table,
     disjoint_union,
     group_groupoid,
@@ -78,6 +81,55 @@ def all_subspaces(ring, dim):
                     rows[i][j] = v
                 yield Subspace._trusted(ring, dim,
                                         [tuple(r) for r in rows])
+
+
+def brute_span(ring, gens, dim):
+    """All ring-combinations of the generators, by closure (finite rings)."""
+    seen = {(ring.zero,) * dim}
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            for c in ring.elements():
+                w = tuple(ring.add(v[i], ring.mul(c, g[i]))
+                          for i in range(dim))
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+    return seen
+
+
+def reference_closed_two_sided(g, ring, space):
+    """Slow reference for ``ideals._closed_two_sided``: convolves every
+    basis vector with every arrow's indicator, on both sides."""
+    for v in space.basis:
+        f = AlgebraElement(g, ring, v)
+        for a in range(g.n_arrows):
+            e = basis_element(g, ring, a)
+            if not space.contains(convolve(e, f).coeffs):
+                return ("left", a, v)
+            if not space.contains(convolve(f, e).coeffs):
+                return ("right", a, v)
+    return None
+
+
+def reference_ideal_space(g, ring, generators):
+    """Slow reference for ``ideal_from_generators``: joins in every
+    convolution product with an arrow until the span stops growing."""
+    space = Subspace(ring, g.n_arrows, [tuple(f) for f in generators])
+    while reference_closed_two_sided(g, ring, space) is not None:
+        new_rows = list(space.basis)
+        for v in space.basis:
+            f = AlgebraElement(g, ring, v)
+            for a in range(g.n_arrows):
+                e = basis_element(g, ring, a)
+                new_rows.append(convolve(e, f).coeffs)
+                new_rows.append(convolve(f, e).coeffs)
+        bigger = Subspace(ring, g.n_arrows, new_rows)
+        if bigger == space:
+            break
+        space = bigger
+    return space
 
 
 RING_SPECS = ("q", "fp:2", "fp:3", "zn:4")

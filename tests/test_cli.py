@@ -218,6 +218,9 @@ def test_bound_below_one_exits_2(capsys, bound):
      "--ideal-gens", "[1]"],
     ["verify", "ideal-intersection", "--gen", "group:z2", "--ring", "q",
      "--ideal-gens", "[[1,2,3]]"],
+    # Fraction would first expand this into a 20-million-digit integer.
+    ["verify", "ideal-intersection", "--gen", "group:z2", "--ring", "q",
+     "--ideal-gens", '[["1e20000000", 0]]'],
 ])
 def test_malformed_input_exits_2_without_traceback(argv):
     src = os.path.dirname(os.path.dirname(gpdalg.__file__))
@@ -228,6 +231,20 @@ def test_malformed_input_exits_2_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_zn8_ideal_gens_with_equal_pivots_verified():
+    # Its Howell form once looped forever (equal pivot entries), so the
+    # job runs in a subprocess with a timeout.
+    src = os.path.dirname(os.path.dirname(gpdalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "gpdalg.cli", "verify",
+                           "ideal-intersection", "--gen", "pair:2+group:z2",
+                           "--ring", "zn:8", "--ideal-gens", "[[2,0,0,0,0,6]]"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verdict"] == "verified"
 
 
 def test_text_format_summary(capsys):

@@ -18,7 +18,7 @@ from gpdalg import (
 
 from gpdalg.linalg import nonzero_vectors
 
-from conftest import all_subspaces
+from conftest import all_subspaces, brute_span
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -26,22 +26,6 @@ F3 = ring_from_spec("fp:3")
 F5 = ring_from_spec("fp:5")
 Z4 = ring_from_spec("zn:4")
 Z6 = ring_from_spec("zn:6")
-
-
-def brute_span(ring, gens, dim):
-    """All ring-combinations of the generators, by closure (finite rings)."""
-    seen = {(ring.zero,) * dim}
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            for c in ring.elements():
-                w = tuple(ring.add(v[i], ring.mul(c, g[i]))
-                          for i in range(dim))
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    return seen
 
 
 def test_matrix_ops():
@@ -70,6 +54,33 @@ def test_howell_canonical_frozen():
     assert S.element_count() == 4
     assert sorted(brute_span(Z4, [(2, 1)], 2)) == sorted(
         [(0, 0), (2, 1), (0, 2), (2, 3)])
+
+
+def test_howell_equal_pivot_terminates():
+    # An incoming row whose leading entry equals the pivot's used to take
+    # over the pivot slot, and saturation then swapped two rows forever.
+    Z8 = ring_from_spec("zn:8")
+    gens = [(1, 1, 1, 0, 0), (6, 0, 0, 1, 0), (0, 6, 0, 0, 1)]
+    S = Subspace(Z8, 5, gens)
+    assert S.basis == ((1, 1, 1, 0, 0), (0, 2, 0, 0, 3), (0, 0, 2, 1, 1),
+                       (0, 0, 0, 4, 0), (0, 0, 0, 0, 4))
+    assert brute_span(Z8, S.basis, 5) == brute_span(Z8, gens, 5)
+
+
+def test_howell_span_matches_brute_force():
+    rng = random.Random(11)
+    for n in (4, 6, 8, 9, 12):
+        ring = ring_from_spec("zn:%d" % n)
+        for _ in range(40):
+            dim = rng.randint(1, 3)
+            gens = [tuple(rng.randrange(n) for _ in range(dim))
+                    for _ in range(rng.randint(1, 4))]
+            S = Subspace(ring, dim, gens)
+            span = brute_span(ring, gens, dim)
+            assert brute_span(ring, S.basis, dim) == span
+            assert S.element_count() == len(span)
+            for v in itertools.product(range(n), repeat=dim):
+                assert S.contains(v) == (v in span)
 
 
 def test_canonical_form_is_generator_independent():

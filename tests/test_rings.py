@@ -90,7 +90,7 @@ def test_coerce_vector():
 def test_coerce_rejects_malformed_strings():
     for spec in ("q", "fp:3", "zn:4"):
         R = ring_from_spec(spec)
-        for text in ("a", "", "1/0", "1.5.2"):
+        for text in ("a", "", "1/0", "1.5.2", "1e3"):
             with pytest.raises(ConstructionError):
                 R.coerce(text)
     assert RationalField().coerce("-3/6") == Fraction(-1, 2)

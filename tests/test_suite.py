@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -28,7 +29,14 @@ from gpdalg.cli import parse_generator_spec
 from gpdalg.ideals import _closed_two_sided
 from gpdalg.modules import is_invariant
 
-from conftest import all_subspaces, named_pool, swap3, zg
+from conftest import (
+    all_subspaces,
+    named_pool,
+    reference_closed_two_sided,
+    reference_ideal_space,
+    swap3,
+    zg,
+)
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -130,6 +138,25 @@ def test_lattice_matches_brute_force_subspaces(spec, ring_spec):
     # A two-sided ideal is in particular a left submodule.
     assert [I.space for I in enumerate_all_ideals(g, ring)] == [
         S for S in invariant if _closed_two_sided(g, ring, S) is None]
+    # The arrow-action check agrees with the convolution reference.
+    for S in all_subspaces(ring, g.n_arrows):
+        assert (_closed_two_sided(g, ring, S) is None) \
+            == (reference_closed_two_sided(g, ring, S) is None)
+
+
+def test_ideal_closure_matches_convolution_reference(any_ring):
+    for name, g in named_pool():
+        m = g.n_arrows
+        rng = random.Random(name)
+        gen_sets = [[tuple(1 if b == a else 0 for b in range(m))]
+                    for a in (0, m - 1)]
+        for k in (1, 1, 2):
+            gen_sets.append([tuple(rng.randrange(-1, 3) for _ in range(m))
+                             for _ in range(k)])
+        for gens in gen_sets:
+            gens = [any_ring.coerce_vector(v) for v in gens]
+            assert ideal_from_generators(g, any_ring, gens).space \
+                == reference_ideal_space(g, any_ring, gens), (name, gens)
 
 
 def test_pair3_over_f2_matches_oracle():
