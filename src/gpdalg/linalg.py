@@ -39,6 +39,16 @@ class Matrix:
         self.entries = entries
 
     @classmethod
+    def _trusted(cls, ring, nrows, ncols, entries):
+        # Caller promises nrows * ncols entries, each already in `ring`.
+        obj = cls.__new__(cls)
+        obj.ring = ring
+        obj.nrows = nrows
+        obj.ncols = ncols
+        obj.entries = tuple(entries)
+        return obj
+
+    @classmethod
     def from_rows(cls, ring, rows):
         rows = [tuple(r) for r in rows]
         nrows = len(rows)
@@ -73,9 +83,10 @@ class Matrix:
         return tuple(self.entries[i * self.ncols + j] for i in range(self.nrows))
 
     def transpose(self):
-        return Matrix(self.ring, self.ncols, self.nrows,
-                      [self.at(i, j) for j in range(self.ncols)
-                       for i in range(self.nrows)])
+        c = self.ncols
+        return Matrix._trusted(self.ring, c, self.nrows,
+                               [x for j in range(c)
+                                for x in self.entries[j::c]])
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector."""
@@ -103,24 +114,31 @@ class Matrix:
             raise DimensionMismatchError("shapes %dx%d and %dx%d"
                                          % (self.nrows, self.ncols,
                                             other.nrows, other.ncols))
+        # Row i, then k, then column j, skipping zeros on both sides: a
+        # block-monomial product costs O(dim^2), not O(dim^3).  Exact,
+        # since the dropped terms are zero.
         R = self.ring
+        add, mul = R.add, R.mul
+        k, c = self.ncols, other.ncols
+        sparse_rows = [[(j, b) for j, b in enumerate(other.row(t)) if b]
+                       for t in range(k)]
         out = []
-        ocols = [other.col(j) for j in range(other.ncols)]
         for i in range(self.nrows):
-            ri = self.row(i)
-            for c in ocols:
-                acc = R.zero
-                for a, b in zip(ri, c):
-                    acc = R.add(acc, R.mul(a, b))
-                out.append(acc)
-        return Matrix(R, self.nrows, other.ncols, out)
+            acc = [R.zero] * c
+            for a, row in zip(self.entries[i * k:(i + 1) * k], sparse_rows):
+                if a:
+                    for j, b in row:
+                        acc[j] = add(acc[j], mul(a, b))
+            out.extend(acc)
+        return Matrix._trusted(R, self.nrows, c, out)
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatchError("matrix sum shape mismatch")
         R = self.ring
-        return Matrix(R, self.nrows, self.ncols,
-                      [R.add(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix._trusted(R, self.nrows, self.ncols,
+                               [R.add(a, b) for a, b
+                                in zip(self.entries, other.entries)])
 
     def is_zero(self) -> bool:
         z = self.ring.zero
@@ -193,10 +211,16 @@ def _egcd(a, b):
 
 
 def _unit_mult(a, n):
-    """Smallest unit u of Z/n with u*a == gcd(a, n) mod n."""
+    """Smallest unit u of Z/n with u*a == gcd(a, n) mod n, for a != 0 mod n.
+
+    The solutions in [1, n) are u0 + k*(n/g), k = 0..g-1, with
+    u0 = (a/g)^-1 mod n/g; the first one coprime to n is the answer.
+    """
     g = gcd(a, n)
-    for u in range(1, n):
-        if gcd(u, n) == 1 and (u * a) % n == g:
+    m = n // g
+    u0 = pow(a // g, -1, m)
+    for u in range(u0, n, m):
+        if gcd(u, n) == 1:
             return u
     raise AssertionError("no unit multiplier for %d mod %d" % (a, n))
 

@@ -4,6 +4,7 @@ import pytest
 
 from gpdalg import (
     AlgebraElement,
+    Matrix,
     Subspace,
     action_groupoid,
     basis_element,
@@ -130,6 +131,47 @@ def reference_ideal_space(g, ring, generators):
             break
         space = bigger
     return space
+
+
+def reference_matmul(A, B):
+    """Slow reference for ``Matrix.__mul__``: the dense triple loop, every
+    entry a full dot product of a row with a column, zeros included."""
+    R = A.ring
+    out = []
+    cols = [B.col(j) for j in range(B.ncols)]
+    for i in range(A.nrows):
+        row = A.row(i)
+        for c in cols:
+            acc = R.zero
+            for a, b in zip(row, c):
+                acc = R.add(acc, R.mul(a, b))
+            out.append(acc)
+    return Matrix(R, A.nrows, B.ncols, out)
+
+
+def reference_rep_validate(rho):
+    """Slow reference for ``modules.rep_validate``: multiplies all m^2
+    pairs of arrow matrices, the non-composable ones checked against 0."""
+    errs = []
+    g = rho.groupoid
+    MR = rho.matrix_ring
+    zero = Matrix.zeros(MR, rho.dim, rho.dim)
+    for a in range(g.n_arrows):
+        for b in range(g.n_arrows):
+            prod = rho.mats[a] * rho.mats[b]
+            if g.composable(a, b):
+                if prod != rho.mats[g.comp[(a, b)]]:
+                    errs.append("rho(e_%d) rho(e_%d) != rho(e_%d%d)"
+                                % (a, b, a, b))
+            elif prod != zero:
+                errs.append("rho(e_%d) rho(e_%d) != 0 on non-composable pair"
+                            % (a, b))
+    total = Matrix.zeros(MR, rho.dim, rho.dim)
+    for e in g.unit_of:
+        total = total + rho.mats[e]
+    if total != Matrix.identity(MR, rho.dim):
+        errs.append("unit indicators do not sum to the identity")
+    return errs
 
 
 RING_SPECS = ("q", "fp:2", "fp:3", "zn:4")

@@ -247,6 +247,19 @@ def test_zn8_ideal_gens_with_equal_pivots_verified():
     assert json.loads(proc.stdout)["verdict"] == "verified"
 
 
+def test_stalks_pair6_over_q_finishes():
+    # rep_validate once multiplied all 36^2 dense arrow matrices here,
+    # minutes of work, so the job runs in a subprocess with a timeout.
+    src = os.path.dirname(os.path.dirname(gpdalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "gpdalg.cli", "compute",
+                           "stalks", "--gen", "pair:6", "--ring", "q"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["stalk_dims"] == [6] * 6
+
+
 def test_text_format_summary(capsys):
     code, out, _ = run(capsys, "verify", "primitive-ideals", "--gen",
                        "group:z2", "--ring", "fp:2", "--format", "text")

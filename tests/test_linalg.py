@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -16,9 +17,9 @@ from gpdalg import (
     subspace_preimage,
 )
 
-from gpdalg.linalg import nonzero_vectors
+from gpdalg.linalg import _unit_mult, nonzero_vectors
 
-from conftest import all_subspaces, brute_span
+from conftest import RING_SPECS, all_subspaces, brute_span, reference_matmul
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -38,6 +39,54 @@ def test_matrix_ops():
     I = Matrix.identity(Q, 2)
     assert A * I == A and I * A == A
     assert Matrix.zeros(Q, 2, 2).is_zero()
+
+
+def _random_matrix(rng, ring, nrows, ncols, density):
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if ring.size is None:
+            return "%d/%d" % (rng.randint(-9, 9), rng.randint(1, 5))
+        return rng.randrange(1, ring.size)
+    return Matrix(ring, nrows, ncols,
+                  [entry() for _ in range(nrows * ncols)])
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_matmul_matches_reference(spec):
+    ring = ring_from_spec(spec)
+    rng = random.Random(spec)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1),
+              (3, 3, 3), (2, 5, 4), (5, 1, 3), (6, 6, 6)]
+    for density in (0, 0.2, 1):
+        for n, k, c in shapes:
+            for _ in range(3):
+                A = _random_matrix(rng, ring, n, k, density)
+                B = _random_matrix(rng, ring, k, c, density)
+                C = _random_matrix(rng, ring, n, k, density)
+                for got, want in (
+                        (A * B, reference_matmul(A, B)),
+                        (A + C, Matrix(ring, n, k,
+                                       [ring.add(x, y) for x, y
+                                        in zip(A.entries, C.entries)])),
+                        (A.transpose(), Matrix(ring, k, n,
+                                               [A.at(i, j) for j in range(k)
+                                                for i in range(n)]))):
+                    assert got == want
+                    # Entry for entry, type included: the product, sum and
+                    # transpose skip the coercion that the reference runs.
+                    assert [type(x) for x in got.entries] \
+                        == [type(x) for x in want.entries]
+
+
+def test_unit_mult_matches_scan():
+    def scan(a, n):
+        g = math.gcd(a, n)
+        return next(u for u in range(1, n)
+                    if math.gcd(u, n) == 1 and (u * a) % n == g)
+    for n in range(2, 301):
+        for a in range(1, n):
+            assert _unit_mult(a, n) == scan(a, n), (a, n)
 
 
 def test_rref_canonical_and_idempotent():

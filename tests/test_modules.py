@@ -13,7 +13,9 @@ from gpdalg import (
     UnsupportedRingError,
     all_submodules,
     annihilator,
+    disjoint_union,
     enumerate_all_ideals,
+    gamma_c,
     group_groupoid,
     hom_space,
     ideal_from_generators,
@@ -32,13 +34,20 @@ from gpdalg import (
     rep_submodule,
     rep_validate,
     ring_from_spec,
+    sheaf_of,
     sign_module,
     simple_modules_group,
     trivial_module,
     zero_ideal,
 )
 
-from conftest import klein_table, named_pool, swap3, zg
+from conftest import (
+    klein_table,
+    named_pool,
+    reference_rep_validate,
+    swap3,
+    zg,
+)
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -64,6 +73,34 @@ def test_rep_validate_catches_tampering():
     nilpotent = Matrix.from_rows(F2, [[0, 1], [0, 0]])
     bad = Rep(g, F2, rho.dim, [rho.mats[0], nilpotent])
     assert rep_validate(bad) != []
+
+
+@pytest.mark.parametrize("spec", ["fp:2", "fp:3", "q", "zn:4"])
+def test_rep_validate_cut_agrees_with_all_pairs(spec):
+    ring = ring_from_spec(spec)
+    pool = [pair_groupoid(2), disjoint_union(zg(2), pair_groupoid(2)),
+            swap3()]
+    for g in pool:
+        reg = regular_rep(g, ring)
+        # Every arrow acting as the identity passes the composable pairs;
+        # on three objects over F_2 the units also sum to the identity, so
+        # only their orthogonality rules it out.
+        ident = Matrix.identity(ring, reg.dim)
+        const = Rep(g, ring, reg.dim, [ident] * g.n_arrows)
+        assert bool(rep_validate(const)) \
+            == bool(reference_rep_validate(const))
+        for rho in (reg, gamma_c(sheaf_of(reg))):
+            assert rep_validate(rho) == reference_rep_validate(rho) == []
+            # Change one entry at a time, inside and outside the blocks.
+            for a, M in enumerate(rho.mats):
+                for pos, x in enumerate(M.entries):
+                    entries = list(M.entries)
+                    entries[pos] = ring.add(x, ring.one)
+                    mats = list(rho.mats)
+                    mats[a] = Matrix(ring, M.nrows, M.ncols, entries)
+                    bad = Rep(g, ring, rho.dim, mats)
+                    assert bool(rep_validate(bad)) \
+                        == bool(reference_rep_validate(bad)), (a, pos)
 
 
 def test_builtin_modules_validate():
