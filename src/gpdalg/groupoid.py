@@ -412,6 +412,50 @@ def isotropy(g: FiniteGroupoid, u: int) -> IsotropyGroup:
     return IsotropyGroup(u, loops, table, inv, identity)
 
 
+def group_generators(G: IsotropyGroup) -> tuple:
+    """Greedy generating set: in ascending index, every element not yet in
+    the subgroup generated by the elements picked before it."""
+    picked = []
+    sub = {G.identity}
+    for x in range(G.order):
+        if x in sub:
+            continue
+        picked.append(x)
+        frontier = list(sub)
+        while frontier:
+            y = frontier.pop()
+            for s in picked:
+                z = G.table[y][s]
+                if z not in sub:
+                    sub.add(z)
+                    frontier.append(z)
+    return tuple(picked)
+
+
+def generating_arrows(g: FiniteGroupoid) -> tuple:
+    """Arrows that generate g under composition, ascending ids.
+
+    A connected groupoid is its vertex group times a tree groupoid
+    (Higgins 1971), so per orbit with representative u (its smallest
+    object) it takes the unit arrows, generators of the loop group at u
+    and, for every other object v, the smallest arrow u -> v and its
+    inverse.  A subspace is invariant under every arrow of a
+    representation exactly when it is invariant under these.
+    """
+    key = "generating_arrows"
+    if key not in g.memo:
+        gens = set(g.unit_of)
+        for cls in orbits(g).classes:
+            u = cls[0]
+            G = isotropy(g, u)
+            gens.update(G.arrow_ids[i] for i in group_generators(G))
+            for v in cls[1:]:
+                a = g.arrows_from_to(u, v)[0]
+                gens.update((a, g.inv[a]))
+        g.memo[key] = tuple(sorted(gens))
+    return g.memo[key]
+
+
 # ---------------------------------------------------------------------------
 # local bisections
 

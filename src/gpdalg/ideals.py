@@ -2,25 +2,28 @@
 
 An ideal is a canonical subspace of the coefficient space that is closed
 under convolution by every basis element on both sides.  The arrows span
-the algebra, so that closure is invariance under the left and right
-multiplication matrices of the arrows.
+the algebra and every arrow is a composite of ``generating_arrows``, so
+that closure is invariance under the left and right multiplication
+matrices of a generating set of arrows.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraElement, left_mult_matrix, right_mult_matrix
 from .errors import NotAnIdealError, UnsupportedRingError
-from .groupoid import FiniteGroupoid
-from .linalg import Subspace, closure, invariant_lattice
+from .groupoid import FiniteGroupoid, generating_arrows
+from .linalg import Subspace, closure, first_escape, invariant_lattice
 from .rings import ScalarRing
 
 
 def _arrow_actions(g: FiniteGroupoid, ring: ScalarRing) -> tuple:
-    """Left and right multiplication by each arrow, interleaved; built once
-    per groupoid object and ring."""
+    """Left and right multiplication by each generating arrow, interleaved;
+    built once per groupoid object and ring.  Left multiplication is
+    multiplicative and right multiplication anti-multiplicative, so
+    invariance under these is invariance under every arrow."""
     key = ("arrow_actions", ring)
     if key not in g.memo:
-        g.memo[key] = tuple(M for a in range(g.n_arrows)
+        g.memo[key] = tuple(M for a in generating_arrows(g)
                             for M in (left_mult_matrix(g, ring, a),
                                       right_mult_matrix(g, ring, a)))
     return g.memo[key]
@@ -28,13 +31,13 @@ def _arrow_actions(g: FiniteGroupoid, ring: ScalarRing) -> tuple:
 
 def _closed_two_sided(g: FiniteGroupoid, ring: ScalarRing,
                       space: Subspace) -> tuple | None:
-    """None when closed; otherwise a witness (side, arrow, basis_vector)."""
-    actions = _arrow_actions(g, ring)
-    for v in space.basis:
-        for i, M in enumerate(actions):
-            if not space.contains(M.apply(v)):
-                return ("right" if i % 2 else "left", i // 2, v)
-    return None
+    """None when closed; otherwise a witness (side, generating arrow,
+    basis_vector)."""
+    escape = first_escape(_arrow_actions(g, ring), space)
+    if escape is None:
+        return None
+    i, v = escape
+    return ("right" if i % 2 else "left", generating_arrows(g)[i // 2], v)
 
 
 class Ideal:

@@ -505,23 +505,50 @@ def nonzero_vectors(ring, dim, bound):
             if v != zero)
 
 
+def _one_per_line(ring, vectors):
+    """The vectors whose first nonzero entry is 1, over a field; every
+    vector over Z/n.
+
+    Over a field c*v spans the line of v for every c != 0, so one vector
+    per line carries every spin and every invertibility test.  Over Z/n
+    only units rescale: in Z/4 the vector (2) spans less than (1).
+    """
+    if not ring.is_field:
+        return vectors
+    zero, one = ring.zero, ring.one
+    return (v for v in vectors if next(x for x in v if x != zero) == one)
+
+
+def first_escape(maps, space: Subspace):
+    """The first (map index, basis vector) whose image leaves the span,
+    basis vector by basis vector; None when every map keeps it."""
+    for v in space.basis:
+        for i, M in enumerate(maps):
+            if not space.contains(M.apply(v)):
+                return i, v
+    return None
+
+
 def closure(maps, space: Subspace) -> Subspace:
     """Smallest subspace containing `space` that every map sends into itself.
 
-    Spins the basis: each image outside the span is joined in, until a
-    full pass adds nothing.
+    A worklist spin (Parker's MeatAxe, 1984): every map is applied once to
+    each spanning vector, the initial basis rows and the images added
+    since.  The distinct images of one vector that leave the span are
+    joined in one canonicalisation and pushed.  The result is spanned by
+    the vectors ever pushed and holds each one's images, so it is
+    invariant, over Z/n too.
     """
     R, dim = space.ring, space.ambient_dim
-    while True:
-        new_rows = []
-        for v in space.basis:
-            for M in maps:
-                w = M.apply(v)
-                if not space.contains(w):
-                    new_rows.append(w)
-        if not new_rows:
-            return space
-        space = space.join(Subspace(R, dim, new_rows))
+    todo = list(space.basis)
+    while todo:
+        v = todo.pop()
+        new = [w for w in dict.fromkeys(M.apply(v) for M in maps)
+               if not space.contains(w)]
+        if new:
+            space = Subspace(R, dim, space.basis + tuple(new))
+            todo.extend(new)
+    return space
 
 
 def invariant_lattice(maps, ring, dim, bound) -> list[Subspace]:
@@ -530,11 +557,12 @@ def invariant_lattice(maps, ring, dim, bound) -> list[Subspace]:
 
     Every invariant subspace is a join of the closures of single vectors,
     so the closures of ``nonzero_vectors`` (which charges them against
-    `bound`) are closed under joins.
+    `bound`), one vector per line over a field, are closed under joins.
     """
     found = {Subspace.zero(ring, dim)}
     found.update(closure(maps, Subspace(ring, dim, [v]))
-                 for v in nonzero_vectors(ring, dim, bound))
+                 for v in _one_per_line(ring,
+                                        nonzero_vectors(ring, dim, bound)))
     queue = list(found)
     while queue:
         S = queue.pop()

@@ -20,13 +20,21 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .groupoid import FiniteGroupoid, IsotropyGroup, group_groupoid
+from .groupoid import (
+    FiniteGroupoid,
+    IsotropyGroup,
+    generating_arrows,
+    group_generators,
+    group_groupoid,
+)
 from .ideals import Ideal
 from .linalg import (
     Matrix,
     Subspace,
     canonical_rows,
+    _one_per_line,
     closure,
+    first_escape,
     invariant_lattice,
     mat_kernel,
     nonzero_vectors,
@@ -57,7 +65,10 @@ class Rep:
         self.mats = mats
 
     def action_mats(self):
-        return self.mats
+        """The matrices of ``generating_arrows``: for a valid module,
+        rho(ab) = rho(a) rho(b) makes them carry every invariance and
+        intertwining condition."""
+        return tuple(self.mats[a] for a in generating_arrows(self.groupoid))
 
     def __repr__(self):
         return "Rep(dim %d over %s)" % (self.dim, self.ring.spec_string())
@@ -91,7 +102,9 @@ class IsotropyModule:
         self.mats = mats
 
     def action_mats(self):
-        return self.mats
+        """The matrices of ``group_generators``, which carry every
+        invariance and intertwining condition of a valid module."""
+        return tuple(self.mats[i] for i in group_generators(self.group))
 
     def sort_key(self):
         return (self.dim, tuple(M.entries for M in self.mats))
@@ -216,8 +229,7 @@ def spin(module, seeds) -> Subspace:
 
 
 def is_invariant(module, space: Subspace) -> bool:
-    return all(space.contains(M.apply(v))
-               for v in space.basis for M in module.action_mats())
+    return first_escape(module.action_mats(), space) is None
 
 
 def is_simple(module, bound: int = DEFAULT_BOUND) -> bool:
@@ -225,9 +237,10 @@ def is_simple(module, bound: int = DEFAULT_BOUND) -> bool:
 
     Finite coefficient rings are handled exhaustively: the spin of every
     nonzero vector must be everything, with ``nonzero_vectors`` charging
-    the state space against `bound`.  Over the rationals the same test
-    runs on the basis vectors and their pairwise sums only, which settles
-    the module classes this library constructs.
+    the state space against `bound`; over a field one vector per line is
+    spun, since c*v spins to the same subspace as v.  Over the rationals
+    the same test runs on the basis vectors and their pairwise sums only,
+    which settles the module classes this library constructs.
     """
     MR = module.matrix_ring
     d = module.dim
@@ -247,7 +260,7 @@ def is_simple(module, bound: int = DEFAULT_BOUND) -> bool:
                 seeds.append(tuple(v))
         return all(spin(module, [v]) == full for v in seeds)
     return all(spin(module, [v]) == full
-               for v in nonzero_vectors(MR, d, bound))
+               for v in _one_per_line(MR, nonzero_vectors(MR, d, bound)))
 
 
 def hom_space(A, B) -> Subspace:
@@ -286,8 +299,9 @@ def is_isomorphic(A, B, bound: int = DEFAULT_BOUND) -> bool:
     Over the rationals every module of a finite groupoid algebra is
     semisimple (Maschke), so A and B are isomorphic exactly when
     dim Hom(A, B) = dim End(A) = dim End(B).  Over finite coefficient
-    rings every combination of the hom basis is tried, with
-    ``nonzero_vectors`` charging the coefficient vectors against `bound`.
+    rings every combination of the hom basis is tried, one per line over
+    a field (c*T is invertible iff T is), with ``nonzero_vectors``
+    charging the coefficient vectors against `bound`.
     """
     if A.dim != B.dim:
         return False
@@ -301,7 +315,7 @@ def is_isomorphic(A, B, bound: int = DEFAULT_BOUND) -> bool:
         return H.num_rows == hom_space(A, A).num_rows \
             == hom_space(B, B).num_rows
     d = A.dim
-    for coeffs in nonzero_vectors(MR, H.num_rows, bound):
+    for coeffs in _one_per_line(MR, nonzero_vectors(MR, H.num_rows, bound)):
         flat = [MR.zero] * (d * d)
         for c, b in zip(coeffs, H.basis):
             if c == MR.zero:

@@ -9,6 +9,7 @@ from gpdalg import (
     action_groupoid,
     basis_element,
     convolve,
+    mat_kernel,
     cyclic_table,
     disjoint_union,
     group_groupoid,
@@ -172,6 +173,43 @@ def reference_rep_validate(rho):
     if total != Matrix.identity(MR, rho.dim):
         errs.append("unit indicators do not sum to the identity")
     return errs
+
+
+def reference_closure(maps, space):
+    """Slow reference for ``linalg.closure``: passes over the whole basis,
+    every map applied to every basis vector, until a pass adds nothing."""
+    R, dim = space.ring, space.ambient_dim
+    while True:
+        new_rows = []
+        for v in space.basis:
+            for M in maps:
+                w = M.apply(v)
+                if not space.contains(w):
+                    new_rows.append(w)
+        if not new_rows:
+            return space
+        space = space.join(Subspace(R, dim, new_rows))
+
+
+def reference_hom_space(A, B):
+    """Slow reference for ``modules.hom_space``: one commutation condition
+    per arrow (or group element), not per generator."""
+    MR = A.matrix_ring
+    d1, d2 = A.dim, B.dim
+    nunk = d2 * d1
+    rows = []
+    for M1, M2 in zip(A.mats, B.mats):
+        for i in range(d2):
+            for j in range(d1):
+                row = [MR.zero] * nunk
+                for k in range(d1):
+                    row[i * d1 + k] = MR.add(row[i * d1 + k], M1.at(k, j))
+                for k in range(d2):
+                    row[k * d1 + j] = MR.sub(row[k * d1 + j], M2.at(i, k))
+                rows.append(tuple(row))
+    if not rows:
+        return Subspace.full(MR, nunk)
+    return mat_kernel(Matrix.from_rows(MR, rows))
 
 
 RING_SPECS = ("q", "fp:2", "fp:3", "zn:4")

@@ -19,8 +19,12 @@ from gpdalg import (
     orbits,
     pair_groupoid,
     relabel_arrows,
+    ring_from_spec,
     validate,
 )
+from gpdalg.cli import parse_generator_spec
+from gpdalg.groupoid import generating_arrows, group_generators
+from gpdalg.ideals import _arrow_actions
 
 from conftest import cycle3, klein_table, named_pool, swap2, swap3, zg
 
@@ -157,6 +161,57 @@ def test_relabel_preserves_structure():
         assert orbits(h).classes == orbits(g).classes
         for u in range(g.n_objects):
             assert isotropy(h, u).order == isotropy(g, u).order
+
+
+def _composites(g, arrows):
+    """Every arrow reachable by composing the given ones."""
+    reached = set(arrows)
+    frontier = list(reached)
+    while frontier:
+        a = frontier.pop()
+        for b in list(reached):
+            for c in (g.comp.get((a, b)), g.comp.get((b, a))):
+                if c is not None and c not in reached:
+                    reached.add(c)
+                    frontier.append(c)
+    return reached
+
+
+def test_generating_arrows_generate():
+    base = [g for _, g in named_pool()]
+    base += [parse_generator_spec(spec) for spec in
+             ("action:z2:1,0,2+group:z10", "group:z9+pair:3")]
+    rng = random.Random(5)
+    pool = list(base)
+    for g in base:
+        for _ in range(2):
+            perm = list(range(g.n_arrows))
+            rng.shuffle(perm)
+            pool.append(relabel_arrows(g, perm))
+    for g in pool:
+        gens = generating_arrows(g)
+        assert list(gens) == sorted(set(gens))
+        assert _composites(g, gens) == set(range(g.n_arrows)), g
+
+
+def test_generating_arrow_counts():
+    for n in range(2, 13):
+        assert len(generating_arrows(zg(n))) == 2
+    for n in range(1, 7):
+        assert len(generating_arrows(pair_groupoid(n))) == 3 * n - 2
+    for name, g in named_pool():
+        for spec in ("q", "fp:2"):
+            assert len(_arrow_actions(g, ring_from_spec(spec))) \
+                == 2 * len(generating_arrows(g)), name
+
+
+def test_group_generators_klein():
+    g = group_groupoid(klein_table())
+    G = isotropy(g, 0)
+    gens = group_generators(G)
+    assert len(gens) == 2
+    assert _composites(g, [G.arrow_ids[i] for i in gens]) \
+        == set(range(G.order))
 
 
 def test_isotropy_constant_on_orbits():

@@ -17,9 +17,15 @@ from gpdalg import (
     subspace_preimage,
 )
 
-from gpdalg.linalg import _unit_mult, nonzero_vectors
+from gpdalg.linalg import _unit_mult, closure, nonzero_vectors
 
-from conftest import RING_SPECS, all_subspaces, brute_span, reference_matmul
+from conftest import (
+    RING_SPECS,
+    all_subspaces,
+    brute_span,
+    reference_closure,
+    reference_matmul,
+)
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -77,6 +83,26 @@ def test_matmul_matches_reference(spec):
                     # transpose skip the coercion that the reference runs.
                     assert [type(x) for x in got.entries] \
                         == [type(x) for x in want.entries]
+
+
+@pytest.mark.parametrize("spec", RING_SPECS + ("zn:8",))
+def test_closure_matches_reference(spec):
+    # zn:8 seeds with non-unit entries give spans that are not free.
+    ring = ring_from_spec(spec)
+    rng = random.Random("closure/" + spec)
+    for dim in range(1, 6):
+        for nmaps in range(4):
+            for density in (0.2, 0.5):
+                maps = [_random_matrix(rng, ring, dim, dim, density)
+                        for _ in range(nmaps)]
+                for nseeds in (0, 1, 2):
+                    seeds = [tuple(rng.randrange(ring.size or 7)
+                                   if rng.random() < 0.5 else 0
+                                   for _ in range(dim))
+                             for _ in range(nseeds)]
+                    space = Subspace(ring, dim, seeds)
+                    assert closure(maps, space) \
+                        == reference_closure(maps, space), (dim, seeds)
 
 
 def test_unit_mult_matches_scan():

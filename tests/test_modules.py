@@ -1,9 +1,14 @@
+import random
+import re
+from itertools import combinations, product
+
 import pytest
 
 from gpdalg import (
     AlgebraElement,
     BoundExceededError,
     ConstructionError,
+    Ideal,
     IsotropyModule,
     Matrix,
     NonFreeQuotientError,
@@ -13,12 +18,15 @@ from gpdalg import (
     UnsupportedRingError,
     all_submodules,
     annihilator,
+    basis_element,
+    convolve,
     disjoint_union,
     enumerate_all_ideals,
     gamma_c,
     group_groupoid,
     hom_space,
     ideal_from_generators,
+    induce,
     is_isomorphic,
     is_simple,
     isotropy,
@@ -26,10 +34,12 @@ from gpdalg import (
     maximal_submodule,
     module_annihilator_space,
     module_validate,
+    orbits,
     pair_groupoid,
     quotient_algebra_rep,
     regular_module,
     regular_rep,
+    relabel_arrows,
     rep_quotient,
     rep_submodule,
     rep_validate,
@@ -41,9 +51,14 @@ from gpdalg import (
     zero_ideal,
 )
 
+from gpdalg.groupoid import generating_arrows
+
 from conftest import (
+    RING_SPECS,
+    brute_span,
     klein_table,
     named_pool,
+    reference_hom_space,
     reference_rep_validate,
     swap3,
     zg,
@@ -343,6 +358,31 @@ def test_ideal_check_rejects_non_ideal():
         Ideal(g, F2, Subspace(F2, 2, [(0, 1)]))
 
 
+def test_ideal_check_names_a_generating_arrow():
+    # The witness names a generating arrow that really moves the basis
+    # vector out of the span, also after relabelling the arrows.
+    rng = random.Random(2)
+    for g in (zg(4), pair_groupoid(3), swap3()):
+        perm = list(range(g.n_arrows))
+        rng.shuffle(perm)
+        for h, b in product((g, relabel_arrows(g, perm)), range(g.n_arrows)):
+            e = [0] * h.n_arrows
+            e[b] = 1
+            S = Subspace(F2, h.n_arrows, [e])
+            with pytest.raises(NotAnIdealError) as info:
+                Ideal(h, F2, S)
+            m = re.fullmatch(r"not closed under (left|right) multiplication "
+                             r"by arrow (\d+) at (.*)", str(info.value))
+            assert m is not None, str(info.value)
+            side, a = m.group(1), int(m.group(2))
+            assert m.group(3) == repr(S.basis[0])
+            assert a in generating_arrows(h)
+            f = AlgebraElement(h, F2, S.basis[0])
+            x = basis_element(h, F2, a)
+            moved = convolve(x, f) if side == "left" else convolve(f, x)
+            assert not S.contains(moved.coeffs)
+
+
 def test_augmentation_generator_is_already_two_sided():
     g = zg(2)
     I = ideal_from_generators(g, F2, [AlgebraElement(g, F2, [1, 1])])
@@ -354,3 +394,60 @@ def test_swap3_ideal_structure():
     # M2(F2) x F2[Z2] has 2 x 3 ideals
     assert len(enumerate_all_ideals(g, F2)) == 6
     assert len(enumerate_all_ideals(g, F3)) == 8
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_hom_space_matches_all_arrows_reference(spec):
+    ring = ring_from_spec(spec)
+    for g in (pair_groupoid(2), swap3(),
+              disjoint_union(zg(2), pair_groupoid(1))):
+        reg = regular_rep(g, ring)
+        reps = [reg, gamma_c(sheaf_of(reg))]
+        for u in orbits(g).representatives:
+            G = iso_group(g, u)
+            reps += [induce(g, ring, u, trivial_module(G, ring)),
+                     induce(g, ring, u, regular_module(G, ring))]
+        for A in reps:
+            for B in reps:
+                assert hom_space(A, B) == reference_hom_space(A, B)
+    G = iso_group(group_groupoid(klein_table()))
+    mods = [trivial_module(G, ring), regular_module(G, ring)]
+    if ring.is_field and ring.size is not None:
+        mods += simple_modules_group(G, ring)
+    for A in mods:
+        for B in mods:
+            assert hom_space(A, B) == reference_hom_space(A, B)
+
+
+def test_simplicity_over_zn_spins_non_unit_vectors():
+    # Over Z/4 the vector (2) spins to a proper submodule: rescaling to a
+    # leading 1 is only sound over a field.
+    assert not is_simple(regular_module(iso_group(zg(1)), Z4))
+    assert is_simple(regular_module(iso_group(zg(1)), F3))
+
+
+def _brute_submodules(module):
+    """Invariant submodules of R^2 (R = Z/p^k), as element sets: each is
+    generated by two vectors."""
+    ring, d = module.matrix_ring, module.dim
+    assert d == 2
+    cyclic = {}
+    for v in product(list(ring.elements()), repeat=d):
+        cyclic.setdefault(frozenset(brute_span(ring, [v], d)), v)
+    gens = list(cyclic.values())
+    spans = {frozenset(brute_span(ring, [v, w], d))
+             for v, w in combinations(gens, 2)} | set(cyclic)
+    return {S for S in spans
+            if all(M.apply(x) in S for M in module.mats for x in S)}
+
+
+@pytest.mark.parametrize("spec", ["zn:4", "zn:8"])
+def test_all_submodules_over_zn_match_brute_force(spec):
+    ring = ring_from_spec(spec)
+    trivial = iso_group(zg(1))
+    for N in (IsotropyModule(trivial, ring, 2, [Matrix.identity(ring, 2)]),
+              regular_module(iso_group(zg(2)), ring)):
+        subs = all_submodules(N)
+        got = [frozenset(brute_span(ring, S.basis, 2)) for S in subs]
+        assert len(set(got)) == len(got)
+        assert set(got) == _brute_submodules(N)
