@@ -73,9 +73,7 @@ from .modules import (
     Rep,
     IsotropyModule,
     rep_validate,
-    module_validate,
     regular_rep,
-    isotropy_rep,
     annihilator,
     module_annihilator_space,
     is_simple,
@@ -140,8 +138,8 @@ __all__ = [
     "Ideal", "zero_ideal", "full_ideal", "ideal_from_generators",
     "ideal_equal", "enumerate_all_ideals",
     "DEFAULT_BOUND", "Rep", "IsotropyModule", "rep_validate",
-    "module_validate", "regular_rep", "isotropy_rep", "annihilator",
-    "module_annihilator_space", "is_simple", "is_isomorphic", "hom_space",
+    "regular_rep", "annihilator", "module_annihilator_space", "is_simple",
+    "is_isomorphic", "hom_space",
     "all_submodules", "maximal_submodule", "rep_submodule", "rep_quotient",
     "quotient_algebra_rep", "trivial_module", "sign_module",
     "regular_module", "simple_modules_group",

@@ -236,16 +236,7 @@ def cyclic_table(k: int) -> list[list[int]]:
 
 def group_groupoid(table) -> FiniteGroupoid:
     """One object; arrows are the group elements, composition the table."""
-    errs = validate_group_table(table)
-    if errs:
-        raise ConstructionError("bad group table: %s" % errs[0])
-    k = len(table)
-    ident = group_identity(table)
-    comp = {(a, b): table[a][b] for a in range(k) for b in range(k)}
-    inv = [next(b for b in range(k)
-                if table[a][b] == ident and table[b][a] == ident)
-           for a in range(k)]
-    return FiniteGroupoid(1, [(0, 0)] * k, [ident], comp, inv)
+    return action_groupoid(table, [(0,)] * len(table))
 
 
 def action_groupoid(table, perms) -> FiniteGroupoid:
@@ -363,9 +354,13 @@ def orbits(g: FiniteGroupoid) -> OrbitPartition:
 
 
 class IsotropyGroup:
-    """The group of loops at a base object, with its own element indexing."""
+    """The group of loops at a base object, with its own element indexing.
 
-    __slots__ = ("base", "arrow_ids", "table", "inv", "identity", "index_of")
+    ``groupoid`` is the group as a one-object groupoid, arrow i being
+    element i, built unchecked: ``isotropy`` reads a valid table."""
+
+    __slots__ = ("base", "arrow_ids", "table", "inv", "identity", "index_of",
+                 "groupoid")
 
     def __init__(self, base, arrow_ids, table, inv, identity):
         self.base = base
@@ -374,6 +369,10 @@ class IsotropyGroup:
         self.inv = tuple(inv)
         self.identity = identity
         self.index_of = {a: i for i, a in enumerate(self.arrow_ids)}
+        k = len(self.table)
+        comp = {(a, b): self.table[a][b] for a in range(k) for b in range(k)}
+        self.groupoid = FiniteGroupoid(1, [(0, 0)] * k, [identity], comp,
+                                       self.inv)
 
     @property
     def order(self) -> int:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from .algebra import AlgebraElement, left_mult_matrix, right_mult_matrix
 from .errors import NotAnIdealError, UnsupportedRingError
 from .groupoid import FiniteGroupoid, generating_arrows
-from .linalg import Subspace, closure, first_escape, invariant_lattice
+from .linalg import (DEFAULT_BOUND, Subspace, closure, first_escape,
+                     invariant_lattice)
 from .rings import ScalarRing
 
 
@@ -114,7 +115,7 @@ def ideal_equal(a: Ideal, b: Ideal) -> bool:
 
 
 def enumerate_all_ideals(g: FiniteGroupoid, ring: ScalarRing,
-                         bound: int = 1 << 20) -> list[Ideal]:
+                         bound: int = DEFAULT_BOUND) -> list[Ideal]:
     """Every two-sided ideal (finite fields only): the principal ideals of
     the nonzero vectors, closed under joins."""
     if not ring.is_field or ring.size is None:

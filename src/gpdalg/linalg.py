@@ -329,10 +329,9 @@ class Subspace:
 
     @classmethod
     def full(cls, ring, ambient_dim):
-        if ring.is_field:
-            return cls._trusted(ring, ambient_dim,
-                                Matrix.identity(ring, ambient_dim).rows())
-        return cls(ring, ambient_dim, Matrix.identity(ring, ambient_dim).rows())
+        # The identity rows are already in RREF and in Howell form.
+        return cls._trusted(ring, ambient_dim,
+                            Matrix.identity(ring, ambient_dim).rows())
 
     @property
     def num_rows(self) -> int:
@@ -489,6 +488,9 @@ def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
     kern = mat_kernel(Matrix.from_rows(R, rows))
     gens = [c[:k] for c in kern.basis]
     return Subspace(R, k, gens)
+
+
+DEFAULT_BOUND = 1 << 20
 
 
 def nonzero_vectors(ring, dim, bound):

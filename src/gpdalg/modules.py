@@ -20,15 +20,10 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .groupoid import (
-    FiniteGroupoid,
-    IsotropyGroup,
-    generating_arrows,
-    group_generators,
-    group_groupoid,
-)
+from .groupoid import FiniteGroupoid, IsotropyGroup, generating_arrows, orbits
 from .ideals import Ideal
 from .linalg import (
+    DEFAULT_BOUND,
     Matrix,
     Subspace,
     canonical_rows,
@@ -40,8 +35,6 @@ from .linalg import (
     nonzero_vectors,
 )
 from .rings import RationalField, ScalarRing
-
-DEFAULT_BOUND = 1 << 20
 
 
 class Rep:
@@ -81,30 +74,16 @@ class Rep:
         return d
 
 
-class IsotropyModule:
-    """Module over the group algebra of an isotropy group."""
+class IsotropyModule(Rep):
+    """Module over the group algebra of an isotropy group: a Rep of the
+    group's one-object groupoid, ``mats[i]`` the action of element i."""
 
-    __slots__ = ("group", "ring", "matrix_ring", "dim", "mats")
+    __slots__ = ("group",)
 
     def __init__(self, group: IsotropyGroup, ring: ScalarRing, dim: int,
                  mats, matrix_ring: ScalarRing | None = None):
-        matrix_ring = matrix_ring if matrix_ring is not None else ring
-        mats = tuple(mats)
-        if len(mats) != group.order:
-            raise DimensionMismatchError("need one matrix per group element")
-        for M in mats:
-            if M.ring != matrix_ring or M.nrows != dim or M.ncols != dim:
-                raise DimensionMismatchError("matrix of wrong shape or ring")
+        Rep.__init__(self, group.groupoid, ring, dim, mats, matrix_ring)
         self.group = group
-        self.ring = ring
-        self.matrix_ring = matrix_ring
-        self.dim = dim
-        self.mats = mats
-
-    def action_mats(self):
-        """The matrices of ``group_generators``, which carry every
-        invariance and intertwining condition of a valid module."""
-        return tuple(self.mats[i] for i in group_generators(self.group))
 
     def sort_key(self):
         return (self.dim, tuple(M.entries for M in self.mats))
@@ -112,22 +91,6 @@ class IsotropyModule:
     def __repr__(self):
         return "IsotropyModule(dim %d over %s, group order %d)" % (
             self.dim, self.ring.spec_string(), self.group.order)
-
-
-def module_validate(N: IsotropyModule) -> list[str]:
-    """Group-module axioms: multiplicative, identity, invertible."""
-    errs = []
-    G = N.group
-    if not all(matrix_invertible(M) for M in N.mats):
-        errs.append("some group element acts non-invertibly")
-    ident = Matrix.identity(N.matrix_ring, N.dim)
-    if N.mats[G.identity] != ident:
-        errs.append("identity element does not act as identity")
-    for i in range(G.order):
-        for j in range(G.order):
-            if N.mats[i] * N.mats[j] != N.mats[G.table[i][j]]:
-                errs.append("action not multiplicative at (%d,%d)" % (i, j))
-    return errs
 
 
 def matrix_invertible(M: Matrix) -> bool:
@@ -145,7 +108,8 @@ def rep_validate(rho: Rep) -> list[str]:
     other non-composable product then vanishes for free:
     rho(a) rho(b) = rho(a) rho(e_d(a)) rho(e_r(b)) rho(b) = 0, the outer
     factorisations being composable pairs.  That argument assumes a
-    valid groupoid (``validate(g) == []``).
+    valid groupoid (``validate(g) == []``).  On a group these are the
+    module axioms: rho(g) rho(g^-1) = rho(e) = 1 makes rho(g) invertible.
     """
     errs = []
     g = rho.groupoid
@@ -174,12 +138,6 @@ def regular_rep(g: FiniteGroupoid, ring: ScalarRing) -> Rep:
     """Left multiplication on the arrow basis."""
     mats = [left_mult_matrix(g, ring, a) for a in range(g.n_arrows)]
     return Rep(g, ring, g.n_arrows, mats)
-
-
-def isotropy_rep(N: IsotropyModule) -> tuple[FiniteGroupoid, Rep]:
-    """The module N as a Rep of the one-object groupoid of its group."""
-    gg = group_groupoid([list(r) for r in N.group.table])
-    return gg, Rep(gg, N.ring, N.dim, N.mats, matrix_ring=N.matrix_ring)
 
 
 def _residue_lift_space(ring: ScalarRing, residue: ScalarRing,
@@ -217,8 +175,7 @@ def annihilator(rho: Rep) -> Ideal:
 
 def module_annihilator_space(N: IsotropyModule) -> Subspace:
     """Annihilator of N inside the group algebra, over the ambient ring."""
-    _, rho = isotropy_rep(N)
-    return annihilator(rho).space
+    return annihilator(N).space
 
 
 def spin(module, seeds) -> Subspace:
@@ -239,38 +196,44 @@ def is_simple(module, bound: int = DEFAULT_BOUND) -> bool:
     nonzero vector must be everything, with ``nonzero_vectors`` charging
     the state space against `bound`; over a field one vector per line is
     spun, since c*v spins to the same subspace as v.  Over the rationals
-    the same test runs on the basis vectors and their pairwise sums only,
-    which settles the module classes this library constructs.
+    the support must lie in one orbit and the stalk N at its smallest
+    object u must be simple over Q[G_u] (Morita).  For G_u = <g> cyclic
+    of order n, x^n - 1 is the product of the Phi_d, d | n, irreducible
+    over Q: N is simple iff Phi_d(rho(g)) = 0 and deg Phi_d = dim N for
+    some d | n.  Other isotropy groups raise UnsupportedRingError.
     """
     MR = module.matrix_ring
     d = module.dim
     if d == 0:
         return False
-    full = Subspace.full(MR, d)
-    if MR.size is None:
-        seeds = []
-        for i in range(d):
-            e = [MR.zero] * d
-            e[i] = MR.one
-            seeds.append(tuple(e))
-        for i in range(d):
-            for j in range(i + 1, d):
-                v = list(seeds[i])
-                v[j] = MR.one
-                seeds.append(tuple(v))
-        return all(spin(module, [v]) == full for v in seeds)
-    return all(spin(module, [v]) == full
-               for v in _one_per_line(MR, nonzero_vectors(MR, d, bound)))
+    if MR.size is not None:
+        full = Subspace.full(MR, d)
+        return all(spin(module, [v]) == full
+                   for v in _one_per_line(MR, nonzero_vectors(MR, d, bound)))
+    from .sheaves import sheaf_of, stalk_isotropy_module
+
+    S = sheaf_of(module)
+    supp = S.support()
+    orbit_of = orbits(module.groupoid).orbit_of
+    if any(orbit_of[u] != orbit_of[supp[0]] for u in supp):
+        return False
+    N = stalk_isotropy_module(S, supp[0])
+    gen = N.group.generator_if_cyclic()
+    if gen is None:
+        raise UnsupportedRingError("decided over Q for cyclic isotropy "
+                                   "groups only")
+    n = N.group.order
+    phis = [_cyclotomic(k) for k in range(1, n + 1) if n % k == 0]
+    return any(len(phi) - 1 == N.dim and _poly_at(phi, N.mats[gen]).is_zero()
+               for phi in phis)
 
 
 def hom_space(A, B) -> Subspace:
-    """Intertwiners B <- A, flattened row-major into R^(dimB*dimA)."""
-    if isinstance(A, Rep) is not isinstance(B, Rep):
-        raise GroupoidMismatchError("hom between different module kinds")
-    if isinstance(A, Rep) and A.groupoid != B.groupoid:
-        raise GroupoidMismatchError("reps of different groupoids")
-    if isinstance(A, IsotropyModule) and A.group != B.group:
-        raise GroupoidMismatchError("modules over different groups")
+    """Intertwiners B <- A, flattened row-major into R^(dimB*dimA).  Loop
+    groups at two objects can have equal one-object groupoids."""
+    if A.groupoid != B.groupoid \
+            or getattr(A, "group", None) != getattr(B, "group", None):
+        raise GroupoidMismatchError("modules over different groupoids")
     if A.ring != B.ring:
         raise RingMismatchError("modules over different rings")
     if A.matrix_ring != B.matrix_ring:
@@ -287,7 +250,9 @@ def hom_space(A, B) -> Subspace:
                     row[i * d1 + k] = MR.add(row[i * d1 + k], M1.at(k, j))
                 for k in range(d2):
                     row[k * d1 + j] = MR.sub(row[k * d1 + j], M2.at(i, k))
-                rows.append(tuple(row))
+                # The unit of a group acts as 1 on both sides: no condition.
+                if any(x != MR.zero for x in row):
+                    rows.append(tuple(row))
     if not rows:
         return Subspace.full(MR, nunk)
     return mat_kernel(Matrix.from_rows(MR, rows))
@@ -423,30 +388,28 @@ def trivial_module(G: IsotropyGroup, ring: ScalarRing) -> IsotropyModule:
     return IsotropyModule(G, ring, 1, [one] * G.order)
 
 
+def _cyclic_module(G: IsotropyGroup, gen: int, C: Matrix) -> IsotropyModule:
+    """The module of the cyclic group G = <gen> in which gen acts by C."""
+    mats = [None] * G.order
+    x, P = G.identity, Matrix.identity(C.ring, C.nrows)
+    for _ in range(G.order):
+        mats[x] = P
+        x = G.table[x][gen]
+        P = P * C
+    return IsotropyModule(G, C.ring, C.nrows, mats)
+
+
 def sign_module(G: IsotropyGroup, ring: ScalarRing) -> IsotropyModule:
     """Generator of an even-order cyclic group acts by -1."""
     gen = G.generator_if_cyclic()
     if gen is None or G.order % 2 != 0:
         raise ConstructionError("sign module needs a cyclic group of even "
                                 "order")
-    mats = [None] * G.order
-    x, s = G.identity, ring.one
-    for _ in range(G.order):
-        mats[x] = Matrix(ring, 1, 1, [s])
-        x = G.table[x][gen]
-        s = ring.neg(s)
-    return IsotropyModule(G, ring, 1, mats)
+    return _cyclic_module(G, gen, Matrix(ring, 1, 1, [ring.neg(ring.one)]))
 
 
 def regular_module(G: IsotropyGroup, ring: ScalarRing) -> IsotropyModule:
-    k = G.order
-    mats = []
-    for i in range(k):
-        ent = [ring.zero] * (k * k)
-        for j in range(k):
-            ent[G.table[i][j] * k + j] = ring.one
-        mats.append(Matrix(ring, k, k, ent))
-    return IsotropyModule(G, ring, k, mats)
+    return IsotropyModule(G, ring, G.order, regular_rep(G.groupoid, ring).mats)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +442,16 @@ def _cyclotomic(d: int) -> list[int]:
     return poly
 
 
+def _poly_at(poly, X: Matrix) -> Matrix:
+    """The integer polynomial (low-first coefficients) at X, by Horner."""
+    R, d = X.ring, X.nrows
+    P = Matrix.zeros(R, d, d)
+    for c in reversed(poly):
+        P = P * X + Matrix(R, d, d, [R.coerce(c) if i == j else R.zero
+                                     for i in range(d) for j in range(d)])
+    return P
+
+
 def _companion(ring, poly) -> Matrix:
     d = len(poly) - 1
     ent = [ring.zero] * (d * d)
@@ -489,19 +462,15 @@ def _companion(ring, poly) -> Matrix:
     return Matrix(ring, d, d, ent)
 
 
-def _rep_to_isotropy(G: IsotropyGroup, rho: Rep) -> IsotropyModule:
-    return IsotropyModule(G, rho.ring, rho.dim, rho.mats,
-                          matrix_ring=rho.matrix_ring)
-
-
 def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
                          bound: int = DEFAULT_BOUND) -> list[IsotropyModule]:
     """All simple modules of the group algebra, up to isomorphism.
 
-    Prime fields: split a composition series of the regular module; a top
-    factor is new unless a simple found before has its dimension and a
-    nonzero map from it (Schur's lemma makes that map an isomorphism).
-    Rationals: one simple per cyclotomic factor of x^n - 1 (cyclic groups).
+    Prime fields: split a composition series of ``regular_module``, whose
+    factors are Reps of ``G.groupoid``; a top factor is new unless a
+    simple found before has its dimension and a nonzero map from it
+    (Schur's lemma makes that map an isomorphism).  Rationals: one simple,
+    the companion module, per cyclotomic factor of x^n - 1 (cyclic groups).
     Z/p^k: the simples of the residue field group algebra, with scalars
     acting through reduction mod p.
     """
@@ -520,27 +489,16 @@ def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
             raise UnsupportedRingError(
                 "rational simple modules implemented for cyclic groups only")
         n = G.order
-        sims = []
-        for d in range(1, n + 1):
-            if n % d != 0:
-                continue
-            C = _companion(ring, _cyclotomic(d))
-            mats = [None] * n
-            x, P = G.identity, Matrix.identity(ring, C.nrows)
-            for _ in range(n):
-                mats[x] = P
-                x = G.table[x][gen]
-                P = P * C
-            sims.append(IsotropyModule(G, ring, C.nrows, mats))
+        sims = [_cyclic_module(G, gen, _companion(ring, _cyclotomic(d)))
+                for d in range(1, n + 1) if n % d == 0]
         sims.sort(key=lambda N: N.sort_key())
         return sims
 
     if not ring.is_field or ring.size is None:
         raise UnsupportedRingError("unsupported coefficient ring %s"
                                    % ring.spec_string())
-    gg = group_groupoid([list(r) for r in G.table])
     sims: list[Rep] = []
-    stack = [regular_rep(gg, ring)]
+    stack = [regular_module(G, ring)]
     while stack:
         M = stack.pop()
         if M.dim == 0:
@@ -552,6 +510,6 @@ def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
             sims.append(top)
         if not N.is_zero():
             stack.append(rep_submodule(M, N))
-    out = [_rep_to_isotropy(G, S) for S in sims]
+    out = [IsotropyModule(G, ring, S.dim, S.mats) for S in sims]
     out.sort(key=lambda N: N.sort_key())
     return out

@@ -153,7 +153,7 @@ def verify_primitive_single_inducer(
     t0 = time.perf_counter()
     try:
         simple = is_simple(rho, bound=bound)
-    except BoundExceededError as exc:
+    except (BoundExceededError, UnsupportedRingError) as exc:
         return VerificationReport("primitive-single", instance,
                                   ring.spec_string(), "skipped",
                                   reason="simplicity check: %s" % exc,
@@ -172,7 +172,7 @@ def verify_primitive_single_inducer(
     stalk_simple = None
     try:
         stalk_simple = is_simple(N, bound=bound)
-    except BoundExceededError:
+    except (BoundExceededError, UnsupportedRingError):
         pass
     verdict = "verified" if J == I else "refuted"
     witnesses = {
@@ -188,19 +188,28 @@ def verify_primitive_single_inducer(
                               wall_time=time.perf_counter() - t0)
 
 
+def _induced_simples(g: FiniteGroupoid, ring: ScalarRing, bound: int):
+    """(u, N, induced annihilator) for each simple isotropy module N at
+    each orbit representative u."""
+    for u in orbits(g).representatives:
+        for N in simple_modules_group(isotropy(g, u), ring, bound=bound):
+            yield u, N, induced_annihilator_direct(g, ring, u, N)
+
+
+def _distinct_sorted(ideals) -> list[Ideal]:
+    out = []
+    for J in ideals:
+        if not any(J == K for K in out):
+            out.append(J)
+    out.sort(key=lambda J: (len(J.space.basis), J.space.basis))
+    return out
+
+
 def enumerate_primitive_ideals(g: FiniteGroupoid, ring: ScalarRing,
                                bound: int = DEFAULT_BOUND) -> list[Ideal]:
     """Annihilators induced from the simple isotropy modules of one
     representative per orbit, deduplicated and sorted."""
-    out = []
-    for u in orbits(g).representatives:
-        G = isotropy(g, u)
-        for N in simple_modules_group(G, ring, bound=bound):
-            J = induced_annihilator_direct(g, ring, u, N)
-            if not any(J == K for K in out):
-                out.append(J)
-    out.sort(key=lambda J: (len(J.space.basis), J.space.basis))
-    return out
+    return _distinct_sorted(J for _, _, J in _induced_simples(g, ring, bound))
 
 
 def primitive_ideal_oracle(g: FiniteGroupoid, ring: ScalarRing,
@@ -212,13 +221,8 @@ def primitive_ideal_oracle(g: FiniteGroupoid, ring: ScalarRing,
     if not ring.is_field or ring.size is None:
         raise UnsupportedRingError("the oracle needs a finite field")
     reg = regular_rep(g, ring)
-    out = []
-    for N in maximal_submodules(reg, bound):
-        J = annihilator(rep_quotient(reg, N))
-        if not any(J == K for K in out):
-            out.append(J)
-    out.sort(key=lambda J: (len(J.space.basis), J.space.basis))
-    return out
+    return _distinct_sorted(annihilator(rep_quotient(reg, N))
+                            for N in maximal_submodules(reg, bound))
 
 
 def verify_primitive_ideals(
@@ -231,7 +235,8 @@ def verify_primitive_ideals(
     annihilator of a simple induced module."""
     t0 = time.perf_counter()
     try:
-        prims = enumerate_primitive_ideals(g, ring, bound=bound)
+        found = list(_induced_simples(g, ring, bound))
+        prims = _distinct_sorted(J for _, _, J in found)
         witnesses = {"primitive_ideals": [_basis_strs(J.space)
                                           for J in prims]}
         if ring.is_field and ring.size is not None:
@@ -241,15 +246,12 @@ def verify_primitive_ideals(
             ok = prims == oracle
         else:
             ok = True
-            for u in orbits(g).representatives:
-                G = isotropy(g, u)
-                for N in simple_modules_group(G, ring, bound=bound):
-                    rho = induce(g, ring, u, N)
-                    if not is_simple(rho, bound=bound):
-                        ok = False
-                    J = induced_annihilator_direct(g, ring, u, N)
-                    if annihilator(rho) != J:
-                        ok = False
+            for u, N, J in found:
+                rho = induce(g, ring, u, N)
+                if not is_simple(rho, bound=bound):
+                    ok = False
+                if annihilator(rho) != J:
+                    ok = False
     except BoundExceededError as exc:
         return VerificationReport("primitive-ideals", instance,
                                   ring.spec_string(), "skipped",

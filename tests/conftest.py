@@ -4,6 +4,7 @@ import pytest
 
 from gpdalg import (
     AlgebraElement,
+    IsotropyModule,
     Matrix,
     Subspace,
     action_groupoid,
@@ -16,6 +17,7 @@ from gpdalg import (
     pair_groupoid,
     ring_from_spec,
 )
+from gpdalg.modules import matrix_invertible
 
 
 def zg(k):
@@ -173,6 +175,36 @@ def reference_rep_validate(rho):
     if total != Matrix.identity(MR, rho.dim):
         errs.append("unit indicators do not sum to the identity")
     return errs
+
+
+def reference_module_validate(N):
+    """Slow reference for ``modules.rep_validate`` on an isotropy module:
+    the group-module axioms checked one by one."""
+    errs = []
+    G = N.group
+    if not all(matrix_invertible(M) for M in N.mats):
+        errs.append("some group element acts non-invertibly")
+    ident = Matrix.identity(N.matrix_ring, N.dim)
+    if N.mats[G.identity] != ident:
+        errs.append("identity element does not act as identity")
+    for i in range(G.order):
+        for j in range(G.order):
+            if N.mats[i] * N.mats[j] != N.mats[G.table[i][j]]:
+                errs.append("action not multiplicative at (%d,%d)" % (i, j))
+    return errs
+
+
+def reference_regular_module(G, ring):
+    """Slow reference for ``modules.regular_module``: the matrices read
+    off the group table."""
+    k = G.order
+    mats = []
+    for i in range(k):
+        ent = [ring.zero] * (k * k)
+        for j in range(k):
+            ent[G.table[i][j] * k + j] = ring.one
+        mats.append(Matrix(ring, k, k, ent))
+    return IsotropyModule(G, ring, k, mats)
 
 
 def reference_closure(maps, space):

@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -8,6 +8,7 @@ from gpdalg import (
     AlgebraElement,
     BoundExceededError,
     ConstructionError,
+    GroupoidMismatchError,
     Ideal,
     IsotropyModule,
     Matrix,
@@ -30,10 +31,8 @@ from gpdalg import (
     is_isomorphic,
     is_simple,
     isotropy,
-    isotropy_rep,
     maximal_submodule,
     module_annihilator_space,
-    module_validate,
     orbits,
     pair_groupoid,
     quotient_algebra_rep,
@@ -59,6 +58,8 @@ from conftest import (
     klein_table,
     named_pool,
     reference_hom_space,
+    reference_module_validate,
+    reference_regular_module,
     reference_rep_validate,
     swap3,
     zg,
@@ -122,10 +123,74 @@ def test_builtin_modules_validate():
     for g in (zg(1), zg(2), zg(4), group_groupoid(klein_table())):
         G = iso_group(g)
         for ring in (Q, F2, F3, Z4):
-            assert module_validate(trivial_module(G, ring)) == []
-            assert module_validate(regular_module(G, ring)) == []
+            assert rep_validate(trivial_module(G, ring)) == []
+            assert rep_validate(regular_module(G, ring)) == []
             if G.order % 2 == 0 and G.generator_if_cyclic() is not None:
-                assert module_validate(sign_module(G, ring)) == []
+                assert rep_validate(sign_module(G, ring)) == []
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_rep_validate_agrees_with_group_module_axioms(spec):
+    # On a group's one-object groupoid rep_validate checks exactly the
+    # group-module axioms, invertibility included.
+    ring = ring_from_spec(spec)
+    for g in (zg(2), zg(3), zg(4), group_groupoid(klein_table())):
+        G = iso_group(g)
+        mods = [trivial_module(G, ring), regular_module(G, ring)]
+        if G.order % 2 == 0 and G.generator_if_cyclic() is not None:
+            mods.append(sign_module(G, ring))
+        if G.generator_if_cyclic() is not None or ring.size is not None:
+            mods += simple_modules_group(G, ring)
+        # Multiplicative but not unital: every element acts as a projection.
+        proj = Matrix.from_rows(ring, [[1, 0], [0, 0]])
+        const = IsotropyModule(G, ring, 2, [proj] * G.order)
+        assert bool(rep_validate(const)) \
+            == bool(reference_module_validate(const)) is True
+        for N in mods:
+            assert rep_validate(N) == reference_module_validate(N) == []
+            MR = N.matrix_ring
+            for a, M in enumerate(N.mats):
+                for pos, x in enumerate(M.entries):
+                    entries = list(M.entries)
+                    entries[pos] = MR.add(x, MR.one)
+                    mats = list(N.mats)
+                    mats[a] = Matrix(MR, M.nrows, M.ncols, entries)
+                    bad = IsotropyModule(G, N.ring, N.dim, mats,
+                                         matrix_ring=MR)
+                    assert bool(rep_validate(bad)) \
+                        == bool(reference_module_validate(bad)), (a, pos)
+
+
+def test_regular_module_matches_table_construction():
+    rng = random.Random(5)
+    groups = [iso_group(zg(k)) for k in range(1, 7)]
+    groups += [iso_group(group_groupoid(klein_table())), iso_group(swap3(), 2)]
+    for g in (zg(4), zg(6), swap3()):
+        perm = list(range(g.n_arrows))
+        rng.shuffle(perm)
+        h = relabel_arrows(g, perm)
+        groups += [iso_group(h, u) for u in orbits(h).representatives]
+    for G in groups:
+        for ring in (Q, F2, Z4):
+            N = regular_module(G, ring)
+            ref = reference_regular_module(G, ring)
+            assert (N.group, N.dim, N.mats) == (ref.group, ref.dim, ref.mats)
+
+
+def test_hom_space_needs_one_group():
+    # The loop groups at objects 0 and 1 of swap3 are both trivial: equal
+    # tables and equal one-object groupoids, but different groups.
+    g = swap3()
+    A, B = (trivial_module(iso_group(g, u), Q) for u in (0, 1))
+    assert A.groupoid == B.groupoid
+    assert hom_space(A, A).num_rows == 1
+    with pytest.raises(GroupoidMismatchError):
+        hom_space(A, B)
+    N = regular_module(iso_group(zg(2)), Q)
+    rho = regular_rep(N.groupoid, Q)
+    for X, Y in ((N, rho), (rho, N)):
+        with pytest.raises(GroupoidMismatchError):
+            hom_space(X, Y)
 
 
 def test_sign_module_needs_even_cyclic():
@@ -196,7 +261,7 @@ def test_simple_modules_are_simple_and_distinct():
         for g in (zg(2), zg(3), zg(4), group_groupoid(klein_table())):
             sims = simple_modules_group(iso_group(g), ring)
             for N in sims:
-                assert module_validate(N) == []
+                assert rep_validate(N) == []
                 assert is_simple(N)
             for i in range(len(sims)):
                 for j in range(i + 1, len(sims)):
@@ -220,6 +285,65 @@ def test_is_simple_basic():
 def test_is_simple_bound():
     with pytest.raises(BoundExceededError):
         is_simple(regular_module(iso_group(zg(4)), F3), bound=10)
+
+
+def test_is_simple_over_q_is_exact():
+    # Q[Z/3] and Q[Z/5] split as Q + Q(zeta).
+    for k in (3, 5):
+        assert not is_simple(regular_module(iso_group(zg(k)), Q))
+    triv = trivial_module(iso_group(zg(2)), Q)
+    assert not is_simple(_direct_sum(triv, triv))
+    sims = simple_modules_group(iso_group(zg(8)), Q)
+    assert sorted(N.dim for N in sims) == [1, 1, 2, 4]
+    assert all(is_simple(N) for N in sims)
+    # Two one-dimensional stalks, each simple, in two orbits.
+    two_points = disjoint_union(pair_groupoid(1), pair_groupoid(1))
+    assert not is_simple(regular_rep(two_points, Q))
+    klein = iso_group(group_groupoid(klein_table()))
+    with pytest.raises(UnsupportedRingError):
+        is_simple(trivial_module(klein, Q))
+
+
+def _base_change(N):
+    """N in the basis P e_i, P = 1 + E_01, so basis vector 1 becomes
+    e_0 + e_1."""
+    R, d = N.matrix_ring, N.dim
+    off = [[R.one if (i, j) == (0, 1) else R.zero for j in range(d)]
+           for i in range(d)]
+    P = Matrix.identity(R, d) + Matrix.from_rows(R, off)
+    P_inv = Matrix.identity(R, d) + Matrix.from_rows(
+        R, [[R.neg(x) for x in row] for row in off])
+    return IsotropyModule(N.group, N.ring, d, [P * M * P_inv for M in N.mats],
+                          matrix_ring=N.matrix_ring)
+
+
+def _simple_by_schur(N, sims):
+    """Over Q every module is semisimple (Maschke): N is simple iff it is
+    isomorphic to one of the simples."""
+    return any(is_isomorphic(N, S) for S in sims)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_is_simple_over_q_matches_schur_on_cyclic_groups(n):
+    G = iso_group(zg(n))
+    sims = simple_modules_group(G, Q)
+    mods = sims + [_base_change(S) for S in sims] + [regular_module(G, Q)]
+    mods += [_direct_sum(A, B)
+             for A, B in combinations_with_replacement(sims, 2)]
+    for N in mods:
+        assert is_simple(N) == _simple_by_schur(N, sims), N
+
+
+def test_is_simple_over_q_matches_schur_on_induced_modules():
+    for name, g in named_pool():
+        for u in orbits(g).representatives:
+            G = iso_group(g, u)
+            sims = simple_modules_group(G, Q)
+            mods = list(sims) + [regular_module(G, Q),
+                                 _base_change(_direct_sum(sims[0], sims[-1]))]
+            for N in mods:
+                assert is_simple(induce(g, Q, u, N)) \
+                    == _simple_by_schur(N, sims), (name, u, N)
 
 
 def _zero_module():
@@ -336,7 +460,7 @@ def test_quotient_algebra_rep():
 def test_isotropy_rep_round_trip():
     G = iso_group(zg(3))
     N = regular_module(G, F2)
-    h, rho = isotropy_rep(N)
+    h, rho = N.groupoid, N
     assert h.n_objects == 1 and h.n_arrows == 3
     assert rep_validate(rho) == []
 

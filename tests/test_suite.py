@@ -5,16 +5,20 @@ import pytest
 
 from gpdalg import (
     AlgebraElement,
+    IsotropyModule,
+    Matrix,
     UnsupportedRingError,
     all_submodules,
     enumerate_all_ideals,
     enumerate_primitive_ideals,
     full_ideal,
+    group_groupoid,
     ideal_from_generators,
     induce,
     isotropy,
     pair_groupoid,
     primitive_ideal_oracle,
+    regular_module,
     regular_rep,
     ring_from_spec,
     stalk_annihilator_space,
@@ -31,6 +35,7 @@ from gpdalg.modules import is_invariant
 
 from conftest import (
     all_subspaces,
+    klein_table,
     named_pool,
     reference_closed_two_sided,
     reference_ideal_space,
@@ -112,6 +117,27 @@ def test_primitive_single_skips_non_simple():
     rep = verify_primitive_single_inducer(g, Q, rho)
     assert rep.verdict == "skipped"
     assert "not simple" in rep.reason
+
+
+def test_primitive_single_skips_induced_regular_qz3():
+    # Q[Z/3] splits as Q + Q(zeta_3), and so does the induced module.
+    g = zg(3)
+    rho = induce(g, Q, 0, regular_module(isotropy(g, 0), Q))
+    rep = verify_primitive_single_inducer(g, Q, rho)
+    assert (rep.verdict, rep.reason) == ("skipped", "module is not simple")
+
+
+def test_primitive_single_skips_undecided_klein_module():
+    # Over Q simplicity is decided for cyclic isotropy groups only.
+    g = group_groupoid(klein_table())
+    G = isotropy(g, 0)
+    mats = [Matrix.from_rows(Q, [[1, 0], [0, (-1) ** (i & 1)]])
+            for i in range(G.order)]
+    N = IsotropyModule(G, Q, 2, mats)
+    rep = verify_primitive_single_inducer(g, Q, induce(g, Q, 0, N))
+    assert rep.verdict == "skipped"
+    assert rep.reason.startswith("simplicity check: ")
+    assert "cyclic" in rep.reason
 
 
 def test_oracle_matches_enumeration():
