@@ -92,7 +92,6 @@ from .modules import (
 from .induction import (
     Transversal,
     transversal,
-    InducedRep,
     induce,
     induced_annihilator_from_space,
     induced_annihilator_direct,
@@ -102,7 +101,6 @@ from .sheaves import (
     sheaf_validate,
     sheaf_of,
     stalk_isotropy_module,
-    SectionSpace,
     gamma_c,
     disintegration_iso,
 )
@@ -143,10 +141,10 @@ __all__ = [
     "all_submodules", "maximal_submodule", "rep_submodule", "rep_quotient",
     "quotient_algebra_rep", "trivial_module", "sign_module",
     "regular_module", "simple_modules_group",
-    "Transversal", "transversal", "InducedRep", "induce",
+    "Transversal", "transversal", "induce",
     "induced_annihilator_from_space", "induced_annihilator_direct",
     "SheafData", "sheaf_validate", "sheaf_of", "stalk_isotropy_module",
-    "SectionSpace", "gamma_c", "disintegration_iso",
+    "gamma_c", "disintegration_iso",
     "VerificationReport", "stalk_annihilator_space",
     "verify_ideal_is_intersection", "verify_primitive_single_inducer",
     "enumerate_primitive_ideals", "primitive_ideal_oracle",

@@ -65,19 +65,6 @@ def transversal(g: FiniteGroupoid, u: int) -> Transversal:
     return Transversal(g, u, arrow_to)
 
 
-class InducedRep(Rep):
-    """Induced module; basis labels are (object, module coordinate)."""
-
-    __slots__ = ("basis_labels", "transversal", "source_module")
-
-    def __init__(self, groupoid, ring, dim, mats, matrix_ring, labels,
-                 trans, source):
-        super().__init__(groupoid, ring, dim, mats, matrix_ring=matrix_ring)
-        self.basis_labels = tuple(labels)
-        self.transversal = trans
-        self.source_module = source
-
-
 def _conjugate_index(g: FiniteGroupoid, G: IsotropyGroup, T: Transversal,
                      a: int) -> int:
     """Index in G of t_w^{-1} a t_v for the arrow a: v -> w."""
@@ -87,7 +74,7 @@ def _conjugate_index(g: FiniteGroupoid, G: IsotropyGroup, T: Transversal,
 
 
 def induce(g: FiniteGroupoid, ring: ScalarRing, u: int, N: IsotropyModule,
-           T: Transversal | None = None) -> InducedRep:
+           T: Transversal | None = None) -> Rep:
     """Induced module of the G_u-module N, blocked over the orbit of u."""
     G = isotropy(g, u)
     if N.group.arrow_ids != G.arrow_ids or N.group.table != G.table:
@@ -103,7 +90,6 @@ def induce(g: FiniteGroupoid, ring: ScalarRing, u: int, N: IsotropyModule,
     obj = T.objects
     offset = {v: i * N.dim for i, v in enumerate(obj)}
     dim = len(obj) * N.dim
-    labels = [(v, i) for v in obj for i in range(N.dim)]
     in_orbit = set(obj)
     mats = []
     for a in range(g.n_arrows):
@@ -117,7 +103,7 @@ def induce(g: FiniteGroupoid, ring: ScalarRing, u: int, N: IsotropyModule,
                 for j in range(N.dim):
                     ent[base + j] = block.at(i, j)
         mats.append(Matrix(MR, dim, dim, ent))
-    return InducedRep(g, ring, dim, mats, MR, labels, T, N)
+    return Rep(g, ring, dim, mats, matrix_ring=MR)
 
 
 def induced_annihilator_from_space(g: FiniteGroupoid, ring: ScalarRing,

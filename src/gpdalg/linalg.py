@@ -171,9 +171,10 @@ def _first_nonzero(row, zero):
     return None
 
 
-def _rref(ring, rows, width):
-    """Reduced row echelon form over a field; returns tuple of nonzero rows."""
-    work = [list(ring.coerce_vector(r)) for r in rows]
+def _rref(ring, work, width):
+    """Reduced row echelon form over a field; returns tuple of nonzero rows.
+
+    `work` is a list of rows of coerced ring elements, reduced in place."""
     pivots = []
     r = 0
     for col in range(width):
@@ -290,11 +291,10 @@ def _howell(n, rows, width):
 
 def canonical_rows(ring, rows, width):
     """Canonical basis (RREF or Howell) of the span of `rows`."""
-    rows = [r for r in rows if not vec_is_zero(ring, ring.coerce_vector(r))]
+    rows = [list(ring.coerce_vector(r)) for r in rows]
     if ring.is_field:
         return _rref(ring, rows, width)
-    return _howell(ring.modulus, [list(ring.coerce_vector(r)) for r in rows],
-                   width)
+    return _howell(ring.modulus, rows, width)
 
 
 class Subspace:

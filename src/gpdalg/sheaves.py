@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import ConstructionError, NonFreeQuotientError
 from .groupoid import FiniteGroupoid, isotropy
 from .linalg import Matrix, Subspace, canonical_rows
-from .modules import IsotropyModule, Rep, rep_validate
+from .modules import IsotropyModule, Rep, matrix_invertible, rep_validate
 from .rings import ScalarRing
 
 
@@ -64,8 +64,6 @@ class SheafData:
 
 def sheaf_validate(S: SheafData) -> list[str]:
     """Units act as identities, composition is respected, arrows invert."""
-    from .modules import matrix_invertible
-
     errs = []
     g = S.groupoid
     for u in range(g.n_objects):
@@ -131,19 +129,7 @@ def stalk_isotropy_module(S: SheafData, u: int) -> IsotropyModule:
                           matrix_ring=S.matrix_ring)
 
 
-class SectionSpace(Rep):
-    """Sections of the bundle, one block of coordinates per object."""
-
-    __slots__ = ("block_offsets", "sheaf")
-
-    def __init__(self, groupoid, ring, dim, mats, matrix_ring, offsets,
-                 sheaf):
-        super().__init__(groupoid, ring, dim, mats, matrix_ring=matrix_ring)
-        self.block_offsets = tuple(offsets)
-        self.sheaf = sheaf
-
-
-def gamma_c(S: SheafData) -> SectionSpace:
+def gamma_c(S: SheafData) -> Rep:
     """Reassemble the module of global sections: an element f sends the
     section value at d(a) through the arrow matrix into the block at r(a)."""
     g = S.groupoid
@@ -162,14 +148,12 @@ def gamma_c(S: SheafData) -> SectionSpace:
             for j in range(S.stalk_dims[v]):
                 ent[(offsets[w] + i) * total + (offsets[v] + j)] = B.at(i, j)
         mats.append(Matrix(MR, total, total, ent))
-    return SectionSpace(g, S.ring, total, mats, MR, offsets, S)
+    return Rep(g, S.ring, total, mats, matrix_ring=MR)
 
 
 def disintegration_iso(rho: Rep) -> Matrix:
     """The map m -> (unit_u m)_u in stalk coordinates, checked to be an
     invertible intertwiner onto the section module of sheaf_of(rho)."""
-    from .modules import matrix_invertible
-
     S = sheaf_of(rho)
     sections = gamma_c(S)
     MR = rho.matrix_ring

@@ -14,8 +14,10 @@ from gpdalg import (
     cyclic_table,
     disjoint_union,
     group_groupoid,
+    isotropy,
     pair_groupoid,
     ring_from_spec,
+    subspace_preimage,
 )
 from gpdalg.modules import matrix_invertible
 
@@ -242,6 +244,30 @@ def reference_hom_space(A, B):
     if not rows:
         return Subspace.full(MR, nunk)
     return mat_kernel(Matrix.from_rows(MR, rows))
+
+
+def reference_stalk_annihilator_space(g, ring, I, u):
+    """Slow reference for ``suite.stalk_annihilator_space``: a group
+    algebra element kills the stalk iff its products with every arrow
+    into u land in the ideal, one block of m rows per arrow."""
+    G = isotropy(g, u)
+    into = g.arrows_into(u)
+    m = g.n_arrows
+    rows = []
+    for a in into:
+        block = [[ring.zero] * G.order for _ in range(m)]
+        for k, loop in enumerate(G.arrow_ids):
+            block[g.comp[(loop, a)]][k] = ring.one
+        rows.extend(tuple(r) for r in block)
+    L = Matrix.from_rows(ring, rows)
+    target_rows = []
+    for idx in range(len(into)):
+        for b in I.space.basis:
+            row = [ring.zero] * (len(into) * m)
+            row[idx * m:(idx + 1) * m] = list(b)
+            target_rows.append(tuple(row))
+    target = Subspace(ring, len(into) * m, target_rows)
+    return subspace_preimage(L, target)
 
 
 RING_SPECS = ("q", "fp:2", "fp:3", "zn:4")

@@ -39,6 +39,7 @@ from conftest import (
     named_pool,
     reference_closed_two_sided,
     reference_ideal_space,
+    reference_stalk_annihilator_space,
     swap3,
     zg,
 )
@@ -66,9 +67,42 @@ def test_ideal_intersection_over_zn4():
     rep = verify_ideal_is_intersection(g, Z4, I, instance="z2-rad")
     assert rep.verified
     assert rep.witnesses["ideal"] == [["1", "1"], ["0", "2"]]
+    assert rep.witnesses["induced_annihilators"] == {"0": [["1", "1"],
+                                                           ["0", "2"]]}
     z = verify_ideal_is_intersection(g, Z4, zero_ideal(g, Z4))
     f = verify_ideal_is_intersection(g, Z4, full_ideal(g, Z4))
     assert z.verified and f.verified
+    # Two orbits, and the stalk annihilators differ from I: pinned.
+    h = parse_generator_spec("group:z2+pair:1")
+    J = ideal_from_generators(h, Z4, [AlgebraElement(h, Z4, [1, 1, 2])])
+    rep = verify_ideal_is_intersection(h, Z4, J)
+    assert rep.verified
+    assert rep.witnesses["intersection"] == [["1", "1", "0"],
+                                             ["0", "0", "2"]]
+    assert rep.witnesses["induced_annihilators"] == {
+        "0": [["1", "1", "0"], ["0", "0", "1"]],
+        "1": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]}
+
+
+def test_ideal_intersection_witness_over_f3_pinned():
+    g = swap3()
+    I = ideal_from_generators(g, F3, [AlgebraElement(g, F3,
+                                                     [0, 0, 1, 0, 0, 1])])
+    rep = verify_ideal_is_intersection(g, F3, I)
+    assert rep.verified
+    assert rep.witnesses == {
+        "ideal": [["0", "0", "1", "0", "0", "1"]],
+        "intersection": [["0", "0", "1", "0", "0", "1"]],
+        "induced_annihilators": {
+            "0": [["0", "0", "1", "0", "0", "0"],
+                  ["0", "0", "0", "0", "0", "1"]],
+            "2": [["1", "0", "0", "0", "0", "0"],
+                  ["0", "1", "0", "0", "0", "0"],
+                  ["0", "0", "1", "0", "0", "1"],
+                  ["0", "0", "0", "1", "0", "0"],
+                  ["0", "0", "0", "0", "1", "0"]]},
+        "constant_on_orbits": True,
+    }
 
 
 def test_ideal_intersection_over_rationals():
@@ -80,21 +114,65 @@ def test_ideal_intersection_over_rationals():
     assert verify_ideal_is_intersection(g, Q, J).verified
 
 
+def _generated_ideals(g, ring, seed):
+    """Ideals generated by each e_a, by each 2 e_a and by seeded random
+    vectors."""
+    m = g.n_arrows
+    rng = random.Random(seed)
+    gen_sets = []
+    for a in range(m):
+        e = [1 if b == a else 0 for b in range(m)]
+        gen_sets += [[e], [[2 * x for x in e]]]
+    for k in (1, 1, 2):
+        gen_sets.append([[rng.randrange(-2, 4) for _ in range(m)]
+                         for _ in range(k)])
+    for gens in gen_sets:
+        yield ideal_from_generators(
+            g, ring, [AlgebraElement(g, ring, v) for v in gens])
+
+
 def test_stalk_annihilator_direct_agrees_with_sheaf_route():
     # the ambient-algebra formula and the disintegration route compute
     # the same stalk annihilator over a field
     from gpdalg import (quotient_algebra_rep, sheaf_of,
                         stalk_isotropy_module, module_annihilator_space)
-    for g in (zg(2), zg(3), swap3()):
-        for ring in (F2, F3):
-            for I in enumerate_all_ideals(g, ring):
-                rho = quotient_algebra_rep(g, ring, I)
-                S = sheaf_of(rho)
-                for u in range(g.n_objects):
-                    via_sheaf = module_annihilator_space(
-                        stalk_isotropy_module(S, u))
-                    direct = stalk_annihilator_space(g, ring, I, u)
-                    assert via_sheaf == direct
+    cases = [(g, ring, enumerate_all_ideals(g, ring))
+             for g in (zg(2), zg(3), swap3()) for ring in (F2, F3)]
+    cases += [(g, Q, _generated_ideals(g, Q, name))
+              for name, g in (("swap3", swap3()), ("z4", zg(4)),
+                              ("z2+pair1",
+                               parse_generator_spec("group:z2+pair:1")))]
+    for g, ring, ideals in cases:
+        for I in ideals:
+            rho = quotient_algebra_rep(g, ring, I)
+            S = sheaf_of(rho)
+            for u in range(g.n_objects):
+                via_sheaf = module_annihilator_space(
+                    stalk_isotropy_module(S, u))
+                direct = stalk_annihilator_space(g, ring, I, u)
+                assert via_sheaf == direct
+
+
+STALK_POOL = (("z2", zg(2)), ("z3", zg(3)), ("swap3", swap3()),
+              ("pair2", pair_groupoid(2)))
+
+
+@pytest.mark.parametrize("ring_spec", ["fp:2", "fp:3", "zn:4", "zn:6",
+                                       "zn:8", "zn:9", "q"])
+def test_stalk_annihilator_matches_block_system(ring_spec):
+    # I meet R[G_u] equals the block-system solution (x times every
+    # arrow into u lands in I) at every object, over every ring kind
+    ring = ring_from_spec(ring_spec)
+    for name, g in STALK_POOL:
+        if ring.is_field and ring.size is not None:
+            ideals = enumerate_all_ideals(g, ring)
+        else:
+            ideals = _generated_ideals(g, ring, name)
+        for I in ideals:
+            for u in range(g.n_objects):
+                assert stalk_annihilator_space(g, ring, I, u) \
+                    == reference_stalk_annihilator_space(g, ring, I, u), \
+                    (name, I.space.basis, u)
 
 
 def test_primitive_single_inducer_verified():
