@@ -90,7 +90,6 @@ from .modules import (
     simple_modules_group,
 )
 from .induction import (
-    Transversal,
     transversal,
     induce,
     induced_annihilator_from_space,
@@ -141,7 +140,7 @@ __all__ = [
     "all_submodules", "maximal_submodule", "rep_submodule", "rep_quotient",
     "quotient_algebra_rep", "trivial_module", "sign_module",
     "regular_module", "simple_modules_group",
-    "Transversal", "transversal", "induce",
+    "transversal", "induce",
     "induced_annihilator_from_space", "induced_annihilator_direct",
     "SheafData", "sheaf_validate", "sheaf_of", "stalk_isotropy_module",
     "gamma_c", "disintegration_iso",

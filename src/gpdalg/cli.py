@@ -282,8 +282,7 @@ def cmd_verify(args) -> int:
                     raise ConstructionError(
                         "--ideal-gens must be a list of coefficient lists "
                         "of length %d" % g.n_arrows)
-                gens = [AlgebraElement(g, ring, ring.coerce_vector(v))
-                        for v in vectors]
+                gens = [AlgebraElement(g, ring, v) for v in vectors]
             I = ideal_from_generators(g, ring, gens)
             reports.append(verify_ideal_is_intersection(g, ring, I,
                                                         instance=name))

@@ -424,42 +424,43 @@ class Subspace:
             len(self.basis), self.ambient_dim, self.ring.spec_string())
 
 
-def mat_kernel(mat: Matrix) -> Subspace:
-    """Kernel {x : mat @ x = 0} as a subspace of R^ncols.
+def _relations(ring, vectors, width) -> list[tuple]:
+    """Generators of {c : sum_i c_i v_i = 0}, for vectors in R^width.
 
-    Computed from the canonical form of the transpose augmented with an
-    identity block; rows whose left block vanished record the vanishing
-    combinations.  Over Z/n the Howell property guarantees completeness.
+    Read off the canonical form of the rows [v_i | e_i]: the rows whose
+    left block vanished record the vanishing combinations.  Over Z/n the
+    Howell property guarantees that they generate every one.
     """
+    k = len(vectors)
+    aug = [list(v) + [ring.one if t == i else ring.zero for t in range(k)]
+           for i, v in enumerate(vectors)]
+    return [row[width:] for row in canonical_rows(ring, aug, width + k)
+            if vec_is_zero(ring, row[:width])]
+
+
+def mat_kernel(mat: Matrix) -> Subspace:
+    """Kernel {x : mat @ x = 0}: the relations among the columns."""
     R = mat.ring
-    m, k = mat.nrows, mat.ncols
-    aug = []
-    for i in range(k):
-        row = list(mat.col(i))
-        row.extend(R.one if t == i else R.zero for t in range(k))
-        aug.append(row)
-    can = canonical_rows(R, aug, m + k)
-    kern = [row[m:] for row in can
-            if all(x == R.zero for x in row[:m])]
-    return Subspace(R, k, kern)
+    cols = [mat.col(j) for j in range(mat.ncols)]
+    return Subspace(R, mat.ncols, _relations(R, cols, mat.nrows))
 
 
 def left_kernel(mat: Matrix) -> Subspace:
-    """{x : x @ mat = 0} as a subspace of R^nrows."""
-    return mat_kernel(mat.transpose())
+    """{x : x @ mat = 0}: the relations among the rows."""
+    R = mat.ring
+    return Subspace(R, mat.nrows, _relations(R, mat.rows(), mat.ncols))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, via the kernel of the stacked basis system."""
+    """Intersection: sum c_i a_i over the relations sum c_i a_i +
+    sum d_j b_j = 0 among both bases."""
     a._check_compatible(b)
     R = a.ring
     if a.is_zero() or b.is_zero():
         return Subspace.zero(R, a.ambient_dim)
-    stacked = Matrix.from_rows(R, list(a.basis) + list(b.basis))
-    kern = left_kernel(stacked)
     na = len(a.basis)
     gens = []
-    for coeffs in kern.basis:
+    for coeffs in _relations(R, a.basis + b.basis, a.ambient_dim):
         v = [R.zero] * a.ambient_dim
         for c, row in zip(coeffs[:na], a.basis):
             for j in range(a.ambient_dim):
@@ -469,25 +470,19 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
-    """{x : mat @ x lies in target}, a subspace of R^ncols."""
+    """{x : mat @ x lies in target}: the x-part of the relations
+    sum x_j mat_j - sum y_t t_t = 0 among mat's columns and the negated
+    target rows."""
     R = mat.ring
     if target.ring != R:
         raise RingMismatchError("preimage target over a different ring")
     if target.ambient_dim != mat.nrows:
         raise DimensionMismatchError("target lives in R^%d, map lands in R^%d"
                                      % (target.ambient_dim, mat.nrows))
-    if target.is_zero():
-        return mat_kernel(mat)
     k = mat.ncols
-    s = len(target.basis)
-    rows = []
-    for i in range(mat.nrows):
-        row = list(mat.row(i))
-        row.extend(R.neg(target.basis[t][i]) for t in range(s))
-        rows.append(row)
-    kern = mat_kernel(Matrix.from_rows(R, rows))
-    gens = [c[:k] for c in kern.basis]
-    return Subspace(R, k, gens)
+    vectors = [mat.col(j) for j in range(k)]
+    vectors.extend(tuple(R.neg(x) for x in t) for t in target.basis)
+    return Subspace(R, k, [c[:k] for c in _relations(R, vectors, mat.nrows)])
 
 
 DEFAULT_BOUND = 1 << 20

@@ -145,7 +145,7 @@ def _residue_lift_space(ring: ScalarRing, residue: ScalarRing,
     """Preimage in ring^n of a subspace of (ring/p)^n under reduction."""
     n = space.ambient_dim
     p = residue.modulus
-    rows = [ring.coerce_vector(row) for row in space.basis]
+    rows = list(space.basis)
     for i in range(n):
         e = [ring.zero] * n
         e[i] = ring.coerce(p)

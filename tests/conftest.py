@@ -4,11 +4,14 @@ import pytest
 
 from gpdalg import (
     AlgebraElement,
+    Ideal,
     IsotropyModule,
     Matrix,
+    Rep,
     Subspace,
     action_groupoid,
     basis_element,
+    canonical_rows,
     convolve,
     mat_kernel,
     cyclic_table,
@@ -246,6 +249,65 @@ def reference_hom_space(A, B):
     return mat_kernel(Matrix.from_rows(MR, rows))
 
 
+def reference_mat_kernel(mat):
+    """Slow reference for ``linalg.mat_kernel``: the canonical form of the
+    transpose augmented with an identity block."""
+    R = mat.ring
+    m, k = mat.nrows, mat.ncols
+    aug = []
+    for i in range(k):
+        row = list(mat.col(i))
+        row.extend(R.one if t == i else R.zero for t in range(k))
+        aug.append(row)
+    can = canonical_rows(R, aug, m + k)
+    kern = [row[m:] for row in can
+            if all(x == R.zero for x in row[:m])]
+    return Subspace(R, k, kern)
+
+
+def reference_left_kernel(mat):
+    """Slow reference for ``linalg.left_kernel``: the kernel of the
+    transpose."""
+    return reference_mat_kernel(mat.transpose())
+
+
+def reference_subspace_intersect(a, b):
+    """Slow reference for ``linalg.subspace_intersect``: the left kernel of
+    the stacked bases, read on the first block."""
+    R = a.ring
+    if a.is_zero() or b.is_zero():
+        return Subspace.zero(R, a.ambient_dim)
+    stacked = Matrix.from_rows(R, list(a.basis) + list(b.basis))
+    kern = reference_left_kernel(stacked)
+    na = len(a.basis)
+    gens = []
+    for coeffs in kern.basis:
+        v = [R.zero] * a.ambient_dim
+        for c, row in zip(coeffs[:na], a.basis):
+            for j in range(a.ambient_dim):
+                v[j] = R.add(v[j], R.mul(c, row[j]))
+        gens.append(tuple(v))
+    return Subspace(R, a.ambient_dim, gens)
+
+
+def reference_subspace_preimage(mat, target):
+    """Slow reference for ``linalg.subspace_preimage``: the kernel of
+    [mat | -target^T], read on the first block."""
+    R = mat.ring
+    if target.is_zero():
+        return reference_mat_kernel(mat)
+    k = mat.ncols
+    s = len(target.basis)
+    rows = []
+    for i in range(mat.nrows):
+        row = list(mat.row(i))
+        row.extend(R.neg(target.basis[t][i]) for t in range(s))
+        rows.append(row)
+    kern = reference_mat_kernel(Matrix.from_rows(R, rows))
+    gens = [c[:k] for c in kern.basis]
+    return Subspace(R, k, gens)
+
+
 def reference_stalk_annihilator_space(g, ring, I, u):
     """Slow reference for ``suite.stalk_annihilator_space``: a group
     algebra element kills the stalk iff its products with every arrow
@@ -268,6 +330,64 @@ def reference_stalk_annihilator_space(g, ring, I, u):
             target_rows.append(tuple(row))
     target = Subspace(ring, len(into) * m, target_rows)
     return subspace_preimage(L, target)
+
+
+def _reference_conjugate_index(g, G, T, a):
+    v, w = g.src[a], g.tgt[a]
+    loop = g.comp[(g.inv[T[w]], g.comp[(a, T[v])])]
+    return G.index_of[loop]
+
+
+def reference_induce(g, ring, u, N, T):
+    """Slow reference for ``induction.induce``: assembles the blocks of
+    the induced module by hand, for the transversal T {v: arrow u -> v}."""
+    G = isotropy(g, u)
+    MR = N.matrix_ring
+    obj = tuple(sorted(T))
+    offset = {v: i * N.dim for i, v in enumerate(obj)}
+    dim = len(obj) * N.dim
+    in_orbit = set(obj)
+    mats = []
+    for a in range(g.n_arrows):
+        v, w = g.src[a], g.tgt[a]
+        ent = [MR.zero] * (dim * dim)
+        if v in in_orbit and w in in_orbit:
+            block = N.mats[_reference_conjugate_index(g, G, T, a)]
+            ro, co = offset[w], offset[v]
+            for i in range(N.dim):
+                base = (ro + i) * dim + co
+                for j in range(N.dim):
+                    ent[base + j] = block.at(i, j)
+        mats.append(Matrix(MR, dim, dim, ent))
+    return Rep(g, ring, dim, mats, matrix_ring=MR)
+
+
+def reference_induced_annihilator(g, ring, u, ann_space, T):
+    """Slow reference for ``induction.induced_annihilator_from_space``:
+    the preimage of Ann(N) on every block under the map L sending f to
+    its group algebra element on each pair (v, w), for the transversal T."""
+    G = isotropy(g, u)
+    obj = tuple(sorted(T))
+    m = g.n_arrows
+    k = G.order
+    pairs = [(v, w) for v in obj for w in obj]
+    rows = []
+    for v, w in pairs:
+        block = [[ring.zero] * m for _ in range(k)]
+        for a in g.arrows_from_to(v, w):
+            block[_reference_conjugate_index(g, G, T, a)][a] = ring.one
+        rows.extend(block)
+    L = Matrix.from_rows(ring, rows) if rows else Matrix.zeros(ring, 0, m)
+    target_rows = []
+    P = len(pairs)
+    for p in range(P):
+        for b in ann_space.basis:
+            row = [ring.zero] * (P * k)
+            row[p * k:(p + 1) * k] = list(b)
+            target_rows.append(tuple(row))
+    target = Subspace(ring, P * k, target_rows)
+    space = subspace_preimage(L, target)
+    return Ideal(g, ring, space, check=True)
 
 
 RING_SPECS = ("q", "fp:2", "fp:3", "zn:4")

@@ -4,7 +4,8 @@ from gpdalg import (
     ConstructionError,
     GroupoidMismatchError,
     Matrix,
-    Transversal,
+    NotAnIdealError,
+    Subspace,
     action_groupoid,
     annihilator,
     cyclic_table,
@@ -12,11 +13,14 @@ from gpdalg import (
     ideal_equal,
     induce,
     induced_annihilator_direct,
+    induced_annihilator_from_space,
     is_isomorphic,
     is_simple,
     isotropy,
+    module_annihilator_space,
     orbits,
     pair_groupoid,
+    regular_module,
     rep_validate,
     ring_from_spec,
     sign_module,
@@ -25,12 +29,19 @@ from gpdalg import (
     trivial_module,
 )
 
-from conftest import named_pool, swap3, zg
+from conftest import (
+    named_pool,
+    reference_induce,
+    reference_induced_annihilator,
+    swap3,
+    zg,
+)
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
 F3 = ring_from_spec("fp:3")
 Z4 = ring_from_spec("zn:4")
+Z8 = ring_from_spec("zn:8")
 
 
 def z4_on_two_points():
@@ -44,18 +55,10 @@ def test_default_transversal_properties():
     for name, g in named_pool():
         for u in orbits(g).representatives:
             T = transversal(g, u)
+            assert list(T) == list(orbits(g).orbit_containing(u))
             assert T[u] == g.unit(u)
-            for v in T.objects:
-                a = T[v]
+            for v, a in T.items():
                 assert g.d(a) == u and g.r(a) == v
-
-
-def test_transversal_is_checked():
-    g = swap3()
-    with pytest.raises(ConstructionError):
-        Transversal(g, 0, {0: g.unit(0)})  # misses object 1
-    with pytest.raises(ConstructionError):
-        Transversal(g, 0, {0: g.unit(1), 1: 2})
 
 
 def test_induce_trivial_on_pair_is_matrix_units():
@@ -126,19 +129,19 @@ def test_annihilator_does_not_depend_on_transversal():
     G = isotropy(g, u)
     assert G.order == 2
     default = transversal(g, u)
-    other_arrows = dict(default.arrow_to)
     candidates = [a for a in g.arrows_from_to(u, 1)]
     assert len(candidates) == 2
-    other_arrows[1] = candidates[1] if default[1] == candidates[0] \
-        else candidates[0]
-    T2 = Transversal(g, u, other_arrows)
+    T2 = dict(default)
+    T2[1] = candidates[1] if default[1] == candidates[0] else candidates[0]
     for ring in (Q, F3, Z4):
         N = sign_module(G, ring)
         a1 = induced_annihilator_direct(g, ring, u, N)
-        a2 = induced_annihilator_direct(g, ring, u, N, T2)
+        a2 = reference_induced_annihilator(g, ring, u,
+                                           module_annihilator_space(N), T2)
         assert ideal_equal(a1, a2)
         r1 = induce(g, ring, u, N)
-        r2 = induce(g, ring, u, N, T2)
+        r2 = reference_induce(g, ring, u, N, T2)
+        assert r1.to_json_dict() != r2.to_json_dict()
         assert is_isomorphic(r1, r2)
 
 
@@ -197,6 +200,38 @@ def test_induce_rejects_mismatches():
     N_wrong_ring = trivial_module(isotropy(g, 2), F2)
     with pytest.raises(GroupoidMismatchError):
         induce(g, Q, 2, N_wrong_ring)
-    T_wrong_base = transversal(g, 2)
-    with pytest.raises(ConstructionError):
-        induce(g, Q, 0, trivial_module(isotropy(g, 0), Q), T_wrong_base)
+
+
+def test_annihilator_from_space_rejects_bad_input():
+    # The ideals of F_2[Z/2] are 0, (1 + t) and F_2[Z/2]; span{(1, 0)} is none.
+    for g, u in ((zg(2), 0), (swap3(), 2)):
+        assert isotropy(g, u).order == 2
+        not_ideal = Subspace(F2, 2, [(1, 0)])
+        with pytest.raises(NotAnIdealError):
+            induced_annihilator_from_space(g, F2, u, not_ideal)
+        with pytest.raises(ConstructionError):
+            induced_annihilator_from_space(g, F3, u, Subspace(F2, 2, []))
+        with pytest.raises(ConstructionError):
+            induced_annihilator_from_space(g, F2, u, Subspace(F2, 3, []))
+
+
+def test_induce_and_annihilator_match_reference():
+    cases = 0
+    for name, g in named_pool():
+        for ring in (Q, F2, F3, Z4, Z8):
+            for u in range(g.n_objects):
+                G = isotropy(g, u)
+                T = transversal(g, u)
+                # simple modules over Z/n are residue modules
+                mods = [trivial_module(G, ring), regular_module(G, ring)]
+                for N in mods + simple_modules_group(G, ring):
+                    rho = induce(g, ring, u, N)
+                    ref = reference_induce(g, ring, u, N, T)
+                    assert rho.matrix_ring == ref.matrix_ring
+                    assert rho.to_json_dict() == ref.to_json_dict(), (name, u)
+                    ann = module_annihilator_space(N)
+                    direct = induced_annihilator_from_space(g, ring, u, ann)
+                    want = reference_induced_annihilator(g, ring, u, ann, T)
+                    assert direct.space == want.space, (name, u)
+                    cases += 1
+    assert cases >= 400

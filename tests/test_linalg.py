@@ -24,7 +24,11 @@ from conftest import (
     all_subspaces,
     brute_span,
     reference_closure,
+    reference_left_kernel,
+    reference_mat_kernel,
     reference_matmul,
+    reference_subspace_intersect,
+    reference_subspace_preimage,
 )
 
 Q = ring_from_spec("q")
@@ -103,6 +107,31 @@ def test_closure_matches_reference(spec):
                     space = Subspace(ring, dim, seeds)
                     assert closure(maps, space) \
                         == reference_closure(maps, space), (dim, seeds)
+
+
+@pytest.mark.parametrize("spec", ("q", "fp:2", "fp:3", "fp:5", "zn:4",
+                                  "zn:6", "zn:8", "zn:9", "zn:12"))
+def test_kernels_match_reference(spec):
+    # The four kernels share one relation solver; the references are the
+    # transpose-and-kernel routes it replaced.
+    ring = ring_from_spec(spec)
+    rng = random.Random("kernels/" + spec)
+    for n in range(5):
+        for k in range(5):
+            for density in (0.3, 0.8):
+                A = _random_matrix(rng, ring, n, k, density)
+                assert mat_kernel(A) == reference_mat_kernel(A)
+                assert left_kernel(A) == reference_left_kernel(A)
+                if n:
+                    target = Subspace(ring, n, _random_matrix(
+                        rng, ring, rng.randrange(3), n, density).rows())
+                    assert subspace_preimage(A, target) \
+                        == reference_subspace_preimage(A, target)
+                    other = Subspace(ring, k, _random_matrix(
+                        rng, ring, rng.randrange(4), k, density).rows())
+                    rows = Subspace(ring, k, A.rows())
+                    assert subspace_intersect(rows, other) \
+                        == reference_subspace_intersect(rows, other)
 
 
 def test_unit_mult_matches_scan():
