@@ -24,9 +24,15 @@ from .rings import ScalarRing
 
 
 class Matrix:
-    """Dense matrix over a ScalarRing, entries stored row-major."""
+    """Dense matrix over a ScalarRing, entries stored row-major.
 
-    __slots__ = ("ring", "nrows", "ncols", "entries")
+    Each row's nonzero (column, entry) pairs are memoised in `_nz` on
+    first use, for `apply` and for products by this matrix on the right;
+    `entries` stays the one representation, and equality and hashing
+    ignore the memo.
+    """
+
+    __slots__ = ("ring", "nrows", "ncols", "entries", "_nz")
 
     def __init__(self, ring: ScalarRing, nrows: int, ncols: int, entries):
         entries = tuple(ring.coerce(x) for x in entries)
@@ -37,6 +43,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.entries = entries
+        self._nz = None
 
     @classmethod
     def _trusted(cls, ring, nrows, ncols, entries):
@@ -46,6 +53,7 @@ class Matrix:
         obj.nrows = nrows
         obj.ncols = ncols
         obj.entries = tuple(entries)
+        obj._nz = None
         return obj
 
     @classmethod
@@ -88,20 +96,27 @@ class Matrix:
                                [x for j in range(c)
                                 for x in self.entries[j::c]])
 
+    def _nonzero_rows(self) -> list:
+        """Per row, the (column, entry) pairs of its nonzero entries."""
+        if self._nz is None:
+            c = self.ncols
+            self._nz = [[(j, x) for j, x
+                         in enumerate(self.entries[i * c:(i + 1) * c]) if x]
+                        for i in range(self.nrows)]
+        return self._nz
+
     def apply(self, vec) -> tuple:
-        """Matrix times column vector."""
+        """Matrix times column vector, over each row's nonzero entries."""
         if len(vec) != self.ncols:
             raise DimensionMismatchError("vector length %d, need %d"
                                          % (len(vec), self.ncols))
         R = self.ring
+        add, mul, zero = R.add, R.mul, R.zero
         out = []
-        for i in range(self.nrows):
-            acc = R.zero
-            base = i * self.ncols
-            for j in range(self.ncols):
-                x = self.entries[base + j]
-                if x:
-                    acc = R.add(acc, R.mul(x, vec[j]))
+        for row in self._nonzero_rows():
+            acc = zero
+            for j, x in row:
+                acc = add(acc, mul(x, vec[j]))
             out.append(acc)
         return tuple(out)
 
@@ -120,8 +135,7 @@ class Matrix:
         R = self.ring
         add, mul = R.add, R.mul
         k, c = self.ncols, other.ncols
-        sparse_rows = [[(j, b) for j, b in enumerate(other.row(t)) if b]
-                       for t in range(k)]
+        sparse_rows = other._nonzero_rows()
         out = []
         for i in range(self.nrows):
             acc = [R.zero] * c
@@ -133,6 +147,10 @@ class Matrix:
         return Matrix._trusted(R, self.nrows, c, out)
 
     def __add__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.ring != other.ring:
+            raise RingMismatchError("matrix sum over different rings")
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatchError("matrix sum shape mismatch")
         R = self.ring
@@ -171,31 +189,72 @@ def _first_nonzero(row, zero):
     return None
 
 
-def _rref(ring, work, width):
-    """Reduced row echelon form over a field; returns tuple of nonzero rows.
+def _reduce(ring, rows, v):
+    """Reduce the list v in place by echelon rows, given as (pivot, row)
+    pairs in pivot order, and return it: zero iff v lies in their span.
 
-    `work` is a list of rows of coerced ring elements, reduced in place."""
-    pivots = []
-    r = 0
-    for col in range(width):
-        src = None
-        for i in range(r, len(work)):
-            if work[i][col] != ring.zero:
-                src = i
-                break
-        if src is None:
+    Rows whose pivot entry of v is zero and zero row entries are skipped.
+    Over a field the rows are in RREF, so every pivot entry of v is read
+    once, whatever the order; over Z/n they are in Howell form.
+    """
+    field = ring.is_field
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    width = len(v)
+    for p, b in rows:
+        c = v[p]
+        if not c:
             continue
-        work[r], work[src] = work[src], work[r]
-        inv = ring.inv(work[r][col])
-        work[r] = [ring.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != ring.zero:
-                c = work[i][col]
-                work[i] = [ring.sub(x, ring.mul(c, y))
-                           for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    return tuple(tuple(row) for row in work[:r])
+        if not field:
+            c //= b[p]
+            if not c:
+                continue
+        c = neg(c)
+        for j in range(p, width):
+            x = b[j]
+            if x:
+                v[j] = add(v[j], mul(c, x))
+    return v
+
+
+def _insert(ring, table, v) -> bool:
+    """Insert the list v into the RREF table {pivot: row} over a field;
+    True when the span grew.
+
+    v is reduced by the table; a nonzero residue is normalised at its
+    leading column, that column is cleared from the other rows, and the
+    residue is stored as a new row.  The rows are changed in place.
+    """
+    _reduce(ring, table.items(), v)
+    lead = _first_nonzero(v, ring.zero)
+    if lead is None:
+        return False
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    inv = ring.inv(v[lead])
+    v = [mul(inv, x) if x else x for x in v]
+    pairs = [(j, v[j]) for j in range(lead, len(v)) if v[j]]
+    for row in table.values():
+        c = row[lead]
+        if c:
+            c = neg(c)
+            for j, x in pairs:
+                row[j] = add(row[j], mul(c, x))
+    table[lead] = v
+    return True
+
+
+def _table_rows(table) -> tuple:
+    return tuple(tuple(table[p]) for p in sorted(table))
+
+
+def _rref(ring, rows) -> tuple:
+    """Reduced row echelon form over a field of the span of `rows` (lists
+    of ring elements, consumed): every row is inserted into one pivot
+    table (`_insert`), whose rows are returned in pivot order.  RREF is
+    unique, so the rows do not depend on the insertion order."""
+    table: dict[int, list] = {}
+    for r in rows:
+        _insert(ring, table, r)
+    return _table_rows(table)
 
 
 def _egcd(a, b):
@@ -293,8 +352,22 @@ def canonical_rows(ring, rows, width):
     """Canonical basis (RREF or Howell) of the span of `rows`."""
     rows = [list(ring.coerce_vector(r)) for r in rows]
     if ring.is_field:
-        return _rref(ring, rows, width)
+        return _rref(ring, rows)
     return _howell(ring.modulus, rows, width)
+
+
+def _grow(ring, table, w) -> bool:
+    """Whether the vector w enlarges the span of the echelon table
+    {pivot: row}, which then absorbs it: one RREF insertion over a field,
+    the Howell form of the rows plus w over Z/n."""
+    if ring.is_field:
+        return _insert(ring, table, list(w))
+    if not any(_reduce(ring, table.items(), list(w))):
+        return False
+    rows = _howell(ring.modulus, list(table.values()) + [w], len(w))
+    table.clear()
+    table.update((_first_nonzero(r, 0), list(r)) for r in rows)
+    return True
 
 
 class Subspace:
@@ -345,29 +418,24 @@ class Subspace:
 
     def reduce(self, v) -> tuple:
         """Normal form of v modulo this span; zero iff v is a member."""
-        R = self.ring
-        v = list(R.coerce_vector(v))
+        v = list(self.ring.coerce_vector(v))
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector length %d in dimension %d"
                                          % (len(v), self.ambient_dim))
-        for b, p in zip(self.basis, self.pivots):
-            if v[p] == R.zero:
-                continue
-            if R.is_field:
-                c = v[p]
-            else:
-                c = v[p] // b[p]
-                if c == 0:
-                    continue
-            for j in range(p, self.ambient_dim):
-                v[j] = R.sub(v[j], R.mul(c, b[j]))
-        return tuple(v)
+        return tuple(_reduce(self.ring, self._rows(), v))
 
     def contains(self, v) -> bool:
         return vec_is_zero(self.ring, self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
+        self._check_compatible(other)
+        rows = self._rows()
+        return not any(any(_reduce(self.ring, rows, list(b)))
+                       for b in other.basis)
+
+    def _rows(self) -> list:
+        # (pivot, row) pairs in pivot order, as `_reduce` takes them.
+        return list(zip(self.pivots, self.basis))
 
     def coordinates(self, v) -> tuple | None:
         """Coefficients of v in the basis, or None if v is outside.
@@ -390,7 +458,11 @@ class Subspace:
 
     def join(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace(self.ring, self.ambient_dim, self.basis + other.basis)
+        table = {p: list(b) for p, b in self._rows()}
+        for b in other.basis:
+            _grow(self.ring, table, b)
+        return Subspace._trusted(self.ring, self.ambient_dim,
+                                 _table_rows(table))
 
     def element_count(self) -> int:
         """Number of elements of the span (finite rings only)."""
@@ -519,9 +591,10 @@ def _one_per_line(ring, vectors):
 def first_escape(maps, space: Subspace):
     """The first (map index, basis vector) whose image leaves the span,
     basis vector by basis vector; None when every map keeps it."""
+    R, rows = space.ring, space._rows()
     for v in space.basis:
         for i, M in enumerate(maps):
-            if not space.contains(M.apply(v)):
+            if any(_reduce(R, rows, list(M.apply(v)))):
                 return i, v
     return None
 
@@ -531,21 +604,26 @@ def closure(maps, space: Subspace) -> Subspace:
 
     A worklist spin (Parker's MeatAxe, 1984): every map is applied once to
     each spanning vector, the initial basis rows and the images added
-    since.  The distinct images of one vector that leave the span are
-    joined in one canonicalisation and pushed.  The result is spanned by
+    since.  The span is held as an echelon table {pivot: row}, and each
+    distinct image of a popped vector goes through `_grow` once: over a
+    field that is an RREF insertion whose reduction is the membership
+    test, over Z/n the Howell form of the rows plus the image.  An image
+    that grows the span is pushed raw, not as its residue (over Q the
+    residue is a dense Fraction vector).  Over a field the spin stops as
+    soon as the table has `ambient_dim` rows.  The result is spanned by
     the vectors ever pushed and holds each one's images, so it is
     invariant, over Z/n too.
     """
     R, dim = space.ring, space.ambient_dim
+    table = {p: list(b) for p, b in space._rows()}
     todo = list(space.basis)
-    while todo:
+    # A Howell table can have dim rows and still be proper: (2) in Z/4.
+    while todo and (len(table) < dim or not R.is_field):
         v = todo.pop()
-        new = [w for w in dict.fromkeys(M.apply(v) for M in maps)
-               if not space.contains(w)]
-        if new:
-            space = Subspace(R, dim, space.basis + tuple(new))
-            todo.extend(new)
-    return space
+        for w in dict.fromkeys(M.apply(v) for M in maps):
+            if _grow(R, table, w):
+                todo.append(w)
+    return Subspace._trusted(R, dim, _table_rows(table))
 
 
 def invariant_lattice(maps, ring, dim, bound) -> list[Subspace]:

@@ -157,6 +157,47 @@ def reference_matmul(A, B):
     return Matrix(R, A.nrows, B.ncols, out)
 
 
+def reference_rref(ring, work, width):
+    """Slow reference for ``linalg._rref``: batch Gauss-Jordan elimination,
+    column by column over all rows.
+
+    `work` is a list of rows of coerced ring elements, reduced in place."""
+    pivots = []
+    r = 0
+    for col in range(width):
+        src = None
+        for i in range(r, len(work)):
+            if work[i][col] != ring.zero:
+                src = i
+                break
+        if src is None:
+            continue
+        work[r], work[src] = work[src], work[r]
+        inv = ring.inv(work[r][col])
+        work[r] = [ring.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != ring.zero:
+                c = work[i][col]
+                work[i] = [ring.sub(x, ring.mul(c, y))
+                           for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    return tuple(tuple(row) for row in work[:r])
+
+
+def reference_apply(M, vec):
+    """Slow reference for ``Matrix.apply``: every entry of each row,
+    zeros included."""
+    R = M.ring
+    out = []
+    for i in range(M.nrows):
+        acc = R.zero
+        for j in range(M.ncols):
+            acc = R.add(acc, R.mul(M.at(i, j), vec[j]))
+        out.append(acc)
+    return tuple(out)
+
+
 def reference_rep_validate(rho):
     """Slow reference for ``modules.rep_validate``: multiplies all m^2
     pairs of arrow matrices, the non-composable ones checked against 0."""

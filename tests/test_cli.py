@@ -12,6 +12,10 @@ from gpdalg import validate
 from conftest import swap3
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -290,3 +294,24 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "nonsense", "--gen", "group:z2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("workload", ("lattice-fin", "primitive-q"))
+def test_benchmark_jobs_match_recorded_outputs(workload, tmp_path, capsys):
+    # Every job of the workload on the identity relabelling (seed 0, input
+    # set 0), judged by the benchmark's own checker: exit code, verdicts,
+    # summaries and the stdout digest recorded in perfbench/expected.json.
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import checks
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    expected = checks.load_expected()
+    jobs = workloads.build(workload, 0, str(tmp_path), sets=1)["sets"][0]
+    assert len(jobs) == len(workloads.WORKLOADS[workload])
+    for job in jobs:
+        assert job["identity"]
+        code = main(job["argv"])
+        out = capsys.readouterr().out
+        assert checks.check_job(job, code, out, expected) is None, job["key"]

@@ -6,8 +6,10 @@ import pytest
 
 from gpdalg import (
     BoundExceededError,
+    DimensionMismatchError,
     Matrix,
     NonFreeQuotientError,
+    RingMismatchError,
     Subspace,
     canonical_rows,
     left_kernel,
@@ -23,10 +25,12 @@ from conftest import (
     RING_SPECS,
     all_subspaces,
     brute_span,
+    reference_apply,
     reference_closure,
     reference_left_kernel,
     reference_mat_kernel,
     reference_matmul,
+    reference_rref,
     reference_subspace_intersect,
     reference_subspace_preimage,
 )
@@ -49,6 +53,18 @@ def test_matrix_ops():
     I = Matrix.identity(Q, 2)
     assert A * I == A and I * A == A
     assert Matrix.zeros(Q, 2, 2).is_zero()
+
+
+def test_matrix_sum_checks_rings_and_operands():
+    with pytest.raises(RingMismatchError):
+        Matrix.identity(Q, 2) + Matrix.identity(F3, 2)
+    with pytest.raises(RingMismatchError):
+        Matrix.identity(Z4, 2) + Matrix.identity(F2, 2)
+    with pytest.raises(DimensionMismatchError):
+        Matrix.identity(Q, 2) + Matrix.identity(Q, 3)
+    assert Matrix.identity(Q, 2).__add__(1) is NotImplemented
+    with pytest.raises(TypeError):
+        Matrix.identity(Q, 2) + 1
 
 
 def _random_matrix(rng, ring, nrows, ncols, density):
@@ -89,6 +105,84 @@ def test_matmul_matches_reference(spec):
                         == [type(x) for x in want.entries]
 
 
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_apply_matches_reference(spec):
+    # The nonzero pairs are memoised per matrix: apply before and after
+    # the matrix serves as a right factor, and on the fresh matrices that
+    # products and transposes return.
+    ring = ring_from_spec(spec)
+    rng = random.Random("apply/" + spec)
+
+    def vector(n):
+        return _random_matrix(rng, ring, 1, n, 0.6).entries
+
+    for density in (0, 0.3, 1):
+        for n, k, c in [(0, 3, 2), (3, 0, 2), (1, 1, 1), (3, 3, 3),
+                        (2, 5, 4), (5, 1, 3), (6, 6, 6)]:
+            A = _random_matrix(rng, ring, n, k, density)
+            B = _random_matrix(rng, ring, k, c, density)
+            x, y = vector(k), vector(c)
+            assert A.apply(x) == reference_apply(A, x)
+            assert B.apply(y) == reference_apply(B, y)
+            AB = A * B
+            assert AB == reference_matmul(A, B)
+            for M, v in ((AB, y), (A * B, y), (A.transpose(), vector(n)),
+                         (B.transpose() * A.transpose(), vector(n)),
+                         (A, x), (B, y)):
+                got, want = M.apply(v), reference_apply(M, v)
+                assert got == want
+                assert [type(t) for t in got] == [type(t) for t in want]
+
+
+@pytest.mark.parametrize("spec", ("q", "fp:2", "fp:3", "fp:5", "fp:101"))
+def test_rref_matches_reference(spec):
+    # Random spans of every rank with zero and repeated rows, width 0
+    # included; the join of two spans inserts one basis into the other.
+    ring = ring_from_spec(spec)
+    rng = random.Random("rref/" + spec)
+    zero = ring.zero
+
+    def combination(basis, width):
+        row = [zero] * width
+        for b in basis:
+            c = ring.coerce(rng.randrange(-3, 4) if ring.size is None
+                            else rng.randrange(ring.size))
+            row = [ring.add(x, ring.mul(c, y)) for x, y in zip(row, b)]
+        return tuple(row)
+
+    for width in range(7):
+        for rank in range(width + 1):
+            for density in (0.3, 0.8):
+                basis = [tuple(_random_matrix(rng, ring, 1, width, density)
+                               .entries) for _ in range(rank)]
+                rows = [combination(basis, width) for _ in range(rank + 2)]
+                rows += [(zero,) * width] + rows[:2] + basis
+                rng.shuffle(rows)
+                want = reference_rref(ring, [list(r) for r in rows], width)
+                got = canonical_rows(ring, rows, width)
+                assert got == want, (width, rows)
+                assert [[type(x) for x in r] for r in got] \
+                    == [[type(x) for x in r] for r in want]
+                cut = rng.randrange(len(rows) + 1)
+                S = Subspace(ring, width, rows[:cut])
+                T = Subspace(ring, width, rows[cut:])
+                assert S.join(T).basis == want
+                assert S.join(T).pivots == Subspace(ring, width, rows).pivots
+
+
+@pytest.mark.parametrize("spec", ("zn:4", "zn:6", "zn:8", "zn:9"))
+def test_howell_join_matches_one_canonical_form(spec):
+    # A join over Z/n grows the left basis one row of the right at a time.
+    ring = ring_from_spec(spec)
+    rng = random.Random("join/" + spec)
+    for width in range(5):
+        for density in (0.3, 0.8):
+            S, T = (Subspace(ring, width, _random_matrix(
+                rng, ring, rng.randrange(4), width, density).rows())
+                for _ in range(2))
+            assert S.join(T) == Subspace(ring, width, S.basis + T.basis)
+
+
 @pytest.mark.parametrize("spec", RING_SPECS + ("zn:8",))
 def test_closure_matches_reference(spec):
     # zn:8 seeds with non-unit entries give spans that are not free.
@@ -107,6 +201,25 @@ def test_closure_matches_reference(spec):
                     space = Subspace(ring, dim, seeds)
                     assert closure(maps, space) \
                         == reference_closure(maps, space), (dim, seeds)
+    # Seed spaces of several rows, and spins that fill R^dim early: the
+    # cyclic shift spins e_0 to everything, next to a random second map.
+    for dim in range(1, 7):
+        shift = Matrix(ring, dim, dim, [int(i == (j + 1) % dim)
+                                        for i in range(dim)
+                                        for j in range(dim)])
+        for density in (0.2, 0.5, 0.9):
+            other = _random_matrix(rng, ring, dim, dim, density)
+            for nseeds in (1, 3, 5):
+                seeds = [tuple(rng.randrange(ring.size or 7)
+                               if rng.random() < density else 0
+                               for _ in range(dim))
+                         for _ in range(nseeds)]
+                for maps in ([other], [shift, other], [other, shift]):
+                    space = Subspace(ring, dim, seeds)
+                    assert closure(maps, space) \
+                        == reference_closure(maps, space), (dim, seeds)
+            e0 = Subspace(ring, dim, [[1] + [0] * (dim - 1)])
+            assert closure([other, shift], e0) == Subspace.full(ring, dim)
 
 
 @pytest.mark.parametrize("spec", ("q", "fp:2", "fp:3", "fp:5", "zn:4",
@@ -283,6 +396,16 @@ def test_coordinates_need_unit_pivots():
     crooked = Subspace(Z4, 2, [(2, 1), (0, 2)])
     with pytest.raises(NonFreeQuotientError):
         crooked.coordinates((2, 1))
+
+
+def test_contains_subspace_checks_compatibility():
+    with pytest.raises(RingMismatchError):
+        Subspace.full(Q, 2).contains_subspace(Subspace(F3, 2, [(1, 0)]))
+    with pytest.raises(DimensionMismatchError):
+        Subspace.full(Q, 2).contains_subspace(Subspace(Q, 3, [(1, 0, 0)]))
+    assert Subspace.full(F3, 2).contains_subspace(Subspace(F3, 2, [(1, 0)]))
+    assert not Subspace(F3, 2, [(1, 0)]).contains_subspace(
+        Subspace.full(F3, 2))
 
 
 def test_zero_and_full():
