@@ -6,6 +6,11 @@ form over Z/n.  The Howell form extends echelon form with annihilator
 rows, so that every span element whose leading zeros reach position j is
 generated by the basis rows with pivots at or beyond j; membership can
 then be tested by straight reduction.
+
+Both forms grow the same way: rows go one at a time into a {pivot: row}
+table (`_insert`), which stays in RREF over a field and keeps the Howell
+property over Z/n, and `_table_rows` reads the canonical form off it.
+Canonical bases, joins and the closure spin all grow one such table.
 """
 
 from __future__ import annotations
@@ -195,7 +200,9 @@ def _reduce(ring, rows, v):
 
     Rows whose pivot entry of v is zero and zero row entries are skipped.
     Over a field the rows are in RREF, so every pivot entry of v is read
-    once, whatever the order; over Z/n they are in Howell form.
+    once, whatever the order.  Over Z/n each pivot entry of v is reduced
+    modulo the pivot, which is exact on members when the rows have the
+    Howell property.
     """
     field = ring.is_field
     add, mul, neg = ring.add, ring.mul, ring.neg
@@ -214,47 +221,6 @@ def _reduce(ring, rows, v):
             if x:
                 v[j] = add(v[j], mul(c, x))
     return v
-
-
-def _insert(ring, table, v) -> bool:
-    """Insert the list v into the RREF table {pivot: row} over a field;
-    True when the span grew.
-
-    v is reduced by the table; a nonzero residue is normalised at its
-    leading column, that column is cleared from the other rows, and the
-    residue is stored as a new row.  The rows are changed in place.
-    """
-    _reduce(ring, table.items(), v)
-    lead = _first_nonzero(v, ring.zero)
-    if lead is None:
-        return False
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    inv = ring.inv(v[lead])
-    v = [mul(inv, x) if x else x for x in v]
-    pairs = [(j, v[j]) for j in range(lead, len(v)) if v[j]]
-    for row in table.values():
-        c = row[lead]
-        if c:
-            c = neg(c)
-            for j, x in pairs:
-                row[j] = add(row[j], mul(c, x))
-    table[lead] = v
-    return True
-
-
-def _table_rows(table) -> tuple:
-    return tuple(tuple(table[p]) for p in sorted(table))
-
-
-def _rref(ring, rows) -> tuple:
-    """Reduced row echelon form over a field of the span of `rows` (lists
-    of ring elements, consumed): every row is inserted into one pivot
-    table (`_insert`), whose rows are returned in pivot order.  RREF is
-    unique, so the rows do not depend on the insertion order."""
-    table: dict[int, list] = {}
-    for r in rows:
-        _insert(ring, table, r)
-    return _table_rows(table)
 
 
 def _egcd(a, b):
@@ -285,89 +251,99 @@ def _unit_mult(a, n):
     raise AssertionError("no unit multiplier for %d mod %d" % (a, n))
 
 
-def _howell(n, rows, width):
-    """Howell form of the span of `rows` inside (Z/n)^width."""
-    pivots: dict[int, list] = {}
+def _insert(ring, table, v) -> bool:
+    """Insert the list v into the echelon table {pivot: row}; True when
+    the span grew.  The table's rows are changed or replaced in place.
 
-    def insert(row):
-        # Returns True when the pivot table changed.
-        changed = False
-        row = [x % n for x in row]
-        while True:
+    Over a field the table is in RREF: v is reduced by it, a nonzero
+    residue is normalised at its leading column, that column is cleared
+    from the other rows, and the residue is stored as a new row.
+
+    Over Z/n the table has the Howell property, and every pivot is a
+    divisor of n.  A worklist row is reduced at its leading column when
+    it is a multiple of the pivot there, stored (times a unit) when the
+    column is free, and otherwise merged with the pivot row by a
+    unimodular gcd step (Storjohann & Mulders, ESA 1998): the gcd row
+    takes the slot and the remainder, zero at that column, goes back on
+    the worklist.  Each stored row with pivot d != 1 pushes its
+    annihilator multiple (n/d)*row, so the Howell property holds again
+    on return.  A member of the span is reduced to zero without changing
+    the table.  Every change to the table fills a free column or shrinks
+    a pivot to a proper divisor, so the worklist runs dry.
+    """
+    if not ring.is_field:
+        n = ring.modulus
+        grew = False
+        work = [v]
+        while work:
+            row = work.pop()
             j = _first_nonzero(row, 0)
             if j is None:
-                return changed
-            if j not in pivots:
-                pivots[j] = row
-                return True
-            p = pivots[j]
-            a, b = p[j], row[j]
-            # Keep the pivot when a divides b: _egcd(a, a) would hand its
-            # slot to the incoming row, and saturation would loop forever.
-            g, s, t = (a, 1, 0) if b % a == 0 else _egcd(a, b)
-            new = [(s * x + t * y) % n for x, y in zip(p, row)]
-            rem = [((-(b // g)) * x + (a // g) * y) % n for x, y in zip(p, row)]
-            # [new; rem] is a unimodular image of [p; row]: span preserved.
-            if new != p:
-                pivots[j] = new
-                changed = True
-            row = rem
-
-    for r in rows:
-        insert(list(r))
-
-    # Saturate: annihilator multiples of every pivot row must already lie
-    # in the span of the later rows (the Howell property).
-    while True:
-        changed = False
-        for j in sorted(pivots):
-            p = pivots[j]
-            ann = n // gcd(p[j], n)
-            if ann % n == 0:
                 continue
-            if insert([(ann * x) % n for x in p]):
-                changed = True
-        if not changed:
-            break
+            b, p = row[j], table.get(j)
+            if p is not None and b % p[j] == 0:
+                c = b // p[j]
+                work.append([(x - c * y) % n for x, y in zip(row, p)])
+                continue
+            if p is None:
+                u = _unit_mult(b, n)
+                p = [(u * x) % n for x in row]
+            else:
+                # [p; rem] is a unimodular image of [old p; row]; the gcd
+                # g divides the old pivot, hence n.
+                a = p[j]
+                g, s, t = _egcd(a, b)
+                work.append([((a // g) * y - (b // g) * x) % n
+                             for x, y in zip(p, row)])
+                p = [(s * x + t * y) % n for x, y in zip(p, row)]
+            table[j] = p
+            grew = True
+            if p[j] != 1:
+                ann = n // p[j]
+                work.append([(ann * x) % n for x in p])
+        return grew
+    _reduce(ring, table.items(), v)
+    lead = _first_nonzero(v, ring.zero)
+    if lead is None:
+        return False
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    inv = ring.inv(v[lead])
+    v = [mul(inv, x) if x else x for x in v]
+    pairs = [(j, v[j]) for j in range(lead, len(v)) if v[j]]
+    for row in table.values():
+        c = row[lead]
+        if c:
+            c = neg(c)
+            for j, x in pairs:
+                row[j] = add(row[j], mul(c, x))
+    table[lead] = v
+    return True
 
-    # Normalize pivots to divisors of n, then reduce entries above pivots.
-    for j in pivots:
-        u = _unit_mult(pivots[j][j], n)
-        if u != 1:
-            pivots[j] = [(u * x) % n for x in pivots[j]]
-    cols = sorted(pivots)
-    for j in cols:
-        d = pivots[j][j]
-        for j2 in cols:
-            if j2 >= j:
-                break
-            q = pivots[j2]
-            c = q[j] // d
-            if c:
-                pivots[j2] = [(x - c * y) % n for x, y in zip(q, pivots[j])]
-    return tuple(tuple(pivots[j]) for j in cols)
+
+def _table_rows(ring, table) -> tuple:
+    """The table's rows in pivot order: its RREF over a field, and over
+    Z/n its Howell form, once every entry above a pivot d is reduced
+    into [0, d) in place."""
+    cols = sorted(table)
+    if not ring.is_field:
+        n = ring.modulus
+        for i, j in enumerate(cols):
+            row, d = table[j], table[j][j]
+            for j2 in cols[:i]:
+                c = table[j2][j] // d
+                if c:
+                    table[j2] = [(x - c * y) % n
+                                 for x, y in zip(table[j2], row)]
+    return tuple(tuple(table[p]) for p in cols)
 
 
 def canonical_rows(ring, rows, width):
-    """Canonical basis (RREF or Howell) of the span of `rows`."""
-    rows = [list(ring.coerce_vector(r)) for r in rows]
-    if ring.is_field:
-        return _rref(ring, rows)
-    return _howell(ring.modulus, rows, width)
-
-
-def _grow(ring, table, w) -> bool:
-    """Whether the vector w enlarges the span of the echelon table
-    {pivot: row}, which then absorbs it: one RREF insertion over a field,
-    the Howell form of the rows plus w over Z/n."""
-    if ring.is_field:
-        return _insert(ring, table, list(w))
-    if not any(_reduce(ring, table.items(), list(w))):
-        return False
-    rows = _howell(ring.modulus, list(table.values()) + [w], len(w))
-    table.clear()
-    table.update((_first_nonzero(r, 0), list(r)) for r in rows)
-    return True
+    """Canonical basis (RREF or Howell) of the span of `rows`, vectors of
+    length `width`: each row is inserted into one pivot table."""
+    table: dict[int, list] = {}
+    for r in rows:
+        _insert(ring, table, list(ring.coerce_vector(r)))
+    return _table_rows(ring, table)
 
 
 class Subspace:
@@ -441,28 +417,25 @@ class Subspace:
         """Coefficients of v in the basis, or None if v is outside.
 
         Requires all pivots to be units (always true over a field), so
-        that the span is free with the basis rows as a free basis.
+        that the span is free with the basis rows as a free basis.  The
+        other rows are zero at each pivot column, so a member's
+        coefficients are its entries there.
         """
         R = self.ring
         if any(b[p] != R.one for b, p in zip(self.basis, self.pivots)):
             raise NonFreeQuotientError("basis has non-unit pivots")
         v = R.coerce_vector(v)
-        coords = tuple(v[p] for p in self.pivots)
-        acc = [R.zero] * self.ambient_dim
-        for c, b in zip(coords, self.basis):
-            for j in range(self.ambient_dim):
-                acc[j] = R.add(acc[j], R.mul(c, b[j]))
-        if tuple(acc) != v:
+        if any(_reduce(R, self._rows(), list(v))):
             return None
-        return coords
+        return tuple(v[p] for p in self.pivots)
 
     def join(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         table = {p: list(b) for p, b in self._rows()}
         for b in other.basis:
-            _grow(self.ring, table, b)
+            _insert(self.ring, table, list(b))
         return Subspace._trusted(self.ring, self.ambient_dim,
-                                 _table_rows(table))
+                                 _table_rows(self.ring, table))
 
     def element_count(self) -> int:
         """Number of elements of the span (finite rings only)."""
@@ -524,21 +497,19 @@ def left_kernel(mat: Matrix) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection: sum c_i a_i over the relations sum c_i a_i +
-    sum d_j b_j = 0 among both bases."""
+    """Intersection (Zassenhaus): the rows (a_i | a_i) and (b_j | 0) span
+    the pairs (x + y | x) with x in a and y in b, and those with left
+    half zero carry the meet on the right.  The rows of one canonical
+    form whose left half vanished span them (over Z/n by the Howell
+    property), and their right halves are already the canonical basis
+    of the meet."""
     a._check_compatible(b)
-    R = a.ring
-    if a.is_zero() or b.is_zero():
-        return Subspace.zero(R, a.ambient_dim)
-    na = len(a.basis)
-    gens = []
-    for coeffs in _relations(R, a.basis + b.basis, a.ambient_dim):
-        v = [R.zero] * a.ambient_dim
-        for c, row in zip(coeffs[:na], a.basis):
-            for j in range(a.ambient_dim):
-                v[j] = R.add(v[j], R.mul(c, row[j]))
-        gens.append(tuple(v))
-    return Subspace(R, a.ambient_dim, gens)
+    R, dim = a.ring, a.ambient_dim
+    zero = (R.zero,) * dim
+    rows = [r + r for r in a.basis] + [r + zero for r in b.basis]
+    return Subspace._trusted(R, dim, [
+        row[dim:] for row in canonical_rows(R, rows, 2 * dim)
+        if vec_is_zero(R, row[:dim])])
 
 
 def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
@@ -605,14 +576,13 @@ def closure(maps, space: Subspace) -> Subspace:
     A worklist spin (Parker's MeatAxe, 1984): every map is applied once to
     each spanning vector, the initial basis rows and the images added
     since.  The span is held as an echelon table {pivot: row}, and each
-    distinct image of a popped vector goes through `_grow` once: over a
-    field that is an RREF insertion whose reduction is the membership
-    test, over Z/n the Howell form of the rows plus the image.  An image
-    that grows the span is pushed raw, not as its residue (over Q the
-    residue is a dense Fraction vector).  Over a field the spin stops as
-    soon as the table has `ambient_dim` rows.  The result is spanned by
-    the vectors ever pushed and holds each one's images, so it is
-    invariant, over Z/n too.
+    distinct image of a popped vector is inserted once (`_insert`), the
+    insertion being the membership test.  An image that grows the span
+    is pushed raw, not as its residue (over Q the residue is a dense
+    Fraction vector).  Over a field the spin stops as soon as the table
+    has `ambient_dim` rows.  The result is spanned by the vectors ever
+    pushed and holds each one's images, so it is invariant, over Z/n
+    too.
     """
     R, dim = space.ring, space.ambient_dim
     table = {p: list(b) for p, b in space._rows()}
@@ -621,9 +591,9 @@ def closure(maps, space: Subspace) -> Subspace:
     while todo and (len(table) < dim or not R.is_field):
         v = todo.pop()
         for w in dict.fromkeys(M.apply(v) for M in maps):
-            if _grow(R, table, w):
+            if _insert(R, table, list(w)):
                 todo.append(w)
-    return Subspace._trusted(R, dim, _table_rows(table))
+    return Subspace._trusted(R, dim, _table_rows(R, table))
 
 
 def invariant_lattice(maps, ring, dim, bound) -> list[Subspace]:

@@ -31,6 +31,7 @@ from .linalg import (
     closure,
     first_escape,
     invariant_lattice,
+    left_kernel,
     mat_kernel,
     nonzero_vectors,
 )
@@ -154,18 +155,11 @@ def _residue_lift_space(ring: ScalarRing, residue: ScalarRing,
 
 
 def annihilator(rho: Rep) -> Ideal:
-    """Two-sided ideal of algebra elements acting as zero."""
+    """Two-sided ideal of algebra elements acting as zero: the relations
+    among the arrow matrices, each read as one row of its entries."""
     g = rho.groupoid
     MR = rho.matrix_ring
-    m = g.n_arrows
-    rows = []
-    for i in range(rho.dim):
-        for j in range(rho.dim):
-            rows.append(tuple(rho.mats[a].at(i, j) for a in range(m)))
-    if not rows:
-        kern = Subspace.full(MR, m)
-    else:
-        kern = mat_kernel(Matrix.from_rows(MR, rows))
+    kern = left_kernel(Matrix.from_rows(MR, [M.entries for M in rho.mats]))
     if MR == rho.ring:
         space = kern
     else:

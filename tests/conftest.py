@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -22,6 +23,7 @@ from gpdalg import (
     ring_from_spec,
     subspace_preimage,
 )
+from gpdalg.linalg import _egcd, _first_nonzero, _unit_mult
 from gpdalg.modules import matrix_invertible
 
 
@@ -158,8 +160,8 @@ def reference_matmul(A, B):
 
 
 def reference_rref(ring, work, width):
-    """Slow reference for ``linalg._rref``: batch Gauss-Jordan elimination,
-    column by column over all rows.
+    """Slow reference for ``linalg.canonical_rows`` over a field: batch
+    Gauss-Jordan elimination, column by column over all rows.
 
     `work` is a list of rows of coerced ring elements, reduced in place."""
     pivots = []
@@ -183,6 +185,72 @@ def reference_rref(ring, work, width):
         pivots.append(col)
         r += 1
     return tuple(tuple(row) for row in work[:r])
+
+
+def reference_howell(n, rows, width):
+    """Slow reference for ``linalg.canonical_rows`` over Z/n: the batch
+    Howell form of the span of `rows` inside (Z/n)^width (insert, then
+    saturate with annihilator rows, normalise the pivots and reduce the
+    entries above them)."""
+    pivots: dict[int, list] = {}
+
+    def insert(row):
+        # Returns True when the pivot table changed.
+        changed = False
+        row = [x % n for x in row]
+        while True:
+            j = _first_nonzero(row, 0)
+            if j is None:
+                return changed
+            if j not in pivots:
+                pivots[j] = row
+                return True
+            p = pivots[j]
+            a, b = p[j], row[j]
+            # Keep the pivot when a divides b: _egcd(a, a) would hand its
+            # slot to the incoming row, and saturation would loop forever.
+            g, s, t = (a, 1, 0) if b % a == 0 else _egcd(a, b)
+            new = [(s * x + t * y) % n for x, y in zip(p, row)]
+            rem = [((-(b // g)) * x + (a // g) * y) % n for x, y in zip(p, row)]
+            # [new; rem] is a unimodular image of [p; row]: span preserved.
+            if new != p:
+                pivots[j] = new
+                changed = True
+            row = rem
+
+    for r in rows:
+        insert(list(r))
+
+    # Saturate: annihilator multiples of every pivot row must already lie
+    # in the span of the later rows (the Howell property).
+    while True:
+        changed = False
+        for j in sorted(pivots):
+            p = pivots[j]
+            ann = n // gcd(p[j], n)
+            if ann % n == 0:
+                continue
+            if insert([(ann * x) % n for x in p]):
+                changed = True
+        if not changed:
+            break
+
+    # Normalize pivots to divisors of n, then reduce entries above pivots.
+    for j in pivots:
+        u = _unit_mult(pivots[j][j], n)
+        if u != 1:
+            pivots[j] = [(u * x) % n for x in pivots[j]]
+    cols = sorted(pivots)
+    for j in cols:
+        d = pivots[j][j]
+        for j2 in cols:
+            if j2 >= j:
+                break
+            q = pivots[j2]
+            c = q[j] // d
+            if c:
+                pivots[j2] = [(x - c * y) % n for x, y in zip(q, pivots[j])]
+    return tuple(tuple(pivots[j]) for j in cols)
 
 
 def reference_apply(M, vec):

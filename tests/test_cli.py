@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -315,3 +316,29 @@ def test_benchmark_jobs_match_recorded_outputs(workload, tmp_path, capsys):
         code = main(job["argv"])
         out = capsys.readouterr().out
         assert checks.check_job(job, code, out, expected) is None, job["key"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("verify ideal-intersection --gen group:z12 --ring zn:12",
+     "e03b8f044a41555ea9fd7c7bfce3895375c572bab8f18d1fc3f069513ce55e91"),
+    ("verify ideal-intersection --gen action:z2:1,0,2 --ring zn:6",
+     "a9988397d86237edec32d2e3e4a4bd0f644b4d6ed6da9dd5895cee4eeb92a75f"),
+    ("verify ideal-intersection --gen pair:3 --ring zn:8 "
+     "--ideal-gens [[4,0,0,0,0,0,0,0,0]]",
+     "cb4ee3d7339e0e20adfeca182868c06d28fad32a05ac30062ac3f138242ecee7"),
+    ("compute annihilator --gen group:z4 --ring zn:8 --module regular",
+     "470fb0ce8431c3509a3de6ceeed2345714443ac767a975c33ab8cda5e3d43c34"),
+    ("compute annihilator --gen action:z4:1,2,3,0 --ring zn:12 "
+     "--module trivial",
+     "ba1f8ea610a0db88d6d8e64e17d42fb3c82c0e2cd71ef139bdd5e854540d383f"),
+    ("compute stalks --gen pair:4 --ring zn:4",
+     "1de40f182b83c30810625de24429f6afba9a76825e78dd4dc6d3dd232767c831"),
+    ("compute simple-modules --gen group:z6 --ring zn:4",
+     "145e365a336328df2ebc807d3e23ca884ea23770eec5ba84672ea421838b7ba6"),
+])
+def test_zn_jobs_keep_their_bytes(argv, digest, capsys):
+    # Howell forms are unique, so every elimination route must print these
+    # bytes; the digests were recorded with the batch Howell form.
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

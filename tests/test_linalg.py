@@ -27,6 +27,7 @@ from conftest import (
     brute_span,
     reference_apply,
     reference_closure,
+    reference_howell,
     reference_left_kernel,
     reference_mat_kernel,
     reference_matmul,
@@ -181,6 +182,59 @@ def test_howell_join_matches_one_canonical_form(spec):
                 rng, ring, rng.randrange(4), width, density).rows())
                 for _ in range(2))
             assert S.join(T) == Subspace(ring, width, S.basis + T.basis)
+
+
+def _howell_spin(n, maps, rows, width):
+    # The smallest invariant span, by batch Howell forms alone: add every
+    # image of the basis until the form stops changing.
+    basis = reference_howell(n, rows, width)
+    while True:
+        grown = reference_howell(
+            n, list(basis) + [M.apply(b) for b in basis for M in maps], width)
+        if grown == basis:
+            return basis
+        basis = grown
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 9, 12, 16, 27, 36, 64))
+def test_howell_table_matches_reference(n):
+    # Random spans with zero and repeated rows, rows that share a leading
+    # entry, and leading entries at one column that do not divide each
+    # other; entries are biased to non-units, so most spans are not free.
+    ring = ring_from_spec("zn:%d" % n)
+    rng = random.Random("howell/%d" % n)
+    divisors = [d for d in range(1, n) if n % d == 0]
+    clashes = [(x, y) for x in range(1, n) for y in range(1, n)
+               if x % y and y % x]
+
+    def entry(density):
+        if rng.random() >= density:
+            return 0
+        return rng.choice(divisors) * rng.randrange(1, n) % n
+
+    for width in range(8):
+        for density in (0.3, 0.7):
+            for k in (0, 1, 2, 3, 4, 5, 6) * 2:
+                rows = [[entry(density) for _ in range(width)]
+                        for _ in range(k)]
+                if width:
+                    j = rng.randrange(width)
+                    x, y = rng.choice(clashes) if clashes else (1, 1)
+                    for lead in (x, y, x):
+                        rows.append([0] * j + [lead] + [
+                            entry(density) for _ in range(width - j - 1)])
+                rows += [[0] * width] + rows[:2]
+                rng.shuffle(rows)
+                want = reference_howell(n, rows, width)
+                assert canonical_rows(ring, rows, width) == want, rows
+                cut = rng.randrange(len(rows) + 1)
+                S = Subspace(ring, width, rows[:cut])
+                T = Subspace(ring, width, rows[cut:])
+                assert S.join(T).basis == want, rows
+                maps = [_random_matrix(rng, ring, width, width, density)
+                        for _ in range(rng.randrange(3))]
+                assert closure(maps, S).basis \
+                    == _howell_spin(n, maps, rows[:cut], width), rows
 
 
 @pytest.mark.parametrize("spec", RING_SPECS + ("zn:8",))
@@ -393,6 +447,10 @@ def test_nonzero_vectors_bound():
 def test_coordinates_need_unit_pivots():
     free = Subspace(Z4, 2, [(1, 3)])
     assert free.coordinates((3, 1)) == (3,)
+    assert free.coordinates((1, 1)) is None
+    assert Subspace(Q, 3, [(1, 0, 2), (0, 1, "1/2")]).coordinates(
+        (3, -2, 5)) == (3, -2)
+    assert Subspace(Q, 3, [(1, 0, 2)]).coordinates((1, 0, 3)) is None
     crooked = Subspace(Z4, 2, [(2, 1), (0, 2)])
     with pytest.raises(NonFreeQuotientError):
         crooked.coordinates((2, 1))

@@ -207,6 +207,11 @@ def test_annihilator_of_sign_and_trivial():
     assert module_annihilator_space(trivial_module(G, Q)).basis == ((1, -1),)
     # characteristic 2 collapses both to the augmentation ideal
     assert module_annihilator_space(sign_module(G, F2)).basis == ((1, 1),)
+    # the zero module is killed by the whole algebra
+    for g in (zg(2), pair_groupoid(2)):
+        for ring in (Q, F2, Z4):
+            zero = Rep(g, ring, 0, [Matrix.zeros(ring, 0, 0)] * g.n_arrows)
+            assert annihilator(zero).space.is_full()
 
 
 def test_annihilator_zn4_lifted_through_residue():
