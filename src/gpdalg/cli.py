@@ -311,23 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "disintegration, primitive ideals")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=True):
+    def common(p):
         p.add_argument("--in", dest="infile", metavar="FILE",
                        help="groupoid JSON file, - for stdin")
         p.add_argument("--gen", metavar="SPEC",
                        help="generator spec, e.g. pair:2, group:z4, "
                             "action:z2:1,0,2, group:z2+pair:1")
-        if ring:
-            p.add_argument("--ring", default="q",
-                           help="q, fp:<p> or zn:<n> (default q)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="recorded in JSON reports; changes no result")
+        p.add_argument("--ring", default="q",
+                       help="q, fp:<p> or zn:<n> (default q)")
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
                        help="state-space cap for exhaustive searches")
-        p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--out", metavar="FILE", help="write output here")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall times in reports")
 
     p = sub.add_parser("generate", help="emit a groupoid as JSON")
     p.add_argument("kind", choices=["pair", "group", "action", "union"])
@@ -356,6 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=["ideal-intersection", "primitive-single",
                                      "primitive-ideals"])
     common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in JSON reports; changes no result")
+    p.add_argument("--format", choices=["json", "text"], default="json")
+    p.add_argument("--timings", action="store_true",
+                   help="include wall times in reports")
     p.add_argument("--all-ideals", action="store_true",
                    help="run over every ideal (finite fields)")
     p.add_argument("--ideal-gens", metavar="JSON",

@@ -11,6 +11,11 @@ Both forms grow the same way: rows go one at a time into a {pivot: row}
 table (`_insert`), which stays in RREF over a field and keeps the Howell
 property over Z/n, and `_table_rows` reads the canonical form off it.
 Canonical bases, joins and the closure spin all grow one such table.
+
+Over a finite ring every exhaustive search draws its vectors from one
+guarded enumerator (`nonzero_vectors`, one vector per line over a
+field), and every submodule or ideal search reads one lattice builder
+(`invariant_lattice`).
 """
 
 from __future__ import annotations
@@ -181,10 +186,6 @@ class Matrix:
 
     def to_lists(self):
         return [list(self.row(i)) for i in range(self.nrows)]
-
-
-def vec_is_zero(ring, v):
-    return all(x == ring.zero for x in v)
 
 
 def _first_nonzero(row, zero):
@@ -401,7 +402,7 @@ class Subspace:
         return tuple(_reduce(self.ring, self._rows(), v))
 
     def contains(self, v) -> bool:
-        return vec_is_zero(self.ring, self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -480,7 +481,7 @@ def _relations(ring, vectors, width) -> list[tuple]:
     aug = [list(v) + [ring.one if t == i else ring.zero for t in range(k)]
            for i, v in enumerate(vectors)]
     return [row[width:] for row in canonical_rows(ring, aug, width + k)
-            if vec_is_zero(ring, row[:width])]
+            if not any(row[:width])]
 
 
 def mat_kernel(mat: Matrix) -> Subspace:
@@ -509,7 +510,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     rows = [r + r for r in a.basis] + [r + zero for r in b.basis]
     return Subspace._trusted(R, dim, [
         row[dim:] for row in canonical_rows(R, rows, 2 * dim)
-        if vec_is_zero(R, row[:dim])])
+        if not any(row[:dim])])
 
 
 def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
@@ -532,31 +533,27 @@ DEFAULT_BOUND = 1 << 20
 
 
 def nonzero_vectors(ring, dim, bound):
-    """Every nonzero vector of R^dim, for a finite ring R.
+    """The vectors an exhaustive search over R^dim needs, R finite: one
+    per line over a field (first nonzero entry 1), every nonzero vector
+    over Z/n.
 
-    The one guarded exhaustive enumerator: raises BoundExceededError when
-    the state space |R|^dim exceeds `bound`.
+    Over a field c*v spans the line of v for every c != 0, so one vector
+    per line carries every spin and every invertibility test.  Over Z/n
+    only units rescale: in Z/4 the vector (2) spans less than (1).  The
+    one guarded exhaustive enumerator: raises BoundExceededError when the
+    state space |R|^dim exceeds `bound`.  Yields in lexicographic order.
     """
     if ring.size ** dim > bound:
         raise BoundExceededError("state space %d^%d exceeds bound %d"
                                  % (ring.size, dim, bound))
-    zero = (ring.zero,) * dim
-    return (v for v in product(list(ring.elements()), repeat=dim)
-            if v != zero)
-
-
-def _one_per_line(ring, vectors):
-    """The vectors whose first nonzero entry is 1, over a field; every
-    vector over Z/n.
-
-    Over a field c*v spans the line of v for every c != 0, so one vector
-    per line carries every spin and every invertibility test.  Over Z/n
-    only units rescale: in Z/4 the vector (2) spans less than (1).
-    """
+    elems = list(ring.elements())
     if not ring.is_field:
-        return vectors
-    zero, one = ring.zero, ring.one
-    return (v for v in vectors if next(x for x in v if x != zero) == one)
+        zero = (ring.zero,) * dim
+        return (v for v in product(elems, repeat=dim) if v != zero)
+    # Leading 1 at position i, last position first: lexicographic order.
+    return ((ring.zero,) * i + (ring.one,) + tail
+            for i in reversed(range(dim))
+            for tail in product(elems, repeat=dim - 1 - i))
 
 
 def first_escape(maps, space: Subspace):
@@ -600,20 +597,17 @@ def invariant_lattice(maps, ring, dim, bound) -> list[Subspace]:
     """Every subspace of R^dim that all maps send into itself, sorted by
     size then basis (finite rings only).
 
-    Every invariant subspace is a join of the closures of single vectors,
-    so the closures of ``nonzero_vectors`` (which charges them against
-    `bound`), one vector per line over a field, are closed under joins.
+    Every invariant subspace is the join of the cyclic closures it
+    contains, so the lattice is the set of joins of subsets of the
+    closures of ``nonzero_vectors`` (which charges them against `bound`).
+    Starting from {0}, each closure C not yet found is folded in by
+    joining it to everything found so far; after C_1..C_k the set holds
+    the join of every subset of them, so a closure already found adds
+    nothing.
     """
     found = {Subspace.zero(ring, dim)}
-    found.update(closure(maps, Subspace(ring, dim, [v]))
-                 for v in _one_per_line(ring,
-                                        nonzero_vectors(ring, dim, bound)))
-    queue = list(found)
-    while queue:
-        S = queue.pop()
-        for T in list(found):
-            U = S.join(T)
-            if U not in found:
-                found.add(U)
-                queue.append(U)
+    for v in nonzero_vectors(ring, dim, bound):
+        C = closure(maps, Subspace(ring, dim, [v]))
+        if C not in found:
+            found |= {S.join(C) for S in found}
     return sorted(found, key=lambda s: (s.num_rows, s.basis))

@@ -27,7 +27,6 @@ from .linalg import (
     Matrix,
     Subspace,
     canonical_rows,
-    _one_per_line,
     closure,
     first_escape,
     invariant_lattice,
@@ -186,24 +185,19 @@ def is_invariant(module, space: Subspace) -> bool:
 def is_simple(module, bound: int = DEFAULT_BOUND) -> bool:
     """No invariant subspace other than zero and the whole space.
 
-    Finite coefficient rings are handled exhaustively: the spin of every
-    nonzero vector must be everything, with ``nonzero_vectors`` charging
-    the state space against `bound`; over a field one vector per line is
-    spun, since c*v spins to the same subspace as v.  Over the rationals
-    the support must lie in one orbit and the stalk N at its smallest
+    Finite coefficient rings read the submodule lattice: the module is
+    simple iff its maximal submodule is zero, with ``nonzero_vectors``
+    charging the state space against `bound`.  Over the rationals the
+    support must lie in one orbit and the stalk N at its smallest
     object u must be simple over Q[G_u] (Morita).  For G_u = <g> cyclic
     of order n, x^n - 1 is the product of the Phi_d, d | n, irreducible
     over Q: N is simple iff Phi_d(rho(g)) = 0 and deg Phi_d = dim N for
     some d | n.  Other isotropy groups raise UnsupportedRingError.
     """
-    MR = module.matrix_ring
-    d = module.dim
-    if d == 0:
+    if module.dim == 0:
         return False
-    if MR.size is not None:
-        full = Subspace.full(MR, d)
-        return all(spin(module, [v]) == full
-                   for v in _one_per_line(MR, nonzero_vectors(MR, d, bound)))
+    if module.matrix_ring.size is not None:
+        return maximal_submodule(module, bound).is_zero()
     from .sheaves import sheaf_of, stalk_isotropy_module
 
     S = sheaf_of(module)
@@ -258,9 +252,9 @@ def is_isomorphic(A, B, bound: int = DEFAULT_BOUND) -> bool:
     Over the rationals every module of a finite groupoid algebra is
     semisimple (Maschke), so A and B are isomorphic exactly when
     dim Hom(A, B) = dim End(A) = dim End(B).  Over finite coefficient
-    rings every combination of the hom basis is tried, one per line over
-    a field (c*T is invertible iff T is), with ``nonzero_vectors``
-    charging the coefficient vectors against `bound`.
+    rings every combination of the hom basis from ``nonzero_vectors`` is
+    tried (one per line over a field: c*T is invertible iff T is), the
+    coefficient vectors charged against `bound`.
     """
     if A.dim != B.dim:
         return False
@@ -274,7 +268,7 @@ def is_isomorphic(A, B, bound: int = DEFAULT_BOUND) -> bool:
         return H.num_rows == hom_space(A, A).num_rows \
             == hom_space(B, B).num_rows
     d = A.dim
-    for coeffs in _one_per_line(MR, nonzero_vectors(MR, H.num_rows, bound)):
+    for coeffs in nonzero_vectors(MR, H.num_rows, bound):
         flat = [MR.zero] * (d * d)
         for c, b in zip(coeffs, H.basis):
             if c == MR.zero:
@@ -318,8 +312,6 @@ def maximal_submodule(module, bound: int = DEFAULT_BOUND) -> Subspace:
 
 def rep_submodule(rho: Rep, space: Subspace) -> Rep:
     """The invariant subspace as a module in its own basis coordinates."""
-    if not is_invariant(rho, space):
-        raise ConstructionError("subspace is not invariant")
     MR = rho.matrix_ring
     k = len(space.basis)
     mats = []

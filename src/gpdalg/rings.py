@@ -77,7 +77,6 @@ class RationalField(ScalarRing):
     kind = "rationals"
     modulus = None
     is_field = True
-    jacobson_radical_gens: tuple = ()
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -160,7 +159,6 @@ class _FiniteRing(ScalarRing):
 class PrimeField(_FiniteRing):
     kind = "prime_field"
     is_field = True
-    jacobson_radical_gens = ()
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -184,12 +182,6 @@ class IntegersMod(_FiniteRing):
         if n < 2:
             raise ConstructionError("modulus must be >= 2, got %d" % n)
         super().__init__(n)
-        rad = 1
-        for p in _prime_factors(n):
-            rad *= p
-        # The Jacobson radical of Z/n is generated by the radical of n;
-        # it vanishes exactly when n is squarefree.
-        self.jacobson_radical_gens = () if rad == n else (rad % n,)
 
     def spec_string(self):
         return "zn:%d" % self.modulus

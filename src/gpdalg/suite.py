@@ -15,7 +15,7 @@ import time
 from .errors import BoundExceededError, UnsupportedRingError
 from .groupoid import FiniteGroupoid, isotropy, orbits
 from .ideals import Ideal
-from .linalg import Matrix, Subspace, subspace_intersect, subspace_preimage
+from .linalg import Subspace, subspace_intersect
 from .modules import (
     DEFAULT_BOUND,
     annihilator,
@@ -77,15 +77,13 @@ def stalk_annihilator_space(g: FiniteGroupoid, ring: ScalarRing, I: Ideal,
 
     For x in R[G_u], x(e_u a + I) = x a + I, so x kills the stalk iff
     xA lies in I.  As A is unital and I two-sided, that holds iff
-    x = x e_u lies in I.  So the annihilator is the preimage of I under
-    the inclusion of R[G_u] into A (loops in ascending arrow id, the
-    order ``isotropy`` uses), over any base ring."""
-    G = isotropy(g, u)
-    k = G.order
-    ent = [ring.zero] * (g.n_arrows * k)
-    for j, loop in enumerate(G.arrow_ids):
-        ent[loop * k + j] = ring.one
-    return subspace_preimage(Matrix(ring, g.n_arrows, k, ent), I.space)
+    x = x e_u lies in I.  That intersection is e_u I e_u, and e_u x e_u
+    is x restricted to the loops at u, so the annihilator is spanned by
+    the basis rows of I restricted to those loops (in ascending arrow
+    id, the order ``isotropy`` uses), over any base ring."""
+    loops = isotropy(g, u).arrow_ids
+    return Subspace(ring, len(loops),
+                    [[row[a] for a in loops] for row in I.space.basis])
 
 
 def verify_ideal_is_intersection(
@@ -181,12 +179,8 @@ def _induced_simples(g: FiniteGroupoid, ring: ScalarRing, bound: int):
 
 
 def _distinct_sorted(ideals) -> list[Ideal]:
-    out = []
-    for J in ideals:
-        if not any(J == K for K in out):
-            out.append(J)
-    out.sort(key=lambda J: (len(J.space.basis), J.space.basis))
-    return out
+    return sorted(set(ideals),
+                  key=lambda J: (len(J.space.basis), J.space.basis))
 
 
 def enumerate_primitive_ideals(g: FiniteGroupoid, ring: ScalarRing,

@@ -5,6 +5,7 @@ import pytest
 
 from gpdalg import (
     AlgebraElement,
+    BoundExceededError,
     Ideal,
     IsotropyModule,
     Matrix,
@@ -23,7 +24,7 @@ from gpdalg import (
     ring_from_spec,
     subspace_preimage,
 )
-from gpdalg.linalg import _egcd, _first_nonzero, _unit_mult
+from gpdalg.linalg import _egcd, _first_nonzero, _unit_mult, closure
 from gpdalg.modules import matrix_invertible
 
 
@@ -335,6 +336,45 @@ def reference_closure(maps, space):
         if not new_rows:
             return space
         space = space.join(Subspace(R, dim, new_rows))
+
+
+def _reference_nonzero_vectors(ring, dim, bound):
+    """Every nonzero vector of R^dim, for a finite ring R (the enumerator
+    before it skipped the multiples of a line's first vector)."""
+    if ring.size ** dim > bound:
+        raise BoundExceededError("state space %d^%d exceeds bound %d"
+                                 % (ring.size, dim, bound))
+    zero = (ring.zero,) * dim
+    return (v for v in product(list(ring.elements()), repeat=dim)
+            if v != zero)
+
+
+def _reference_one_per_line(ring, vectors):
+    """The vectors whose first nonzero entry is 1, over a field; every
+    vector over Z/n."""
+    if not ring.is_field:
+        return vectors
+    zero, one = ring.zero, ring.one
+    return (v for v in vectors if next(x for x in v if x != zero) == one)
+
+
+def reference_invariant_lattice(maps, ring, dim, bound):
+    """Slow reference for ``linalg.invariant_lattice``: the cyclic
+    closures of one vector per line, closed under joins by a queue that
+    joins every pair."""
+    found = {Subspace.zero(ring, dim)}
+    found.update(closure(maps, Subspace(ring, dim, [v]))
+                 for v in _reference_one_per_line(
+                     ring, _reference_nonzero_vectors(ring, dim, bound)))
+    queue = list(found)
+    while queue:
+        S = queue.pop()
+        for T in list(found):
+            U = S.join(T)
+            if U not in found:
+                found.add(U)
+                queue.append(U)
+    return sorted(found, key=lambda s: (s.num_rows, s.basis))
 
 
 def reference_hom_space(A, B):

@@ -342,3 +342,44 @@ def test_zn_jobs_keep_their_bytes(argv, digest, capsys):
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("verify primitive-single --gen action:z4:1,0,3,2 --ring fp:3",
+     "511581a183e30309db5074de0558eb4621d8a9e614a974b0aace4372babcd94c"),
+    ("verify primitive-single --gen pair:3 --ring fp:2",
+     "1fa73fe85287ded8ea53cb98592d37a69106d1b58b642cae013d63ffc287e557"),
+    ("verify primitive-single --gen group:z7 --ring fp:3",
+     "5d24c26a69e2f0d10a6ce3a40ad3dba1e96369dc948cf3f13498918d7102194f"),
+    ("verify primitive-single --gen group:z6 --ring zn:4",
+     "0669b24a64f712102fc4ae5c64655c0a1121af74544690fbfd45b7a86a4741ce"),
+    ("verify primitive-ideals --gen pair:2+group:z3 --ring zn:9",
+     "f64c403fbb774c182472faf7834879e4024c4017b9e140b9df73a9c2ca8be6a1"),
+    ("verify ideal-intersection --all-ideals --gen group:z4+pair:2 "
+     "--ring fp:2",
+     "efdc594a81ab48face45a888a432f8e7eba44d36609297a97d9d194ad3b8be44"),
+])
+def test_search_jobs_keep_their_bytes(argv, digest, capsys):
+    # The simplicity checks and the submodule and ideal lattices behind
+    # these jobs must print these bytes whatever the search route; the
+    # digests were recorded with a per-vector spin loop in is_simple and
+    # a pairwise join queue in invariant_lattice.
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_report_flags_belong_to_verify(capsys):
+    # --seed, --format and --timings shape verify's reports; compute
+    # prints no report, so it rejects them.
+    for flag in (["--timings"], ["--seed", "1"], ["--format", "text"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "orbits", "--gen", "group:z2"] + flag)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", "primitive-ideals", "--gen",
+                       "group:z2", "--ring", "fp:2", "--seed", "5",
+                       "--format", "text", "--timings")
+    assert code == 0
+    assert "1 verified, 0 refuted, 0 skipped" in out
+    assert out.splitlines()[0].endswith("s]")

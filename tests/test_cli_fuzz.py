@@ -61,8 +61,10 @@ STDIN = ["", "{]", "[]", '{"objects": 1}', '{"objects": 1%s}' % ("0" * 5000),
          '"comp": [[0, 0, 0]], "inv": [0]}',
          '{"objects": 2, "arrows": [1], "units": [], "comp": [], "inv": []}']
 
-COMMON = [
-    st.tuples(st.just("--ring"), RINGS),
+COMMON = [st.tuples(st.just("--ring"), RINGS)]
+
+# Report options, which only verify takes.
+REPORT = [
     st.tuples(st.just("--format"), st.sampled_from(["json", "text"])),
     st.tuples(st.just("--seed"), st.sampled_from(["0", "7"])),
     st.tuples(st.just("--timings")),
@@ -78,7 +80,8 @@ OPTIONS = {
                             st.integers(-1, 3).map(str))),
         JUNK),
     "verify": valid_or_not(
-        st.one_of(*COMMON, st.tuples(st.just("--ideal-gens"), IDEAL_GENS),
+        st.one_of(*COMMON, *REPORT,
+                  st.tuples(st.just("--ideal-gens"), IDEAL_GENS),
                   st.tuples(st.just("--all-ideals"))),
         JUNK),
 }

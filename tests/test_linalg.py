@@ -19,7 +19,12 @@ from gpdalg import (
     subspace_preimage,
 )
 
-from gpdalg.linalg import _unit_mult, closure, nonzero_vectors
+from gpdalg.linalg import (
+    _unit_mult,
+    closure,
+    invariant_lattice,
+    nonzero_vectors,
+)
 
 from conftest import (
     RING_SPECS,
@@ -28,6 +33,7 @@ from conftest import (
     reference_apply,
     reference_closure,
     reference_howell,
+    reference_invariant_lattice,
     reference_left_kernel,
     reference_mat_kernel,
     reference_matmul,
@@ -301,6 +307,43 @@ def test_kernels_match_reference(spec):
                         == reference_subspace_intersect(rows, other)
 
 
+def _random_map(rng, ring, dim):
+    # A dense map, a sparse nilpotent one (strictly upper triangular, at
+    # times zero, which leaves every subspace invariant) or a permutation
+    # matrix.
+    q = ring.modulus
+    kind = rng.choice(("dense", "nilpotent", "permutation"))
+    if kind == "dense":
+        ent = [rng.randrange(q) for _ in range(dim * dim)]
+    elif kind == "nilpotent":
+        ent = [rng.randrange(q) if j > i and rng.random() < 0.5 else 0
+               for i in range(dim) for j in range(dim)]
+    else:
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        ent = [int(perm[i] == j) for i in range(dim) for j in range(dim)]
+    return Matrix(ring, dim, dim, ent)
+
+
+@pytest.mark.parametrize("spec", ("fp:2", "fp:3", "fp:5", "zn:4", "zn:6",
+                                  "zn:8", "zn:9"))
+def test_invariant_lattice_matches_reference(spec):
+    # The join fold against the pairwise join queue over every nonzero
+    # vector.  Dims stop at 4, or before 128 states: the queue's L^2 joins
+    # take over a minute on the 1983 submodules of (Z/4)^4.
+    ring = ring_from_spec(spec)
+    rng = random.Random("lattice/" + spec)
+    for dim in range(1, 5):
+        if ring.modulus ** dim > 128:
+            break
+        for _ in range(8):
+            maps = [_random_map(rng, ring, dim)
+                    for _ in range(rng.choice((1, 1, 2, 3)))]
+            got = invariant_lattice(maps, ring, dim, 128)
+            assert got == reference_invariant_lattice(maps, ring, dim, 128), \
+                (dim, [M.entries for M in maps])
+
+
 def test_unit_mult_matches_scan():
     def scan(a, n):
         g = math.gcd(a, n)
@@ -433,9 +476,19 @@ def test_subspace_counts_over_small_fields():
 
 
 def test_nonzero_vectors_bound():
+    # One vector per line over a field: the 4 lines of F_3^2.
     vecs = list(nonzero_vectors(F3, 2, 9))
-    assert len(vecs) == 8 == len(set(vecs))
+    assert len(vecs) == 4 == len(set(vecs))
     assert (0, 0) not in vecs
+    assert vecs == sorted(vecs)
+    assert not any(tuple(F3.mul(c, x) for x in v) == w
+                   for v, w in itertools.permutations(vecs, 2)
+                   for c in (1, 2))
+    assert len(list(nonzero_vectors(F5, 3, 125))) == 31
+    # Over Z/n only units rescale, so every nonzero vector is yielded.
+    zn = list(nonzero_vectors(Z4, 2, 16))
+    assert len(zn) == 15 == len(set(zn))
+    assert set(zn) == set(itertools.product(range(4), repeat=2)) - {(0, 0)}
     with pytest.raises(BoundExceededError,
                        match=r"state space 3\^2 exceeds bound 8"):
         nonzero_vectors(F3, 2, 8)

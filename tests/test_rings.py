@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import gpdalg.rings
 from gpdalg import (
     ConstructionError,
     IntegersMod,
     PrimeField,
     RationalField,
+    canonical_rows,
     ring_from_spec,
 )
 
@@ -30,7 +32,6 @@ def test_rational_arithmetic():
     assert R.mul(a, b) == Fraction(2, 3)
     assert R.add(a, R.neg(a)) == R.zero
     assert R.inv(Fraction(3, 7)) == Fraction(7, 3)
-    assert R.jacobson_radical_gens == ()
 
 
 def test_prime_field_inverses():
@@ -54,16 +55,17 @@ def test_integers_mod_basics():
         IntegersMod(1)
 
 
-def test_jacobson_radical_generators():
-    # squarefree modulus: radical is zero, no generator
-    assert IntegersMod(6).jacobson_radical_gens == ()
-    assert IntegersMod(30).jacobson_radical_gens == ()
-    # prime powers and mixed moduli: generated by the radical of n
-    assert IntegersMod(4).jacobson_radical_gens == (2,)
-    assert IntegersMod(8).jacobson_radical_gens == (2,)
-    assert IntegersMod(9).jacobson_radical_gens == (3,)
-    assert IntegersMod(12).jacobson_radical_gens == (6,)
-    assert PrimeField(7).jacobson_radical_gens == ()
+def test_big_modulus_needs_no_factoring(monkeypatch):
+    # Building Z/n and eliminating over it never factors n.
+    def refuse(n):
+        raise AssertionError("factored %d" % n)
+
+    monkeypatch.setattr(gpdalg.rings, "_prime_factors", refuse)
+    n = 10 ** 30 + 57
+    R = ring_from_spec("zn:%d" % n)
+    assert R.modulus == n
+    assert canonical_rows(R, [(3, 6), (0, n - 1)], 2) == ((1, 0), (0, 1))
+    assert canonical_rows(R, [(2, 4), (1, 2)], 2) == ((1, 2),)
 
 
 def test_residue_field():
