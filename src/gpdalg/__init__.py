@@ -76,7 +76,6 @@ from .modules import (
     regular_rep,
     annihilator,
     module_annihilator_space,
-    is_simple,
     is_isomorphic,
     hom_space,
     all_submodules,
@@ -102,6 +101,7 @@ from .sheaves import (
     stalk_isotropy_module,
     gamma_c,
     disintegration_iso,
+    is_simple,
 )
 from .suite import (
     VerificationReport,

@@ -82,11 +82,13 @@ def induced_annihilator_from_space(g: FiniteGroupoid, ring: ScalarRing,
                                    u: int, ann_space: Subspace) -> Ideal:
     """Annihilator of an induced module, given the annihilator of the
     isotropy module as a subspace of the group algebra: every arrow off
-    the orbit, and Ann(N) on every block of the orbit."""
+    the orbit, and Ann(N) on every block of the orbit.  That is an ideal
+    iff Ann(N) is one of R[G_u], so only Ann(N) is checked."""
     G = isotropy(g, u)
     if ann_space.ring != ring or ann_space.ambient_dim != G.order:
         raise ConstructionError("annihilator space must live in the group "
                                 "algebra of the isotropy group")
+    Ideal(G.groupoid, ring, ann_space, check=True)
     T = transversal(g, u)
     m = g.n_arrows
     gens = []
@@ -104,7 +106,7 @@ def induced_annihilator_from_space(g: FiniteGroupoid, ring: ScalarRing,
             for a, i in block:
                 f[a] = b[i]
             gens.append(f)
-    return Ideal(g, ring, Subspace(ring, m, gens), check=True)
+    return Ideal(g, ring, Subspace(ring, m, gens), check=False)
 
 
 def induced_annihilator_direct(g: FiniteGroupoid, ring: ScalarRing, u: int,

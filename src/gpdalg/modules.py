@@ -20,7 +20,7 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .groupoid import FiniteGroupoid, IsotropyGroup, generating_arrows, orbits
+from .groupoid import FiniteGroupoid, IsotropyGroup, generating_arrows
 from .ideals import Ideal
 from .linalg import (
     DEFAULT_BOUND,
@@ -153,22 +153,23 @@ def _residue_lift_space(ring: ScalarRing, residue: ScalarRing,
     return Subspace(ring, n, rows)
 
 
-def annihilator(rho: Rep) -> Ideal:
-    """Two-sided ideal of algebra elements acting as zero: the relations
-    among the arrow matrices, each read as one row of its entries."""
-    g = rho.groupoid
+def module_annihilator_space(rho: Rep) -> Subspace:
+    """The relations among the arrow matrices, each read as one row of
+    its entries, lifted through the residue field when the matrices live
+    there: the annihilator as a subspace over the ambient ring,
+    unchecked."""
     MR = rho.matrix_ring
     kern = left_kernel(Matrix.from_rows(MR, [M.entries for M in rho.mats]))
     if MR == rho.ring:
-        space = kern
-    else:
-        space = _residue_lift_space(rho.ring, MR, kern)
-    return Ideal(g, rho.ring, space, check=True)
+        return kern
+    return _residue_lift_space(rho.ring, MR, kern)
 
 
-def module_annihilator_space(N: IsotropyModule) -> Subspace:
-    """Annihilator of N inside the group algebra, over the ambient ring."""
-    return annihilator(N).space
+def annihilator(rho: Rep) -> Ideal:
+    """Two-sided ideal of algebra elements acting as zero: the module
+    annihilator space, checked to be closed on both sides."""
+    return Ideal(rho.groupoid, rho.ring, module_annihilator_space(rho),
+                 check=True)
 
 
 def spin(module, seeds) -> Subspace:
@@ -180,40 +181,6 @@ def spin(module, seeds) -> Subspace:
 
 def is_invariant(module, space: Subspace) -> bool:
     return first_escape(module.action_mats(), space) is None
-
-
-def is_simple(module, bound: int = DEFAULT_BOUND) -> bool:
-    """No invariant subspace other than zero and the whole space.
-
-    Finite coefficient rings read the submodule lattice: the module is
-    simple iff its maximal submodule is zero, with ``nonzero_vectors``
-    charging the state space against `bound`.  Over the rationals the
-    support must lie in one orbit and the stalk N at its smallest
-    object u must be simple over Q[G_u] (Morita).  For G_u = <g> cyclic
-    of order n, x^n - 1 is the product of the Phi_d, d | n, irreducible
-    over Q: N is simple iff Phi_d(rho(g)) = 0 and deg Phi_d = dim N for
-    some d | n.  Other isotropy groups raise UnsupportedRingError.
-    """
-    if module.dim == 0:
-        return False
-    if module.matrix_ring.size is not None:
-        return maximal_submodule(module, bound).is_zero()
-    from .sheaves import sheaf_of, stalk_isotropy_module
-
-    S = sheaf_of(module)
-    supp = S.support()
-    orbit_of = orbits(module.groupoid).orbit_of
-    if any(orbit_of[u] != orbit_of[supp[0]] for u in supp):
-        return False
-    N = stalk_isotropy_module(S, supp[0])
-    gen = N.group.generator_if_cyclic()
-    if gen is None:
-        raise UnsupportedRingError("decided over Q for cyclic isotropy "
-                                   "groups only")
-    n = N.group.order
-    phis = [_cyclotomic(k) for k in range(1, n + 1) if n % k == 0]
-    return any(len(phi) - 1 == N.dim and _poly_at(phi, N.mats[gen]).is_zero()
-               for phi in phis)
 
 
 def hom_space(A, B) -> Subspace:
@@ -426,16 +393,6 @@ def _cyclotomic(d: int) -> list[int]:
             if any(rem):
                 raise AssertionError("cyclotomic division left a remainder")
     return poly
-
-
-def _poly_at(poly, X: Matrix) -> Matrix:
-    """The integer polynomial (low-first coefficients) at X, by Horner."""
-    R, d = X.ring, X.nrows
-    P = Matrix.zeros(R, d, d)
-    for c in reversed(poly):
-        P = P * X + Matrix(R, d, d, [R.coerce(c) if i == j else R.zero
-                                     for i in range(d) for j in range(d)])
-    return P
 
 
 def _companion(ring, poly) -> Matrix:

@@ -13,29 +13,44 @@ from fractions import Fraction
 from .errors import ConstructionError, UnsupportedRingError
 
 
+# The first 13 prime bases decide primality exactly below _MR_LIMIT
+# (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Strong-probable-prime test to ``_MR_BASES``: a failed base proves
+    n composite at any size; passing every base proves n prime below
+    ``_MR_LIMIT``, and above it the test raises rather than guess."""
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
+    if n >= _MR_LIMIT:
+        raise UnsupportedRingError("%d passes every base, and primality is "
+                                   "decided only below %d" % (n, _MR_LIMIT))
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 class ScalarRing:
@@ -119,6 +134,8 @@ class _FiniteRing(ScalarRing):
         self.modulus = n
 
     def coerce(self, x):
+        if type(x) is int:
+            return x % self.modulus
         if isinstance(x, str):
             try:
                 x = int(x)
@@ -190,11 +207,16 @@ class IntegersMod(_FiniteRing):
         return pow(a, -1, self.modulus)
 
     def residue_field(self) -> PrimeField | None:
-        """F_p when n is a power of the prime p, else None."""
-        ps = _prime_factors(self.modulus)
-        if len(ps) == 1:
-            return PrimeField(ps[0])
-        return None
+        """F_p when n is a power of the prime p, else None.  The root r
+        of n = r^k with k largest is no perfect power, so n is a prime
+        power iff r is prime."""
+        n = root = self.modulus
+        for k in range(n.bit_length() - 1, 1, -1):
+            r = _iroot(n, k)
+            if r ** k == n:
+                root = r
+                break
+        return PrimeField(root) if is_prime(root) else None
 
 
 def ring_from_spec(spec: str) -> ScalarRing:

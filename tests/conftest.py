@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from gpdalg import (
+    DEFAULT_BOUND,
     AlgebraElement,
     BoundExceededError,
     Ideal,
@@ -11,6 +12,7 @@ from gpdalg import (
     Matrix,
     Rep,
     Subspace,
+    UnsupportedRingError,
     action_groupoid,
     basis_element,
     canonical_rows,
@@ -20,12 +22,17 @@ from gpdalg import (
     disjoint_union,
     group_groupoid,
     isotropy,
+    maximal_submodule,
+    orbits,
     pair_groupoid,
     ring_from_spec,
+    sheaf_of,
+    stalk_isotropy_module,
     subspace_preimage,
 )
 from gpdalg.linalg import _egcd, _first_nonzero, _unit_mult, closure
-from gpdalg.modules import matrix_invertible
+from gpdalg.modules import _cyclotomic, matrix_invertible
+from gpdalg.sheaves import _poly_at
 
 
 def zg(k):
@@ -537,6 +544,31 @@ def reference_induced_annihilator(g, ring, u, ann_space, T):
     target = Subspace(ring, P * k, target_rows)
     space = subspace_preimage(L, target)
     return Ideal(g, ring, space, check=True)
+
+
+def reference_is_simple(module, bound=DEFAULT_BOUND):
+    """Simplicity read off the whole module: over finite rings its own
+    maximal submodule is zero, the search charged on all of its
+    q^dim states; over Q its stalk at the smallest support object passes
+    the cyclotomic test, the support lying in one orbit."""
+    if module.dim == 0:
+        return False
+    if module.matrix_ring.size is not None:
+        return maximal_submodule(module, bound).is_zero()
+    S = sheaf_of(module)
+    supp = S.support()
+    orbit_of = orbits(module.groupoid).orbit_of
+    if any(orbit_of[u] != orbit_of[supp[0]] for u in supp):
+        return False
+    N = stalk_isotropy_module(S, supp[0])
+    gen = N.group.generator_if_cyclic()
+    if gen is None:
+        raise UnsupportedRingError("decided over Q for cyclic isotropy "
+                                   "groups only")
+    n = N.group.order
+    phis = [_cyclotomic(k) for k in range(1, n + 1) if n % k == 0]
+    return any(len(phi) - 1 == N.dim and _poly_at(phi, N.mats[gen]).is_zero()
+               for phi in phis)
 
 
 RING_SPECS = ("q", "fp:2", "fp:3", "zn:4")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -367,6 +368,100 @@ def test_search_jobs_keep_their_bytes(argv, digest, capsys):
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,code,digest", [
+    ("verify primitive-single --gen pair:3 --ring q", 0,
+     "125d46b00d2bc81c65d2a620385f4fb0d6104b32e272373937bcb3dc3973ad77"),
+    ("verify primitive-single --gen pair:3 --ring fp:3", 0,
+     "cffce6771ab7f55467a70acb77a8824d36a75036cb9ae29d4ecf900957787f63"),
+    ("verify primitive-single --gen pair:3 --ring zn:4", 0,
+     "8e5419c0096550c1cbc2a8d3a5e8ab62391ef1424f3ac4c83487e9ff73a2c2b1"),
+    ("verify primitive-single --gen pair:3 --ring zn:9", 0,
+     "4b783431b2228b72cc7f6879ce41f3948a506eb5a92276f190512eb9a4141602"),
+    ("verify primitive-single --gen action:z4:1,2,3,0 --ring q", 0,
+     "bf3d4b9a22c69981fd9e53c29a55f2eec7fe848bed2e9ab8697bacb14b5b1fb9"),
+    ("verify primitive-single --gen action:z4:1,2,3,0 --ring fp:3", 0,
+     "95568b52cc98a369535a6bc8e7bc5779fcd5034dfb0602b847bb404543dbbc58"),
+    ("verify primitive-single --gen action:z4:1,2,3,0 --ring zn:4", 0,
+     "cccd35d231b7576d20d60c016c64f14b844ab2e8ab9af6304d29abc0d9cec925"),
+    ("verify primitive-single --gen action:z4:1,2,3,0 --ring zn:9", 0,
+     "7ded5f49961c1e52b0ebaefe8adfa23a5819b0f5e912b23aa156d86385e66c50"),
+    ("verify primitive-single --gen group:z2+pair:2 --ring q", 0,
+     "9db86c49264d268329c9a96b778e80ab9f9a453f32abf479dc40cb9481cc9d5c"),
+    ("verify primitive-single --gen group:z2+pair:2 --ring fp:3", 0,
+     "2cbf60f7dd7474a26b1e7a8044d57a1294b86cf878e8a2e9e17ce8b491e16365"),
+    ("verify primitive-single --gen group:z2+pair:2 --ring zn:4", 0,
+     "70e5b2865f18fdee179ccc124d73e83a0e5a998f1de28f60cfd537c4bef9d80f"),
+    ("verify primitive-single --gen group:z2+pair:2 --ring zn:9", 0,
+     "0ea98eaf0f3a59f2be730c567928894d21d2f6eb5b700f7de68339071c759691"),
+    ("verify primitive-ideals --gen pair:3 --ring q", 0,
+     "b5b67a437b2272d7c2a00a32afe52cbfa849e0e52d18cdaf9ab4d27f6ad726ec"),
+    ("verify primitive-ideals --gen pair:3 --ring fp:3", 0,
+     "493ad2e8f7c16a67fa5f776b44551e9e5061cbaaa427ed8162290fb035edd055"),
+    ("verify primitive-ideals --gen pair:3 --ring zn:4", 0,
+     "a5ba8e9e58b4a7eee32171ab5c71a8f5d553684e60e04c2986d8fdcf551cd5be"),
+    ("verify primitive-ideals --gen pair:3 --ring zn:9", 0,
+     "80acbfcb84959e7b13d9662e9fb3b56c8993c62db174a03d84f95e206e269bcc"),
+    ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring q", 0,
+     "69f30c85b49c50c18ae6fc798b095568e03abe2424c4a5164b25a23a8f0e5c97"),
+    ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring fp:3", 3,
+     "a57ec3c8da98aa69c72838eae95de1017e5173d32d817968f09d0c2a8824c532"),
+    ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring zn:4", 0,
+     "d955c4446c732d9ccbfd433def43b8973891f2c1cf7c9d7ad86c5c269dc99355"),
+    ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring zn:9", 0,
+     "34039071f299a5feb7bead3660af925870d20f1fb1092cf8a03830ad99264504"),
+    ("verify primitive-ideals --gen group:z2+pair:2 --ring q", 0,
+     "657097a13b605e2c22869e0cad0822302a426df8321a1c518d65980d883b786e"),
+    ("verify primitive-ideals --gen group:z2+pair:2 --ring fp:3", 0,
+     "32edef9f3e3777d7654b759dbcb2ec4e652ee16d1c01d64675438a3379ee4f4d"),
+    ("verify primitive-ideals --gen group:z2+pair:2 --ring zn:4", 0,
+     "b2db51b406cf48620b1dbfa2d63d82eba466f639e3fb268c5bc72b2a57f7ac30"),
+    ("verify primitive-ideals --gen group:z2+pair:2 --ring zn:9", 0,
+     "8f736b8ec0fde0f74a76474138e1fdc8803b3000c365d0a56d8204daa733e652"),
+])
+def test_multi_object_simplicity_jobs_keep_their_bytes(argv, code, digest,
+                                                       capsys):
+    # Simplicity is decided on the stalk of one disintegration, and each
+    # induced annihilator is checked once; at the default bound these
+    # jobs must print the bytes recorded with the whole-module search
+    # and the second closure check on the assembled ideal.
+    got, out, err = run(capsys, *argv.split())
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,code", [
+    # Simplicity is charged on the stalk (3^1 states), not on the whole
+    # induced module (3^3): the check answers within --bound 10.
+    ("verify primitive-single --gen pair:3 --ring fp:3 --bound 10", 0),
+    ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring zn:4 "
+     "--bound 10", 0),
+    # The bound trips in the search of the regular module of Z/4 behind
+    # simple_modules_group, before any simplicity check.
+    ("verify primitive-single --gen group:z4 --ring fp:3 --bound 10", 3),
+])
+def test_bound_charges_simplicity_on_the_stalk(argv, code, capsys):
+    got, out, err = run(capsys, *argv.split())
+    assert got == code
+    if code == 0:
+        assert err == "" and "skipped" not in out
+        assert all(json.loads(line)["verdict"] == "verified"
+                   for line in out.splitlines())
+    else:
+        assert err == "bound exceeded: state space 3^4 exceeds bound 10\n"
+
+
+def test_big_prime_modulus_is_refused_not_factored(capsys):
+    # 10^30 + 57 passes every strong-probable-prime base, above the limit
+    # where they decide primality: the job stops at once with the reason.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compute", "simple-modules", "--gen",
+                         "group:z2", "--ring", "zn:%d" % (10 ** 30 + 57))
+    assert time.perf_counter() - t0 < 10
+    assert (code, out) == (1, "")
+    assert err.startswith("error (unsupported-ring): ")
+    assert "3317044064679887385961981" in err
 
 
 def test_report_flags_belong_to_verify(capsys):

@@ -6,6 +6,7 @@ import gpdalg.rings
 from gpdalg import (
     ConstructionError,
     IntegersMod,
+    UnsupportedRingError,
     PrimeField,
     RationalField,
     canonical_rows,
@@ -60,7 +61,7 @@ def test_big_modulus_needs_no_factoring(monkeypatch):
     def refuse(n):
         raise AssertionError("factored %d" % n)
 
-    monkeypatch.setattr(gpdalg.rings, "_prime_factors", refuse)
+    monkeypatch.setattr(gpdalg.rings, "is_prime", refuse)
     n = 10 ** 30 + 57
     R = ring_from_spec("zn:%d" % n)
     assert R.modulus == n
@@ -73,6 +74,60 @@ def test_residue_field():
     assert IntegersMod(9).residue_field() == PrimeField(3)
     assert IntegersMod(8).residue_field() == PrimeField(2)
     assert IntegersMod(6).residue_field() is None
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def _trial_division_base(n):
+    """The prime p with n = p^k, or None."""
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 20000):
+        assert gpdalg.rings.is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_residue_field_matches_trial_division():
+    for n in range(2, 20000):
+        F = IntegersMod(n).residue_field()
+        assert (F.modulus if F else None) == _trial_division_base(n), n
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    # Strong pseudoprimes to the first 7, 11 and 12 prime bases; the
+    # thirteenth base or an earlier one exposes each.
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not gpdalg.rings.is_prime(n)
+    m = 2 ** 61 - 1
+    assert gpdalg.rings.is_prime(m)
+    assert ring_from_spec("zn:%d" % m ** 3).residue_field() == PrimeField(m)
+    assert IntegersMod(m * (m + 2)).residue_field() is None
+    # The least strong pseudoprime to all 13 bases: undecided, not guessed.
+    with pytest.raises(UnsupportedRingError, match="3317044064679887385961981"):
+        gpdalg.rings.is_prime(3317044064679887385961981)
+
+
+def test_finite_coerce_pins_every_input_kind():
+    for R in (PrimeField(5), IntegersMod(6)):
+        n = R.modulus
+        assert [R.coerce(x) for x in (0, 7, -1, -13, 10 ** 20)] \
+            == [0, 7 % n, n - 1, -13 % n, 10 ** 20 % n]
+        assert (R.coerce(True), R.coerce(False)) == (1, 0)
+        assert type(R.coerce(True)) is int
+        assert [R.coerce(x) for x in ("4", "-2", " 3 ")] \
+            == [4 % n, -2 % n, 3]
+        assert R.coerce(Fraction(-9, 1)) == -9 % n
+    assert PrimeField(5).coerce(Fraction(3, 4)) == 2
+    assert IntegersMod(6).coerce(Fraction(1, 5)) == 5
+    for bad in (Fraction(1, 3), 1.0, None, "x"):
+        with pytest.raises(ConstructionError):
+            IntegersMod(6).coerce(bad)
 
 
 def test_ring_equality_and_hash():

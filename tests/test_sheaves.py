@@ -2,30 +2,45 @@ import random
 
 import pytest
 
+import gpdalg.ideals
+import gpdalg.sheaves
 from gpdalg import (
     AlgebraElement,
+    BoundExceededError,
+    ConstructionError,
     Matrix,
+    NonFreeQuotientError,
+    Rep,
+    UnsupportedRingError,
     annihilator,
     disintegration_iso,
+    disjoint_union,
     gamma_c,
     ideal_equal,
     ideal_from_generators,
     induce,
+    induced_annihilator_direct,
+    induced_annihilator_from_space,
+    is_simple,
     isotropy,
+    module_annihilator_space,
     orbits,
     pair_groupoid,
     quotient_algebra_rep,
     regular_rep,
+    regular_module,
     rep_validate,
     ring_from_spec,
     sheaf_of,
     sheaf_validate,
+    sign_module,
     simple_modules_group,
     stalk_isotropy_module,
     trivial_module,
+    verify_primitive_single_inducer,
 )
 
-from conftest import named_pool, swap3, zg
+from conftest import named_pool, reference_is_simple, swap3, zg
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -135,3 +150,132 @@ def test_sheaf_json_shape():
     d = S.to_json_dict()
     assert d["stalk_dims"] == [2]
     assert len(d["matrices"]) == 2
+
+
+def _rep_sum(A, B):
+    """Block-diagonal sum of two modules over one groupoid."""
+    R, d = A.matrix_ring, A.dim + B.dim
+    mats = []
+    for MA, MB in zip(A.mats, B.mats):
+        ent = [R.zero] * (d * d)
+        for i in range(A.dim):
+            for j in range(A.dim):
+                ent[i * d + j] = MA.at(i, j)
+        for i in range(B.dim):
+            for j in range(B.dim):
+                ent[(A.dim + i) * d + A.dim + j] = MB.at(i, j)
+        mats.append(Matrix(R, d, d, ent))
+    return Rep(A.groupoid, A.ring, d, mats, matrix_ring=R)
+
+
+def _simplicity_cases(g, ring):
+    """Isotropy modules at every object (trivial, regular, sign, every
+    simple), their induced modules, the regular module of g and, when g
+    has two orbits, a sum of induced trivial modules spread over them."""
+    cases = [regular_rep(g, ring)]
+    for u in range(g.n_objects):
+        G = isotropy(g, u)
+        local = [trivial_module(G, ring), regular_module(G, ring)]
+        try:
+            local.append(sign_module(G, ring))
+        except ConstructionError:
+            pass
+        try:
+            local += simple_modules_group(G, ring)
+        except UnsupportedRingError:
+            pass
+        cases += local + [induce(g, ring, u, N) for N in local]
+    reps = orbits(g).representatives
+    if len(reps) > 1:
+        cases.append(_rep_sum(*(induce(g, ring, u,
+                                       trivial_module(isotropy(g, u), ring))
+                                for u in reps[:2])))
+    return cases
+
+
+def _outcome(fn, module):
+    try:
+        return fn(module)
+    except (BoundExceededError, UnsupportedRingError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3", "zn:4", "zn:8",
+                                  "zn:9"])
+def test_is_simple_matches_reference(spec):
+    # The stalk route agrees with the whole-module lattice wherever the
+    # latter fits in the bound, which keeps those searches short.
+    ring = ring_from_spec(spec)
+    compared = 0
+    for name, g in named_pool():
+        for M in _simplicity_cases(g, ring):
+            want = _outcome(lambda M: reference_is_simple(M, 1 << 10), M)
+            if want is BoundExceededError:
+                continue
+            got = _outcome(lambda M: is_simple(M, 1 << 10), M)
+            assert got == want, (name, spec, M)
+            compared += 1
+    assert compared > 150
+
+
+def test_non_prime_power_modulus_is_never_simple():
+    # Over Z/6 the CRT idempotents 3 and 4 act as the two units of the
+    # discrete groupoid on two points: each stalk is a non-free summand.
+    Z6 = ring_from_spec("zn:6")
+    g = disjoint_union(pair_groupoid(1), pair_groupoid(1))
+    mats = [None, None]
+    mats[g.unit_of[0]] = Matrix(Z6, 1, 1, [3])
+    mats[g.unit_of[1]] = Matrix(Z6, 1, 1, [4])
+    rho = Rep(g, Z6, 1, mats)
+    assert rep_validate(rho) == []
+    assert reference_is_simple(rho) is False
+    assert is_simple(rho) is False
+    with pytest.raises(NonFreeQuotientError):
+        sheaf_of(rho)
+    rep = verify_primitive_single_inducer(g, Z6, rho)
+    assert (rep.verdict, rep.reason) == ("skipped", "module is not simple")
+
+
+def test_one_disintegration_and_one_closure_check_per_verdict(monkeypatch):
+    calls = {"sheaf_of": 0, "closure": []}
+    sheaf_of_real = gpdalg.sheaves.sheaf_of
+    closed_real = gpdalg.ideals._closed_two_sided
+
+    def counted_sheaf_of(rho):
+        calls["sheaf_of"] += 1
+        return sheaf_of_real(rho)
+
+    def counted_closed(g, ring, space):
+        calls["closure"].append(g)
+        return closed_real(g, ring, space)
+
+    monkeypatch.setattr(gpdalg.sheaves, "sheaf_of", counted_sheaf_of)
+    monkeypatch.setattr(gpdalg.ideals, "_closed_two_sided", counted_closed)
+    checked = 0
+    for spec in ("q", "fp:3", "zn:4"):
+        ring = ring_from_spec(spec)
+        for name, g in named_pool():
+            for u in orbits(g).representatives:
+                G = isotropy(g, u)
+                try:
+                    sims = simple_modules_group(G, ring)
+                except UnsupportedRingError:
+                    continue
+                for N in sims:
+                    rho = induce(g, ring, u, N)
+                    calls["closure"].clear()
+                    induced_annihilator_direct(g, ring, u, N)
+                    assert calls["closure"] == [G.groupoid], name
+                    calls["closure"].clear()
+                    induced_annihilator_from_space(
+                        g, ring, u, module_annihilator_space(N))
+                    assert calls["closure"] == [G.groupoid], name
+                    calls["sheaf_of"] = 0
+                    calls["closure"].clear()
+                    rep = verify_primitive_single_inducer(g, ring, rho)
+                    assert rep.verified, (name, spec)
+                    assert calls["sheaf_of"] == 1, (name, spec)
+                    # annihilator(rho) on g, then Ann(N) on R[G_u]
+                    assert calls["closure"] == [g, G.groupoid]
+                    checked += 1
+    assert checked > 30
