@@ -320,7 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ring", default="q",
                        help="q, fp:<p> or zn:<n> (default q)")
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                       help="state-space cap for exhaustive searches")
+                       help="cap on the vectors one search enumerates, "
+                            "counted as q^k for a k-dimensional space: "
+                            "the hom maps that pick maximal submodules, "
+                            "Norton kernels no word decides, the "
+                            "--all-ideals lattice")
         p.add_argument("--out", metavar="FILE", help="write output here")
 
     p = sub.add_parser("generate", help="emit a groupoid as JSON")

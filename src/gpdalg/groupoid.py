@@ -400,15 +400,20 @@ class IsotropyGroup:
 
 
 def isotropy(g: FiniteGroupoid, u: int) -> IsotropyGroup:
-    """Loop group at object u; elements indexed by ascending arrow id."""
+    """Loop group at object u; elements indexed by ascending arrow id.
+    Built once per groupoid object and u, so that the tables memoised on
+    its one-object groupoid are built once too."""
     if not 0 <= u < g.n_objects:
         raise ConstructionError("object %d out of range" % u)
-    loops = list(g.loops_at(u))
-    pos = {a: i for i, a in enumerate(loops)}
-    table = [[pos[g.comp[(a, b)]] for b in loops] for a in loops]
-    inv = [pos[g.inv[a]] for a in loops]
-    identity = pos[g.unit_of[u]]
-    return IsotropyGroup(u, loops, table, inv, identity)
+    key = ("isotropy", u)
+    if key not in g.memo:
+        loops = list(g.loops_at(u))
+        pos = {a: i for i, a in enumerate(loops)}
+        table = [[pos[g.comp[(a, b)]] for b in loops] for a in loops]
+        inv = [pos[g.inv[a]] for a in loops]
+        g.memo[key] = IsotropyGroup(u, loops, table, inv,
+                                    pos[g.unit_of[u]])
+    return g.memo[key]
 
 
 def group_generators(G: IsotropyGroup) -> tuple:

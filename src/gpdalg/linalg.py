@@ -14,8 +14,10 @@ Canonical bases, joins and the closure spin all grow one such table.
 
 Over a finite ring every exhaustive search draws its vectors from one
 guarded enumerator (`nonzero_vectors`, one vector per line over a
-field), and every submodule or ideal search reads one lattice builder
-(`invariant_lattice`).
+field), and the whole-lattice searches (`all_submodules`, ideal
+enumeration, maximal submodules over Z/n) read one lattice builder
+(`invariant_lattice`).  Over a prime field, simplicity and maximal
+submodules go through the MeatAxe (`meataxe.py`) instead.
 """
 
 from __future__ import annotations
@@ -186,6 +188,16 @@ class Matrix:
 
     def to_lists(self):
         return [list(self.row(i)) for i in range(self.nrows)]
+
+
+def poly_at(poly, X: Matrix) -> Matrix:
+    """The integer polynomial (low-first coefficients) at X, by Horner."""
+    R, d = X.ring, X.nrows
+    P = Matrix.zeros(R, d, d)
+    for c in reversed(poly):
+        P = P * X + Matrix(R, d, d, [R.coerce(c) if i == j else R.zero
+                                     for i in range(d) for j in range(d)])
+    return P
 
 
 def _first_nonzero(row, zero):

@@ -34,6 +34,7 @@ from .linalg import (
     mat_kernel,
     nonzero_vectors,
 )
+from .meataxe import proper_submodule
 from .rings import RationalField, ScalarRing
 
 
@@ -193,20 +194,31 @@ def hom_space(A, B) -> Subspace:
         raise RingMismatchError("modules over different rings")
     if A.matrix_ring != B.matrix_ring:
         raise RingMismatchError("modules with different matrix rings")
+    return _intertwiners(A, B)
+
+
+def _intertwiners(A, B) -> Subspace:
+    """``hom_space`` without its checks.  One condition T M1 = M2 T per
+    generating arrow and entry (i, j), its row read off the nonzero
+    entries of column j of M1 and row i of M2."""
     MR = A.matrix_ring
     d1, d2 = A.dim, B.dim
     nunk = d2 * d1
     rows = []
     for M1, M2 in zip(A.action_mats(), B.action_mats()):
+        cols1 = [[(k, x) for k, x in enumerate(M1.entries[j::d1]) if x]
+                 for j in range(d1)]
+        rows2 = M2._nonzero_rows()
         for i in range(d2):
             for j in range(d1):
                 row = [MR.zero] * nunk
-                for k in range(d1):
-                    row[i * d1 + k] = MR.add(row[i * d1 + k], M1.at(k, j))
-                for k in range(d2):
-                    row[k * d1 + j] = MR.sub(row[k * d1 + j], M2.at(i, k))
+                for k, x in cols1[j]:
+                    row[i * d1 + k] = x
+                for k, x in rows2[i]:
+                    t = k * d1 + j
+                    row[t] = MR.sub(row[t], x)
                 # The unit of a group acts as 1 on both sides: no condition.
-                if any(x != MR.zero for x in row):
+                if any(row):
                     rows.append(tuple(row))
     if not rows:
         return Subspace.full(MR, nunk)
@@ -256,13 +268,92 @@ def all_submodules(module, bound: int = DEFAULT_BOUND) -> list[Subspace]:
     return invariant_lattice(module.action_mats(), MR, module.dim, bound)
 
 
+def _over_finite_field(module) -> bool:
+    MR = module.matrix_ring
+    return MR.is_field and MR.size is not None
+
+
+def composition_factors(module, bound: int = DEFAULT_BOUND) -> list[Rep]:
+    """One simple module per isomorphism class of composition factor, in
+    the order found (finite fields only).  The MeatAxe
+    (``proper_submodule``) splits each piece into a submodule and a
+    quotient until every piece is simple; by Schur's lemma two simples
+    are isomorphic iff they have equal dimension and a nonzero map."""
+    F = module.matrix_ring
+    if not _over_finite_field(module):
+        raise UnsupportedRingError("composition factors need a finite "
+                                   "field, not %s" % F.spec_string())
+    found: list[Rep] = []
+    stack = [module]
+    while stack:
+        M = stack.pop()
+        if M.dim == 0:
+            continue
+        U = proper_submodule(M.action_mats(), F, M.dim, bound)
+        if U is not None:
+            stack.extend((rep_quotient(M, U), rep_submodule(M, U)))
+        elif not any(S.dim == M.dim and _intertwiners(M, S).basis
+                     for S in found):
+            found.append(M)
+    return found
+
+
+def _kernels(M, S, bound: int) -> set[Subspace]:
+    """The kernels of the nonzero maps M -> S, S simple: one map per line
+    of Hom(M, S), the coefficient vectors charged against `bound`.  When
+    dim S = dim M every nonzero map is an isomorphism."""
+    H = _intertwiners(M, S)
+    F = M.matrix_ring
+    if not H.basis:
+        return set()
+    if S.dim == M.dim:
+        return {Subspace.zero(F, M.dim)}
+    p, size = F.modulus, S.dim * M.dim
+    found = set()
+    for coeffs in nonzero_vectors(F, H.num_rows, bound):
+        flat = [0] * size
+        for c, b in zip(coeffs, H.basis):
+            if c:
+                flat = [(x + c * y) % p for x, y in zip(flat, b)]
+        found.add(mat_kernel(Matrix._trusted(F, S.dim, M.dim, flat)))
+    return found
+
+
+def _first_maximal(M, simples, bound: int) -> tuple:
+    """(N, i): the first of ``maximal_submodules(M)`` and the index in
+    `simples` of M/N, the simples covering every simple quotient of M.
+    The first maximal submodules have the largest element count, so M/N
+    has the least dimension among M's simple quotients; among the
+    kernels of the maps onto the simples of that dimension the least
+    canonical basis wins."""
+    best = None
+    for i in sorted(range(len(simples)), key=lambda i: simples[i].dim):
+        if best is not None and simples[i].dim > simples[best[1]].dim:
+            break
+        for N in _kernels(M, simples[i], bound):
+            if best is None or N.basis < best[0].basis:
+                best = (N, i)
+    return best
+
+
 def maximal_submodules(module, bound: int = DEFAULT_BOUND) -> list[Subspace]:
     """The maximal proper invariant subspaces, largest element count
-    first, then by least canonical basis."""
-    full = Subspace.full(module.matrix_ring, module.dim)
-    proper = [S for S in all_submodules(module, bound) if S != full]
-    maximal = [S for S in proper
-               if not any(T != S and T.contains_subspace(S) for T in proper)]
+    first, then by least canonical basis.
+
+    Over a finite field these are the kernels of the nonzero maps onto
+    the composition factors; over Z/n they are read off the submodule
+    lattice."""
+    if _over_finite_field(module):
+        found = set()
+        for S in composition_factors(module, bound):
+            found |= _kernels(module, S, bound)
+        maximal = list(found)
+    else:
+        full = Subspace.full(module.matrix_ring, module.dim)
+        proper = [S for S in all_submodules(module, bound) if S != full]
+        maximal = [S for S in proper
+                   if not any(T != S and T.contains_subspace(S)
+                              for T in proper)]
     maximal.sort(key=lambda s: (-s.element_count(), s.basis))
     return maximal
 
@@ -409,10 +500,12 @@ def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
                          bound: int = DEFAULT_BOUND) -> list[IsotropyModule]:
     """All simple modules of the group algebra, up to isomorphism.
 
-    Prime fields: split a composition series of ``regular_module``, whose
-    factors are Reps of ``G.groupoid``; a top factor is new unless a
-    simple found before has its dimension and a nonzero map from it
-    (Schur's lemma makes that map an isomorphism).  Rationals: one simple,
+    Prime fields: split a composition series of ``regular_module``, each
+    step taking the first maximal submodule (``maximal_submodules``
+    order), found among the kernels of maps onto the regular module's
+    composition factors, which every submodule's simple quotients are;
+    a top factor is new unless an earlier top is a quotient by a map
+    onto the same composition factor.  Rationals: one simple,
     the companion module, per cyclotomic factor of x^n - 1 (cyclic groups).
     Z/p^k: the simples of the residue field group algebra, with scalars
     acting through reduction mod p.
@@ -440,19 +533,15 @@ def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
     if not ring.is_field or ring.size is None:
         raise UnsupportedRingError("unsupported coefficient ring %s"
                                    % ring.spec_string())
-    sims: list[Rep] = []
-    stack = [regular_module(G, ring)]
-    while stack:
-        M = stack.pop()
-        if M.dim == 0:
-            continue
-        N = maximal_submodule(M, bound)
-        top = rep_quotient(M, N)
-        if not any(S.dim == top.dim and hom_space(top, S).basis
-                   for S in sims):
-            sims.append(top)
-        if not N.is_zero():
-            stack.append(rep_submodule(M, N))
-    out = [IsotropyModule(G, ring, S.dim, S.mats) for S in sims]
+    reg = regular_module(G, ring)
+    simples = composition_factors(reg, bound)
+    tops = {}
+    M = reg
+    while M.dim:
+        N, i = _first_maximal(M, simples, bound)
+        if i not in tops:
+            tops[i] = rep_quotient(M, N)
+        M = rep_submodule(M, N)
+    out = [IsotropyModule(G, ring, S.dim, S.mats) for S in tops.values()]
     out.sort(key=lambda N: N.sort_key())
     return out

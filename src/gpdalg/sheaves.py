@@ -12,9 +12,10 @@ from __future__ import annotations
 from .errors import (ConstructionError, NonFreeQuotientError,
                      UnsupportedRingError)
 from .groupoid import FiniteGroupoid, isotropy, orbits
-from .linalg import DEFAULT_BOUND, Matrix, Subspace, canonical_rows
+from .linalg import DEFAULT_BOUND, Matrix, Subspace, canonical_rows, poly_at
+from .meataxe import proper_submodule
 from .modules import (IsotropyModule, Rep, _cyclotomic, matrix_invertible,
-                      maximal_submodule, rep_validate)
+                      rep_validate)
 from .rings import ScalarRing
 
 
@@ -135,12 +136,19 @@ def simple_stalk(rho: Rep,
                  bound: int = DEFAULT_BOUND) -> IsotropyModule | None:
     """The stalk N at the smallest support object u if rho is simple,
     else None: by Morita, rho is simple iff its support is one orbit and
-    N is simple over R[G_u].  Over finite rings N's maximal submodule is
-    zero, its state space charged against `bound`; over Q, with G_u =
-    <g> cyclic of order n, Phi_d(N(g)) = 0 and deg Phi_d = dim N for
-    some d | n (other groups raise UnsupportedRingError).  Over Z/n, n
-    no prime power, a CRT idempotent e != 0, 1 is a central scalar that
-    splits rho, so no simple module exists and none is disintegrated."""
+    N is simple over R[G_u].
+
+    - Over F_p and Z/p, Norton's test (``proper_submodule``) on N's
+      matrices read over F_p; only its fallback, when no word decides,
+      enumerates, charged against `bound`.
+    - Over Z/p^k, k >= 2, p N is a nonzero proper submodule of the free
+      stalk N, so nothing is simple.
+    - Over Z/n, n no prime power, a CRT idempotent e != 0, 1 is a
+      central scalar that splits rho, so no simple module exists and
+      none is disintegrated.
+    - Over Q, with G_u = <g> cyclic of order n, N is simple iff
+      Phi_d(N(g)) = 0 and deg Phi_d = dim N for some d | n (other groups
+      raise UnsupportedRingError)."""
     MR = rho.matrix_ring
     if rho.dim == 0 or (MR.kind == "modular" and MR.residue_field() is None):
         return None
@@ -151,30 +159,26 @@ def simple_stalk(rho: Rep,
         return None
     N = stalk_isotropy_module(S, supp[0])
     if MR.size is not None:
-        return N if maximal_submodule(N, bound).is_zero() else None
+        F = MR.residue_field() if MR.kind == "modular" else MR
+        if F.modulus != MR.modulus:
+            return None
+        maps = [Matrix._trusted(F, N.dim, N.dim, M.entries)
+                for M in N.action_mats()]
+        return N if proper_submodule(maps, F, N.dim, bound) is None \
+            else None
     gen, n = N.group.generator_if_cyclic(), N.group.order
     if gen is None:
         raise UnsupportedRingError("decided over Q for cyclic isotropy "
                                    "groups only")
     phis = [_cyclotomic(d) for d in range(1, n + 1) if n % d == 0]
     return N if any(len(phi) - 1 == N.dim
-                    and _poly_at(phi, N.mats[gen]).is_zero()
+                    and poly_at(phi, N.mats[gen]).is_zero()
                     for phi in phis) else None
 
 
 def is_simple(rho: Rep, bound: int = DEFAULT_BOUND) -> bool:
     """No invariant subspace other than zero and the whole space."""
     return simple_stalk(rho, bound) is not None
-
-
-def _poly_at(poly, X: Matrix) -> Matrix:
-    """The integer polynomial (low-first coefficients) at X, by Horner."""
-    R, d = X.ring, X.nrows
-    P = Matrix.zeros(R, d, d)
-    for c in reversed(poly):
-        P = P * X + Matrix(R, d, d, [R.coerce(c) if i == j else R.zero
-                                     for i in range(d) for j in range(d)])
-    return P
 
 
 def gamma_c(S: SheafData) -> Rep:

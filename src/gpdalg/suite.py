@@ -1,7 +1,7 @@
 """Verification suite: ideals as intersections of induced annihilators,
 primitive ideals from a single inducer, and the match between the
 induction enumeration and an oracle that reads the primitive ideals off
-the submodule lattice of the regular module.
+the composition factors of the regular module.
 
 Every check returns a VerificationReport rather than asserting, with
 verdict ``verified``, ``refuted`` or ``skipped`` (bound exceeded), and
@@ -19,9 +19,8 @@ from .linalg import Subspace, subspace_intersect
 from .modules import (
     DEFAULT_BOUND,
     annihilator,
-    maximal_submodules,
+    composition_factors,
     regular_rep,
-    rep_quotient,
     simple_modules_group,
     Rep,
 )
@@ -185,15 +184,15 @@ def enumerate_primitive_ideals(g: FiniteGroupoid, ring: ScalarRing,
 
 def primitive_ideal_oracle(g: FiniteGroupoid, ring: ScalarRing,
                            bound: int = DEFAULT_BOUND) -> list[Ideal]:
-    """Primitive ideals from first principles: annihilators of the simple
-    quotients of the regular module, read off its maximal submodules in
-    the submodule lattice over a finite field.  Independent of the
+    """Primitive ideals from first principles: the annihilators of the
+    composition factors of the regular module over a finite field, found
+    by the MeatAxe.  Every simple module is a quotient of the algebra, so
+    these are the annihilators of all simple modules.  Independent of the
     induction machinery."""
     if not ring.is_field or ring.size is None:
         raise UnsupportedRingError("the oracle needs a finite field")
-    reg = regular_rep(g, ring)
-    return _distinct_sorted(annihilator(rep_quotient(reg, N))
-                            for N in maximal_submodules(reg, bound))
+    return _distinct_sorted(annihilator(S) for S in
+                            composition_factors(regular_rep(g, ring), bound))
 
 
 def verify_primitive_ideals(

@@ -14,6 +14,8 @@ from gpdalg import (
     Subspace,
     UnsupportedRingError,
     action_groupoid,
+    all_submodules,
+    annihilator,
     basis_element,
     canonical_rows,
     convolve,
@@ -21,18 +23,21 @@ from gpdalg import (
     cyclic_table,
     disjoint_union,
     group_groupoid,
+    hom_space,
     isotropy,
-    maximal_submodule,
     orbits,
     pair_groupoid,
+    regular_rep,
+    rep_quotient,
+    rep_submodule,
     ring_from_spec,
     sheaf_of,
     stalk_isotropy_module,
     subspace_preimage,
 )
 from gpdalg.linalg import _egcd, _first_nonzero, _unit_mult, closure
-from gpdalg.modules import _cyclotomic, matrix_invertible
-from gpdalg.sheaves import _poly_at
+from gpdalg.modules import _cyclotomic, matrix_invertible, regular_module
+from gpdalg.linalg import poly_at
 
 
 def zg(k):
@@ -546,15 +551,77 @@ def reference_induced_annihilator(g, ring, u, ann_space, T):
     return Ideal(g, ring, space, check=True)
 
 
+def block_sum(*modules):
+    """Block-diagonal sum of modules over one groupoid, as a Rep."""
+    first = modules[0]
+    R = first.matrix_ring
+    d = sum(N.dim for N in modules)
+    mats = []
+    for k in range(first.groupoid.n_arrows):
+        ent = [R.zero] * (d * d)
+        off = 0
+        for N in modules:
+            for i in range(N.dim):
+                for j in range(N.dim):
+                    ent[(off + i) * d + off + j] = N.mats[k].at(i, j)
+            off += N.dim
+        mats.append(Matrix(R, d, d, ent))
+    return Rep(first.groupoid, first.ring, d, mats, matrix_ring=R)
+
+
+def reference_maximal_submodules(module, bound=DEFAULT_BOUND):
+    """Slow reference for ``modules.maximal_submodules``: the maximal
+    members of the whole submodule lattice (the body before the MeatAxe,
+    verbatim)."""
+    full = Subspace.full(module.matrix_ring, module.dim)
+    proper = [S for S in all_submodules(module, bound) if S != full]
+    maximal = [S for S in proper
+               if not any(T != S and T.contains_subspace(S) for T in proper)]
+    maximal.sort(key=lambda s: (-s.element_count(), s.basis))
+    return maximal
+
+
+def reference_primitive_ideal_oracle(g, ring, bound=DEFAULT_BOUND):
+    """Slow reference for ``suite.primitive_ideal_oracle``: annihilators
+    of the simple quotients of the regular module, read off its maximal
+    submodules in the submodule lattice."""
+    reg = regular_rep(g, ring)
+    return sorted({annihilator(rep_quotient(reg, N))
+                   for N in reference_maximal_submodules(reg, bound)},
+                  key=lambda J: (len(J.space.basis), J.space.basis))
+
+
+def reference_simple_modules_group(G, ring, bound=DEFAULT_BOUND):
+    """Slow reference for ``modules.simple_modules_group`` over a prime
+    field: a composition series of the regular module, each step the
+    first lattice-maximal submodule, the tops kept up to isomorphism."""
+    sims = []
+    stack = [regular_module(G, ring)]
+    while stack:
+        M = stack.pop()
+        if M.dim == 0:
+            continue
+        N = reference_maximal_submodules(M, bound)[0]
+        top = rep_quotient(M, N)
+        if not any(S.dim == top.dim and hom_space(top, S).basis
+                   for S in sims):
+            sims.append(top)
+        if not N.is_zero():
+            stack.append(rep_submodule(M, N))
+    out = [IsotropyModule(G, ring, S.dim, S.mats) for S in sims]
+    out.sort(key=lambda N: N.sort_key())
+    return out
+
+
 def reference_is_simple(module, bound=DEFAULT_BOUND):
     """Simplicity read off the whole module: over finite rings its own
-    maximal submodule is zero, the search charged on all of its
+    lattice-maximal submodule is zero, the search charged on all of its
     q^dim states; over Q its stalk at the smallest support object passes
     the cyclotomic test, the support lying in one orbit."""
     if module.dim == 0:
         return False
     if module.matrix_ring.size is not None:
-        return maximal_submodule(module, bound).is_zero()
+        return reference_maximal_submodules(module, bound)[0].is_zero()
     S = sheaf_of(module)
     supp = S.support()
     orbit_of = orbits(module.groupoid).orbit_of
@@ -567,7 +634,7 @@ def reference_is_simple(module, bound=DEFAULT_BOUND):
                                    "groups only")
     n = N.group.order
     phis = [_cyclotomic(k) for k in range(1, n + 1) if n % k == 0]
-    return any(len(phi) - 1 == N.dim and _poly_at(phi, N.mats[gen]).is_zero()
+    return any(len(phi) - 1 == N.dim and poly_at(phi, N.mats[gen]).is_zero()
                for phi in phis)
 
 

@@ -197,9 +197,17 @@ def test_verify_primitive_single(capsys):
 
 
 def test_bound_exceeded_exits_3(capsys):
-    code, _, err = run(capsys, "verify", "primitive-ideals", "--gen",
-                       "group:z3", "--ring", "fp:2", "--bound", "2")
+    # The bound counts the hom vectors the maximal-submodule search
+    # visits: Hom(F_2[Z3], trivial) holds 2^1 of them.
+    argv = ["verify", "primitive-ideals", "--gen", "group:z3", "--ring",
+            "fp:2"]
+    code, out, err = run(capsys, *argv, "--bound", "1")
     assert code == 3
+    assert json.loads(out)["reason"] == "state space 2^1 exceeds bound 1"
+    # --bound 2 used to trip the 2^3-state lattice search; it now prints
+    # the default-bound report.
+    assert run(capsys, *argv, "--bound", "2") == run(capsys, *argv)
+    assert run(capsys, *argv)[0] == 0
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
@@ -405,8 +413,6 @@ def test_search_jobs_keep_their_bytes(argv, digest, capsys):
      "80acbfcb84959e7b13d9662e9fb3b56c8993c62db174a03d84f95e206e269bcc"),
     ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring q", 0,
      "69f30c85b49c50c18ae6fc798b095568e03abe2424c4a5164b25a23a8f0e5c97"),
-    ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring fp:3", 3,
-     "a57ec3c8da98aa69c72838eae95de1017e5173d32d817968f09d0c2a8824c532"),
     ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring zn:4", 0,
      "d955c4446c732d9ccbfd433def43b8973891f2c1cf7c9d7ad86c5c269dc99355"),
     ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring zn:9", 0,
@@ -437,9 +443,13 @@ def test_multi_object_simplicity_jobs_keep_their_bytes(argv, code, digest,
     ("verify primitive-single --gen pair:3 --ring fp:3 --bound 10", 0),
     ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring zn:4 "
      "--bound 10", 0),
-    # The bound trips in the search of the regular module of Z/4 behind
-    # simple_modules_group, before any simplicity check.
-    ("verify primitive-single --gen group:z4 --ring fp:3 --bound 10", 3),
+    # Norton's test decides the regular module of Z/4 behind
+    # simple_modules_group without a search (it tripped the 3^4-state
+    # lattice search at --bound 10) ...
+    ("verify primitive-single --gen group:z4 --ring fp:3 --bound 10", 0),
+    # ... and the bound trips in the search of Hom(F_3[Z4], S), dim S = 1,
+    # that picks its maximal submodules, before any simplicity check.
+    ("verify primitive-single --gen group:z4 --ring fp:3 --bound 2", 3),
 ])
 def test_bound_charges_simplicity_on_the_stalk(argv, code, capsys):
     got, out, err = run(capsys, *argv.split())
@@ -449,7 +459,7 @@ def test_bound_charges_simplicity_on_the_stalk(argv, code, capsys):
         assert all(json.loads(line)["verdict"] == "verified"
                    for line in out.splitlines())
     else:
-        assert err == "bound exceeded: state space 3^4 exceeds bound 10\n"
+        assert err == "bound exceeded: state space 3^1 exceeds bound 2\n"
 
 
 def test_big_prime_modulus_is_refused_not_factored(capsys):
@@ -478,3 +488,51 @@ def test_report_flags_belong_to_verify(capsys):
     assert code == 0
     assert "1 verified, 0 refuted, 0 skipped" in out
     assert out.splitlines()[0].endswith("s]")
+
+
+@pytest.mark.parametrize("argv,summary", [
+    # These exited 3 while the lattice search enumerated 5^12, 2^25 and
+    # 3^16 vectors against the default bound.
+    ("compute simple-modules --gen group:z12 --ring fp:5",
+     [1, 1, 1, 1, 2, 2, 2, 2]),
+    ("verify primitive-ideals --gen pair:5 --ring fp:2", ("verified", 1)),
+    ("verify primitive-ideals --gen action:z4:1,2,3,0 --ring fp:3",
+     ("verified", 1)),
+])
+def test_meataxe_answers_within_the_default_bound(argv, summary, capsys):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    if argv.startswith("compute"):
+        assert [N["dim"] for N in got] == summary
+    else:
+        assert (got["verdict"], len(got["witnesses"]["primitive_ideals"])) \
+            == summary
+        assert got["witnesses"]["primitive_ideals"] \
+            == got["witnesses"]["oracle_ideals"]
+
+
+def test_submodule_lattice_only_serves_all_ideals(capsys, monkeypatch):
+    # The finite-field benchmark jobs reach the exhaustive lattice only
+    # through --all-ideals.
+    import gpdalg.ideals
+    import gpdalg.modules
+
+    calls = []
+    real = gpdalg.ideals.invariant_lattice
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (gpdalg.ideals, gpdalg.modules):
+        monkeypatch.setattr(mod, "invariant_lattice", counting)
+    for argv in ("verify primitive-ideals --gen pair:2+group:z3 --ring fp:2",
+                 "verify primitive-ideals --gen group:z6 --ring fp:3",
+                 "compute simple-modules --gen group:z7 --ring fp:3",
+                 "verify primitive-ideals --gen group:z8 --ring zn:8"):
+        assert run(capsys, *argv.split())[0] == 0
+    assert calls == []
+    assert run(capsys, "verify", "ideal-intersection", "--gen",
+               "group:z3+pair:2", "--ring", "fp:2", "--all-ideals")[0] == 0
+    assert len(calls) == 1

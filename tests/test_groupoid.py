@@ -271,3 +271,32 @@ def test_all_bisections_closed_under_product():
         assert bisection_inv(g, U) in bis
         for V in bis:
             assert bisection_mul(g, U, V) in bis
+
+
+def test_isotropy_is_built_once_per_object():
+    g = swap3()
+    assert isotropy(g, 2) is isotropy(g, 2)
+    assert isotropy(g, 0) is not isotropy(g, 1)
+    # An equal groupoid built separately has its own memo.
+    assert isotropy(swap3(), 2) == isotropy(g, 2)
+    assert isotropy(swap3(), 2) is not isotropy(g, 2)
+
+
+def test_primitive_single_builds_arrow_actions_once(monkeypatch, capsys):
+    # Each isotropy group's one-object groupoid is built once, so the
+    # arrow actions memoised on it are too: one build per (groupoid, ring).
+    import gpdalg.ideals
+    from gpdalg.cli import main
+
+    builds = []
+    real = gpdalg.ideals.right_mult_matrix
+
+    def recording(g, ring, a):
+        builds.append((g, ring, a))
+        return real(g, ring, a)
+
+    monkeypatch.setattr(gpdalg.ideals, "right_mult_matrix", recording)
+    assert main(["verify", "primitive-single", "--gen",
+                 "action:z2:1,0,2+group:z10", "--ring", "q"]) == 0
+    capsys.readouterr()
+    assert builds and len(builds) == len(set(builds))

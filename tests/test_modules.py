@@ -50,6 +50,7 @@ from gpdalg import (
     zero_ideal,
 )
 
+from gpdalg import meataxe
 from gpdalg.groupoid import generating_arrows
 
 from conftest import (
@@ -287,9 +288,20 @@ def test_is_simple_basic():
     assert not is_simple(regular_module(iso_group(zg(3)), F2))
 
 
-def test_is_simple_bound():
-    with pytest.raises(BoundExceededError):
-        is_simple(regular_module(iso_group(zg(4)), F3), bound=10)
+def test_is_simple_bound(monkeypatch):
+    # Norton's test splits the regular module of Z/4 over F_3 without a
+    # search (the lattice search charged 3^4 states against the bound).
+    assert not is_simple(regular_module(iso_group(zg(4)), F3), bound=1)
+    # With no word that decides, the lines of the kernel are enumerated
+    # against the bound: 2^2 of them for the simple of F_2[Z3] of dim 2.
+    monkeypatch.setattr(meataxe, "_words", lambda maps: iter(
+        [Matrix.identity(maps[0].ring, maps[0].nrows)]))
+    (S,) = [N for N in simple_modules_group(iso_group(zg(3)), F2)
+            if N.dim == 2]
+    with pytest.raises(BoundExceededError,
+                       match=r"state space 2\^2 exceeds bound 3"):
+        is_simple(S, bound=3)
+    assert is_simple(S, bound=4)
 
 
 def test_is_simple_over_q_is_exact():

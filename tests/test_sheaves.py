@@ -3,6 +3,9 @@ import random
 import pytest
 
 import gpdalg.ideals
+import gpdalg.linalg
+import gpdalg.meataxe
+import gpdalg.modules
 import gpdalg.sheaves
 from gpdalg import (
     AlgebraElement,
@@ -40,7 +43,7 @@ from gpdalg import (
     verify_primitive_single_inducer,
 )
 
-from conftest import named_pool, reference_is_simple, swap3, zg
+from conftest import block_sum, named_pool, reference_is_simple, swap3, zg
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -152,22 +155,6 @@ def test_sheaf_json_shape():
     assert len(d["matrices"]) == 2
 
 
-def _rep_sum(A, B):
-    """Block-diagonal sum of two modules over one groupoid."""
-    R, d = A.matrix_ring, A.dim + B.dim
-    mats = []
-    for MA, MB in zip(A.mats, B.mats):
-        ent = [R.zero] * (d * d)
-        for i in range(A.dim):
-            for j in range(A.dim):
-                ent[i * d + j] = MA.at(i, j)
-        for i in range(B.dim):
-            for j in range(B.dim):
-                ent[(A.dim + i) * d + A.dim + j] = MB.at(i, j)
-        mats.append(Matrix(R, d, d, ent))
-    return Rep(A.groupoid, A.ring, d, mats, matrix_ring=R)
-
-
 def _simplicity_cases(g, ring):
     """Isotropy modules at every object (trivial, regular, sign, every
     simple), their induced modules, the regular module of g and, when g
@@ -187,7 +174,7 @@ def _simplicity_cases(g, ring):
         cases += local + [induce(g, ring, u, N) for N in local]
     reps = orbits(g).representatives
     if len(reps) > 1:
-        cases.append(_rep_sum(*(induce(g, ring, u,
+        cases.append(block_sum(*(induce(g, ring, u,
                                        trivial_module(isotropy(g, u), ring))
                                 for u in reps[:2])))
     return cases
@@ -200,8 +187,8 @@ def _outcome(fn, module):
         return type(exc)
 
 
-@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3", "zn:4", "zn:8",
-                                  "zn:9"])
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3", "fp:5", "zn:4",
+                                  "zn:5", "zn:8", "zn:9"])
 def test_is_simple_matches_reference(spec):
     # The stalk route agrees with the whole-module lattice wherever the
     # latter fits in the bound, which keeps those searches short.
@@ -216,6 +203,22 @@ def test_is_simple_matches_reference(spec):
             assert got == want, (name, spec, M)
             compared += 1
     assert compared > 150
+
+
+@pytest.mark.parametrize("spec", ["fp:2", "fp:3", "zn:4", "zn:5", "zn:8",
+                                  "zn:9"])
+def test_simplicity_never_enumerates(spec, monkeypatch):
+    # Norton's test decides over F_p and Z/p, and p N != 0 over Z/p^k,
+    # k >= 2: no simplicity check visits a single enumerated vector.
+    ring = ring_from_spec(spec)
+    cases = [M for _, g in named_pool() for M in _simplicity_cases(g, ring)]
+
+    def refuse(*args):
+        raise AssertionError("enumerated %r" % (args,))
+
+    for mod in (gpdalg.meataxe, gpdalg.modules, gpdalg.linalg):
+        monkeypatch.setattr(mod, "nonzero_vectors", refuse)
+    assert sum(is_simple(M, bound=1) for M in cases) > 0
 
 
 def test_non_prime_power_modulus_is_never_simple():

@@ -312,9 +312,12 @@ def test_verify_primitive_ideals_reports():
 
 
 def test_bound_produces_skipped_verdict():
-    rep = verify_primitive_ideals(zg(3), F2, bound=2)
+    # Hom(F_2[Z3], trivial) has 2^1 states; bound 2 used to trip the
+    # 2^3-state lattice search and now verifies.
+    rep = verify_primitive_ideals(zg(3), F2, bound=1)
     assert rep.verdict == "skipped"
     assert "bound" in rep.reason
+    assert verify_primitive_ideals(zg(3), F2, bound=2).verified
 
 
 def test_report_serialization():
