@@ -12,12 +12,14 @@ table (`_insert`), which stays in RREF over a field and keeps the Howell
 property over Z/n, and `_table_rows` reads the canonical form off it.
 Canonical bases, joins and the closure spin all grow one such table.
 
-Over a finite ring every exhaustive search draws its vectors from one
-guarded enumerator (`nonzero_vectors`, one vector per line over a
-field), and the whole-lattice searches (`all_submodules`, ideal
-enumeration, maximal submodules over Z/n) read one lattice builder
-(`invariant_lattice`).  Over a prime field, simplicity and maximal
-submodules go through the MeatAxe (`meataxe.py`) instead.
+A map between free spans is written in their bases by one product read
+at the target's pivots (`restrict`).  Over a finite ring every
+exhaustive search draws its vectors from one guarded enumerator
+(`nonzero_vectors`, one vector per line over a field, or their
+combinations of a basis, `span_vectors`), and the whole-lattice searches
+(`all_submodules`, ideal enumeration, maximal submodules over Z/n) read
+one lattice builder (`invariant_lattice`).  Over a prime field, the
+MeatAxe (`meataxe.py`) decides simplicity and maximal submodules.
 """
 
 from __future__ import annotations
@@ -426,21 +428,33 @@ class Subspace:
         # (pivot, row) pairs in pivot order, as `_reduce` takes them.
         return list(zip(self.pivots, self.basis))
 
+    def has_unit_pivots(self) -> bool:
+        """Whether every pivot is 1 (always over a field): a free basis."""
+        one = self.ring.one
+        return all(b[p] == one for b, p in zip(self.basis, self.pivots))
+
     def coordinates(self, v) -> tuple | None:
         """Coefficients of v in the basis, or None if v is outside.
 
-        Requires all pivots to be units (always true over a field), so
-        that the span is free with the basis rows as a free basis.  The
-        other rows are zero at each pivot column, so a member's
-        coefficients are its entries there.
+        Requires unit pivots (``has_unit_pivots``).  The other rows are
+        zero at each pivot column, so a member's coefficients are its
+        entries there.
         """
-        R = self.ring
-        if any(b[p] != R.one for b, p in zip(self.basis, self.pivots)):
+        if not self.has_unit_pivots():
             raise NonFreeQuotientError("basis has non-unit pivots")
-        v = R.coerce_vector(v)
-        if any(_reduce(R, self._rows(), list(v))):
-            return None
-        return tuple(v[p] for p in self.pivots)
+        v = self.ring.coerce_vector(v)
+        return None if any(self.reduce(v)) \
+            else tuple(v[p] for p in self.pivots)
+
+    def reducer(self) -> Matrix:
+        """The matrix of ``reduce`` for unit pivots: x - sum_r x[p_r] b_r,
+        as reducing by row r leaves the other pivots' entries alone."""
+        R, n = self.ring, self.ambient_dim
+        ent = list(Matrix.identity(R, n).entries)
+        for p, b in self._rows():
+            for i, x in enumerate(b):
+                ent[i * n + p] = R.sub(ent[i * n + p], x)
+        return Matrix._trusted(R, n, n, ent)
 
     def join(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -541,6 +555,27 @@ def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
     return Subspace(R, k, [c[:k] for c in _relations(R, vectors, mat.nrows)])
 
 
+def _columns(ring, vectors, width) -> Matrix:
+    """The vectors of R^width as the columns of a matrix."""
+    return Matrix._trusted(ring, len(vectors), width,
+                           [x for v in vectors for x in v]).transpose()
+
+
+def restrict(M: Matrix, source: Subspace, target: Subspace) -> Matrix:
+    """M from `source`'s basis into the coordinates of `target`'s, which
+    needs unit pivots; M must send `source` into `target`, unchecked.  A
+    member's coordinates are its entries at the pivots (``coordinates``),
+    so this is the rows ``target.pivots`` of M times source's basis as
+    columns."""
+    if not target.has_unit_pivots():
+        raise NonFreeQuotientError("basis has non-unit pivots")
+    if M.nrows != target.ambient_dim:
+        raise DimensionMismatchError("map and target dimensions differ")
+    rows = Matrix._trusted(M.ring, target.num_rows, M.ncols,
+                           [x for p in target.pivots for x in M.row(p)])
+    return rows * _columns(source.ring, source.basis, source.ambient_dim)
+
+
 DEFAULT_BOUND = 1 << 20
 
 
@@ -566,6 +601,13 @@ def nonzero_vectors(ring, dim, bound):
     return ((ring.zero,) * i + (ring.one,) + tail
             for i in reversed(range(dim))
             for tail in product(elems, repeat=dim - 1 - i))
+
+
+def span_vectors(ring, basis, bound):
+    """sum c_i b_i for each c of ``nonzero_vectors`` (charged against
+    `bound`), by one ``apply`` of the basis rows as columns."""
+    B = _columns(ring, basis, len(basis[0]) if basis else 0)
+    return (B.apply(c) for c in nonzero_vectors(ring, len(basis), bound))
 
 
 def first_escape(maps, space: Subspace):

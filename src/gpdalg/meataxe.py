@@ -23,7 +23,7 @@ K over F_p[theta], and v's spin contains every other one's: one spin of
 each kind decides.  Words run through a fixed sequence, so the result
 does not depend on a seed.  If no word has dim K = deg f, every line of
 the smallest K is spun, the vectors charged against the bound by
-``nonzero_vectors``; that is exact too.
+``span_vectors``; that is exact too.
 
 Polynomials are lists of ints mod p, low-degree first, with no trailing
 zeros ([] is zero).
@@ -39,8 +39,8 @@ from .linalg import (
     closure,
     left_kernel,
     mat_kernel,
-    nonzero_vectors,
     poly_at,
+    span_vectors,
 )
 
 # Words tried after the generators, before the exhaustive fallback.
@@ -274,11 +274,7 @@ def proper_submodule(maps, field, dim: int, bound: int) -> Subspace | None:
     if fallback is None:
         # Every map is scalar: every subspace is invariant.
         return Subspace._trusted(field, dim, [(1,) + (0,) * (dim - 1)])
-    for coeffs in nonzero_vectors(field, fallback.num_rows, bound):
-        v = [0] * dim
-        for c, b in zip(coeffs, fallback.basis):
-            if c:
-                v = [(x + c * y) % p for x, y in zip(v, b)]
+    for v in span_vectors(field, fallback.basis, bound):
         S = closure(maps, Subspace(field, dim, [v]))
         if S.num_rows < dim:
             return S

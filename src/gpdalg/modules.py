@@ -32,7 +32,8 @@ from .linalg import (
     invariant_lattice,
     left_kernel,
     mat_kernel,
-    nonzero_vectors,
+    restrict,
+    span_vectors,
 )
 from .meataxe import proper_submodule
 from .rings import RationalField, ScalarRing
@@ -184,14 +185,18 @@ def is_invariant(module, space: Subspace) -> bool:
     return first_escape(module.action_mats(), space) is None
 
 
-def hom_space(A, B) -> Subspace:
-    """Intertwiners B <- A, flattened row-major into R^(dimB*dimA).  Loop
-    groups at two objects can have equal one-object groupoids."""
+def _check_same_algebra(A, B):
+    """Loop groups at two objects can have equal one-object groupoids."""
     if A.groupoid != B.groupoid \
             or getattr(A, "group", None) != getattr(B, "group", None):
         raise GroupoidMismatchError("modules over different groupoids")
     if A.ring != B.ring:
         raise RingMismatchError("modules over different rings")
+
+
+def hom_space(A, B) -> Subspace:
+    """Intertwiners B <- A, flattened row-major into R^(dimB*dimA)."""
+    _check_same_algebra(A, B)
     if A.matrix_ring != B.matrix_ring:
         raise RingMismatchError("modules with different matrix rings")
     return _intertwiners(A, B)
@@ -231,32 +236,25 @@ def is_isomorphic(A, B, bound: int = DEFAULT_BOUND) -> bool:
     Over the rationals every module of a finite groupoid algebra is
     semisimple (Maschke), so A and B are isomorphic exactly when
     dim Hom(A, B) = dim End(A) = dim End(B).  Over finite coefficient
-    rings every combination of the hom basis from ``nonzero_vectors`` is
+    rings every combination of the hom basis from ``span_vectors`` is
     tried (one per line over a field: c*T is invertible iff T is), the
-    coefficient vectors charged against `bound`.
+    coefficient vectors charged against `bound`.  Different algebras
+    raise as in ``hom_space``, different matrix rings give False.
     """
+    _check_same_algebra(A, B)
     if A.dim != B.dim:
         return False
     if A.dim == 0:
         return True
     if A.matrix_ring != B.matrix_ring:
         return False
-    H = hom_space(A, B)
+    H = _intertwiners(A, B)
     MR = A.matrix_ring
     if MR.size is None:
-        return H.num_rows == hom_space(A, A).num_rows \
-            == hom_space(B, B).num_rows
-    d = A.dim
-    for coeffs in nonzero_vectors(MR, H.num_rows, bound):
-        flat = [MR.zero] * (d * d)
-        for c, b in zip(coeffs, H.basis):
-            if c == MR.zero:
-                continue
-            for t in range(d * d):
-                flat[t] = MR.add(flat[t], MR.mul(c, b[t]))
-        if matrix_invertible(Matrix(MR, d, d, flat)):
-            return True
-    return False
+        return H.num_rows == _intertwiners(A, A).num_rows \
+            == _intertwiners(B, B).num_rows
+    return any(matrix_invertible(Matrix._trusted(MR, A.dim, A.dim, flat))
+               for flat in span_vectors(MR, H.basis, bound))
 
 
 def all_submodules(module, bound: int = DEFAULT_BOUND) -> list[Subspace]:
@@ -308,15 +306,8 @@ def _kernels(M, S, bound: int) -> set[Subspace]:
         return set()
     if S.dim == M.dim:
         return {Subspace.zero(F, M.dim)}
-    p, size = F.modulus, S.dim * M.dim
-    found = set()
-    for coeffs in nonzero_vectors(F, H.num_rows, bound):
-        flat = [0] * size
-        for c, b in zip(coeffs, H.basis):
-            if c:
-                flat = [(x + c * y) % p for x, y in zip(flat, b)]
-        found.add(mat_kernel(Matrix._trusted(F, S.dim, M.dim, flat)))
-    return found
+    return {mat_kernel(Matrix._trusted(F, S.dim, M.dim, flat))
+            for flat in span_vectors(F, H.basis, bound)}
 
 
 def _first_maximal(M, simples, bound: int) -> tuple:
@@ -369,51 +360,35 @@ def maximal_submodule(module, bound: int = DEFAULT_BOUND) -> Subspace:
 
 
 def rep_submodule(rho: Rep, space: Subspace) -> Rep:
-    """The invariant subspace as a module in its own basis coordinates."""
-    MR = rho.matrix_ring
-    k = len(space.basis)
-    mats = []
-    for M in rho.mats:
-        cols = []
-        for b in space.basis:
-            coords = space.coordinates(M.apply(b))
-            if coords is None:
-                raise ConstructionError("subspace is not invariant")
-            cols.append(coords)
-        mats.append(Matrix(MR, k, k,
-                           [cols[j][i] for i in range(k) for j in range(k)]))
-    return Rep(rho.groupoid, rho.ring, k, mats, matrix_ring=MR)
+    """The invariant subspace as a module in its own basis coordinates,
+    each arrow ``restrict``-ed to it; needs unit pivots (as over a field).
+    """
+    if not space.has_unit_pivots():
+        raise NonFreeQuotientError("basis has non-unit pivots")
+    if not is_invariant(rho, space):
+        raise ConstructionError("subspace is not invariant")
+    return Rep(rho.groupoid, rho.ring, space.num_rows,
+               [restrict(M, space, space) for M in rho.mats],
+               matrix_ring=rho.matrix_ring)
 
 
 def rep_quotient(rho: Rep, space: Subspace) -> Rep:
-    """Quotient by an invariant subspace, in complement coordinates.
-
-    Needs the subspace basis to have unit pivots so the quotient is free;
-    always true over a field.
-    """
+    """Quotient by an invariant subspace: each arrow followed by reduction
+    modulo it (``Subspace.reducer``), ``restrict``-ed to the span C of
+    the unit vectors at the non-pivot columns.  Needs unit pivots so the
+    quotient is free; always true over a field."""
     MR = rho.matrix_ring
-    if any(b[p] != MR.one for b, p in zip(space.basis, space.pivots)):
+    if not space.has_unit_pivots():
         raise NonFreeQuotientError("quotient by a non-unit-pivot subspace")
     if not is_invariant(rho, space):
         raise ConstructionError("subspace is not invariant")
     piv = set(space.pivots)
-    free = [j for j in range(rho.dim) if j not in piv]
-    k = len(free)
-
-    def proj(v):
-        red = space.reduce(v)
-        return tuple(red[j] for j in free)
-
-    mats = []
-    for M in rho.mats:
-        cols = []
-        for j in free:
-            e = [MR.zero] * rho.dim
-            e[j] = MR.one
-            cols.append(proj(M.apply(e)))
-        mats.append(Matrix(MR, k, k,
-                           [cols[j][i] for i in range(k) for j in range(k)]))
-    return Rep(rho.groupoid, rho.ring, k, mats, matrix_ring=MR)
+    C = Subspace._trusted(MR, rho.dim,
+                          [e for j, e in enumerate(Matrix.identity(
+                              MR, rho.dim).rows()) if j not in piv])
+    P = space.reducer()
+    return Rep(rho.groupoid, rho.ring, C.num_rows,
+               [restrict(P * M, C, C) for M in rho.mats], matrix_ring=MR)
 
 
 def quotient_algebra_rep(g: FiniteGroupoid, ring: ScalarRing,

@@ -12,7 +12,8 @@ from __future__ import annotations
 from .errors import (ConstructionError, NonFreeQuotientError,
                      UnsupportedRingError)
 from .groupoid import FiniteGroupoid, isotropy, orbits
-from .linalg import DEFAULT_BOUND, Matrix, Subspace, canonical_rows, poly_at
+from .linalg import (DEFAULT_BOUND, Matrix, Subspace, canonical_rows,
+                     poly_at, restrict)
 from .meataxe import proper_submodule
 from .modules import (IsotropyModule, Rep, _cyclotomic, matrix_invertible,
                       rep_validate)
@@ -89,39 +90,27 @@ def _stalk_basis(rho: Rep, u: int) -> Subspace:
     rows = [P.col(j) for j in range(P.ncols)]
     basis = canonical_rows(rho.matrix_ring, rows, P.nrows)
     space = Subspace._trusted(rho.matrix_ring, P.nrows, basis)
-    MR = rho.matrix_ring
-    if any(b[p] != MR.one for b, p in zip(space.basis, space.pivots)):
+    if not space.has_unit_pivots():
         raise NonFreeQuotientError(
             "stalk at object %d is not free over %s"
-            % (u, MR.spec_string()))
+            % (u, rho.matrix_ring.spec_string()))
     return space
 
 
 def sheaf_of(rho: Rep) -> SheafData:
-    """Disintegrate a unitary module into its stalks."""
+    """Disintegrate a unitary module into its stalks, the images of the
+    unit idempotents, each arrow ``restrict``-ed between its end stalks."""
     errs = rep_validate(rho)
     if errs:
         raise ConstructionError("not a module: %s" % errs[0])
     g = rho.groupoid
-    MR = rho.matrix_ring
     bases = [_stalk_basis(rho, u) for u in range(g.n_objects)]
-    dims = [len(b.basis) for b in bases]
-    mats = []
-    for a in range(g.n_arrows):
-        v, w = g.src[a], g.tgt[a]
-        bv, bw = bases[v], bases[w]
-        cols = []
-        for b in bv.basis:
-            img = rho.mats[a].apply(b)
-            coords = bw.coordinates(img)
-            if coords is None:
-                raise ConstructionError("arrow %d does not map stalk %d "
-                                        "into stalk %d" % (a, v, w))
-            cols.append(coords)
-        mats.append(Matrix(MR, dims[w], dims[v],
-                           [cols[j][i] for i in range(dims[w])
-                            for j in range(dims[v])]))
-    return SheafData(g, rho.ring, MR, dims, mats, stalk_bases=tuple(bases))
+    # rho(e_w) rho(a) = rho(a) on a valid module: a maps stalk v into w.
+    mats = [restrict(rho.mats[a], bases[g.src[a]], bases[g.tgt[a]])
+            for a in range(g.n_arrows)]
+    return SheafData(g, rho.ring, rho.matrix_ring,
+                     [b.num_rows for b in bases], mats,
+                     stalk_bases=tuple(bases))
 
 
 def stalk_isotropy_module(S: SheafData, u: int) -> IsotropyModule:
@@ -208,13 +197,10 @@ def disintegration_iso(rho: Rep) -> Matrix:
     invertible intertwiner onto the section module of sheaf_of(rho)."""
     S = sheaf_of(rho)
     sections = gamma_c(S)
-    MR = rho.matrix_ring
-    rows = []
-    for u in range(rho.groupoid.n_objects):
-        base = S.stalk_bases[u]
-        P = rho.mats[rho.groupoid.unit_of[u]]
-        for p in base.pivots:
-            rows.append(P.row(p))
+    g, MR = rho.groupoid, rho.matrix_ring
+    # Stalk coordinates of unit_u m are its entries at the pivots.
+    rows = [rho.mats[g.unit_of[u]].row(p) for u in range(g.n_objects)
+            for p in S.stalk_bases[u].pivots]
     T = Matrix.from_rows(MR, rows) if rows else Matrix.zeros(MR, 0, rho.dim)
     if T.nrows != rho.dim:
         raise ConstructionError("stalk dimensions sum to %d, module has %d"

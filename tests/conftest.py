@@ -35,8 +35,12 @@ from gpdalg import (
     stalk_isotropy_module,
     subspace_preimage,
 )
-from gpdalg.linalg import _egcd, _first_nonzero, _unit_mult, closure
-from gpdalg.modules import _cyclotomic, matrix_invertible, regular_module
+from gpdalg.errors import ConstructionError, NonFreeQuotientError
+from gpdalg.linalg import (_egcd, _first_nonzero, _unit_mult, closure,
+                           nonzero_vectors)
+from gpdalg.modules import (_cyclotomic, is_invariant, matrix_invertible,
+                            regular_module, rep_validate)
+from gpdalg.sheaves import SheafData, _stalk_basis
 from gpdalg.linalg import poly_at
 
 
@@ -664,3 +668,110 @@ def f3():
 @pytest.fixture
 def z4ring():
     return ring_from_spec("zn:4")
+
+
+def reference_rep_submodule(rho, space):
+    """Slow reference for ``modules.rep_submodule``: the coordinates of
+    each basis vector's image, one ``Subspace.coordinates`` per column,
+    checked on every arrow (the body before ``linalg.restrict``,
+    verbatim)."""
+    MR = rho.matrix_ring
+    k = len(space.basis)
+    mats = []
+    for M in rho.mats:
+        cols = []
+        for b in space.basis:
+            coords = space.coordinates(M.apply(b))
+            if coords is None:
+                raise ConstructionError("subspace is not invariant")
+            cols.append(coords)
+        mats.append(Matrix(MR, k, k,
+                           [cols[j][i] for i in range(k) for j in range(k)]))
+    return Rep(rho.groupoid, rho.ring, k, mats, matrix_ring=MR)
+
+
+def reference_rep_quotient(rho, space):
+    """Slow reference for ``modules.rep_quotient``: each free unit
+    vector's image reduced modulo the subspace, one ``reduce`` per column
+    (the body before ``linalg.restrict``, verbatim)."""
+    MR = rho.matrix_ring
+    if any(b[p] != MR.one for b, p in zip(space.basis, space.pivots)):
+        raise NonFreeQuotientError("quotient by a non-unit-pivot subspace")
+    if not is_invariant(rho, space):
+        raise ConstructionError("subspace is not invariant")
+    piv = set(space.pivots)
+    free = [j for j in range(rho.dim) if j not in piv]
+    k = len(free)
+
+    def proj(v):
+        red = space.reduce(v)
+        return tuple(red[j] for j in free)
+
+    mats = []
+    for M in rho.mats:
+        cols = []
+        for j in free:
+            e = [MR.zero] * rho.dim
+            e[j] = MR.one
+            cols.append(proj(M.apply(e)))
+        mats.append(Matrix(MR, k, k,
+                           [cols[j][i] for i in range(k) for j in range(k)]))
+    return Rep(rho.groupoid, rho.ring, k, mats, matrix_ring=MR)
+
+
+def reference_sheaf_of(rho):
+    """Slow reference for ``sheaves.sheaf_of``: the stalk coordinates of
+    each arrow's image of the source stalk's basis, one
+    ``Subspace.coordinates`` per column (the arrow loop before
+    ``linalg.restrict``, verbatim)."""
+    errs = rep_validate(rho)
+    if errs:
+        raise ConstructionError("not a module: %s" % errs[0])
+    g = rho.groupoid
+    MR = rho.matrix_ring
+    bases = [_stalk_basis(rho, u) for u in range(g.n_objects)]
+    dims = [len(b.basis) for b in bases]
+    mats = []
+    for a in range(g.n_arrows):
+        v, w = g.src[a], g.tgt[a]
+        bv, bw = bases[v], bases[w]
+        cols = []
+        for b in bv.basis:
+            img = rho.mats[a].apply(b)
+            coords = bw.coordinates(img)
+            if coords is None:
+                raise ConstructionError("arrow %d does not map stalk %d "
+                                        "into stalk %d" % (a, v, w))
+            cols.append(coords)
+        mats.append(Matrix(MR, dims[w], dims[v],
+                           [cols[j][i] for i in range(dims[w])
+                            for j in range(dims[v])]))
+    return SheafData(g, rho.ring, MR, dims, mats, stalk_bases=tuple(bases))
+
+
+def reference_span_vectors_ring_ops(MR, basis, bound):
+    """Slow reference for ``linalg.span_vectors``: the combination loop of
+    ``modules.is_isomorphic`` before it, by ring operations (verbatim
+    but for the flat length, read off the basis)."""
+    size = len(basis[0]) if basis else 0
+    for coeffs in nonzero_vectors(MR, len(basis), bound):
+        flat = [MR.zero] * size
+        for c, b in zip(coeffs, basis):
+            if c == MR.zero:
+                continue
+            for t in range(size):
+                flat[t] = MR.add(flat[t], MR.mul(c, b[t]))
+        yield tuple(flat)
+
+
+def reference_span_vectors_mod(F, basis, bound):
+    """Slow reference for ``linalg.span_vectors``: the combination loop of
+    ``modules._kernels`` and the MeatAxe fallback before it, by integers
+    mod the modulus (verbatim but for the flat length)."""
+    p, size = F.modulus, len(basis[0]) if basis else 0
+    for coeffs in nonzero_vectors(F, len(basis), bound):
+        flat = [0] * size
+        for c, b in zip(coeffs, basis):
+            if c:
+                flat = [(x + c * y) % p for x, y in zip(flat, b)]
+        yield tuple(flat)

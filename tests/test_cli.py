@@ -306,7 +306,8 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("workload", ("lattice-fin", "primitive-q"))
+@pytest.mark.parametrize("workload", ("lattice-fin", "primitive-q",
+                                      "disintegrate"))
 def test_benchmark_jobs_match_recorded_outputs(workload, tmp_path, capsys):
     # Every job of the workload on the identity relabelling (seed 0, input
     # set 0), judged by the benchmark's own checker: exit code, verdicts,

@@ -24,6 +24,8 @@ from gpdalg.linalg import (
     closure,
     invariant_lattice,
     nonzero_vectors,
+    restrict,
+    span_vectors,
 )
 
 from conftest import (
@@ -38,6 +40,8 @@ from conftest import (
     reference_mat_kernel,
     reference_matmul,
     reference_rref,
+    reference_span_vectors_mod,
+    reference_span_vectors_ring_ops,
     reference_subspace_intersect,
     reference_subspace_preimage,
 )
@@ -507,6 +511,84 @@ def test_coordinates_need_unit_pivots():
     crooked = Subspace(Z4, 2, [(2, 1), (0, 2)])
     with pytest.raises(NonFreeQuotientError):
         crooked.coordinates((2, 1))
+
+
+def test_coordinates_check_the_vector_length():
+    space = Subspace(Q, 3, [(1, 0, 2)])
+    for v in ((1, 0), (1, 0, 0, 1)):
+        with pytest.raises(DimensionMismatchError,
+                           match="vector length %d in dimension 3" % len(v)):
+            space.coordinates(v)
+    with pytest.raises(DimensionMismatchError):
+        Subspace.full(F2, 3).coordinates((1, 0))
+    with pytest.raises(NonFreeQuotientError):
+        Subspace(Z4, 2, [(2, 1), (0, 2)]).coordinates((2,))
+
+
+@pytest.mark.parametrize("spec", ("fp:2", "fp:3", "zn:4", "zn:6"))
+def test_span_vectors_match_the_combination_loops(spec):
+    ring = ring_from_spec(spec)
+    rng = random.Random(spec)
+    elems = list(ring.elements())
+    bases = [(), ((ring.zero,) * 3,)]
+    for k in range(1, 4):
+        for width in range(1, 5):
+            bases.append(tuple(tuple(rng.choice(elems) for _ in range(width))
+                               for _ in range(k)))
+    for basis in bases:
+        got = list(span_vectors(ring, basis, 1 << 12))
+        assert got == list(reference_span_vectors_ring_ops(ring, basis,
+                                                           1 << 12))
+        assert got == list(reference_span_vectors_mod(ring, basis, 1 << 12))
+    assert list(span_vectors(ring, (), 1)) == []
+    with pytest.raises(BoundExceededError,
+                       match=r"state space %d\^3 exceeds bound 2"
+                       % ring.size):
+        span_vectors(ring, ((ring.one,) * 2,) * 3, 2)
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_restrict_reads_coordinates_at_the_pivots(spec):
+    # On maps that send the source into the target, the product read at
+    # the pivots is the per-column coordinates.
+    ring = ring_from_spec(spec)
+    rng = random.Random(spec)
+    elems = [ring.coerce(x) for x in range(-2, 3)]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rows = [tuple(rng.choice(elems) for _ in range(n))
+                for _ in range(rng.randint(0, n))]
+        target = Subspace(ring, n, rows)
+        if not target.has_unit_pivots():
+            continue
+        source = Subspace(ring, n, [r for r in target.basis
+                                    if rng.random() < 0.6])
+        M = Matrix(ring, n, n, [rng.choice(elems) for _ in range(n * n)])
+        # Send R^n into the target: M followed by the basis as rows.
+        k = target.num_rows
+        A = Matrix._trusted(ring, k, n, [rng.choice(elems)
+                                         for _ in range(k * n)])
+        T = Matrix.from_rows(ring, target.basis).transpose() * A * M \
+            if k else Matrix.zeros(ring, n, n)
+        got = restrict(T, source, target)
+        assert (got.nrows, got.ncols) == (k, source.num_rows)
+        for j, b in enumerate(source.basis):
+            assert got.col(j) == target.coordinates(T.apply(b))
+    crooked = Subspace(Z4, 2, [(2, 1), (0, 2)])
+    with pytest.raises(NonFreeQuotientError):
+        restrict(Matrix.identity(Z4, 2), Subspace.full(Z4, 2), crooked)
+    with pytest.raises(DimensionMismatchError):
+        restrict(Matrix.identity(Q, 2), Subspace.full(Q, 3),
+                 Subspace.full(Q, 3))
+
+
+def test_reducer_is_the_matrix_of_reduce():
+    for ring in (Q, F3, Z4):
+        space = Subspace(ring, 3, [(1, 0, 2), (0, 0, 1)]) \
+            if ring != Z4 else Subspace(ring, 3, [(1, 3, 2)])
+        P = space.reducer()
+        for v in itertools.product(range(3), repeat=3):
+            assert P.apply(ring.coerce_vector(v)) == space.reduce(v)
 
 
 def test_contains_subspace_checks_compatibility():

@@ -8,6 +8,7 @@ from gpdalg import (
     AlgebraElement,
     BoundExceededError,
     ConstructionError,
+    GpdalgError,
     GroupoidMismatchError,
     Ideal,
     IsotropyModule,
@@ -15,6 +16,7 @@ from gpdalg import (
     NonFreeQuotientError,
     NotAnIdealError,
     Rep,
+    RingMismatchError,
     Subspace,
     UnsupportedRingError,
     all_submodules,
@@ -50,8 +52,10 @@ from gpdalg import (
     zero_ideal,
 )
 
-from gpdalg import meataxe
+from gpdalg import meataxe, modules
 from gpdalg.groupoid import generating_arrows
+from gpdalg.ideals import _arrow_actions
+from gpdalg.linalg import invariant_lattice
 
 from conftest import (
     RING_SPECS,
@@ -61,6 +65,8 @@ from conftest import (
     reference_hom_space,
     reference_module_validate,
     reference_regular_module,
+    reference_rep_quotient,
+    reference_rep_submodule,
     reference_rep_validate,
     swap3,
     zg,
@@ -444,6 +450,25 @@ def test_isomorphism_of_semisimple_modules_with_multiplicity():
                                                                   triv))
 
 
+def test_is_isomorphic_checks_the_algebra_first():
+    g = zg(2)
+    zero2 = Rep(g, F2, 0, [Matrix.zeros(F2, 0, 0)] * 2)
+    zero3 = Rep(g, F3, 0, [Matrix.zeros(F3, 0, 0)] * 2)
+    with pytest.raises(RingMismatchError):
+        is_isomorphic(zero2, zero3)
+    assert is_isomorphic(zero2, zero2)
+    with pytest.raises(GroupoidMismatchError):
+        is_isomorphic(regular_rep(zg(2), F2), regular_rep(zg(3), F2))
+    with pytest.raises(GroupoidMismatchError):
+        is_isomorphic(regular_rep(zg(3), Q), regular_rep(pair_groupoid(3), Q))
+    # Over Z/4 the trivial module with matrices over F_2 and the one over
+    # Z/4 differ in matrix ring only: not isomorphic, no error.
+    G = iso_group(zg(2))
+    (triv2,) = simple_modules_group(G, Z4)
+    assert triv2.matrix_ring == F2
+    assert is_isomorphic(triv2, trivial_module(G, Z4)) is False
+
+
 def test_rep_submodule_and_quotient():
     g = zg(2)
     rho = regular_rep(g, F2)
@@ -592,3 +617,124 @@ def test_all_submodules_over_zn_match_brute_force(spec):
         got = [frozenset(brute_span(ring, S.basis, 2)) for S in subs]
         assert len(set(got)) == len(got)
         assert set(got) == _brute_submodules(N)
+
+
+# ---------------------------------------------------------------------------
+# rep_submodule and rep_quotient through linalg.restrict, against the
+# per-column bodies they replaced
+
+RESTRICT_SPECS = ("q", "fp:2", "fp:3", "zn:4", "zn:8", "zn:9")
+
+
+def _same_rep(a, b):
+    return (a.groupoid, a.ring, a.matrix_ring, a.dim, a.mats) \
+        == (b.groupoid, b.ring, b.matrix_ring, b.dim, b.mats)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except GpdalgError as exc:
+        return exc
+
+
+def _same_outcome(got, want):
+    if isinstance(want, GpdalgError):
+        return type(got) is type(want) and str(got) == str(want)
+    return not isinstance(got, GpdalgError) and _same_rep(got, want)
+
+
+@pytest.fixture
+def checked_restrictions(monkeypatch):
+    """Route ``rep_submodule`` and ``rep_quotient`` inside ``modules``
+    through a wrapper that checks each call against the reference body,
+    result or error; returns the list of calls made."""
+    calls = []
+
+    def checked(new, old):
+        def run(rho, space):
+            got = _outcome(new, rho, space)
+            assert _same_outcome(got, _outcome(old, rho, space))
+            calls.append(new.__name__)
+            if isinstance(got, GpdalgError):
+                raise got
+            return got
+        return run
+
+    monkeypatch.setattr(modules, "rep_submodule",
+                        checked(rep_submodule, reference_rep_submodule))
+    monkeypatch.setattr(modules, "rep_quotient",
+                        checked(rep_quotient, reference_rep_quotient))
+    return calls
+
+
+@pytest.mark.parametrize("spec", RESTRICT_SPECS)
+def test_restrict_matches_every_chop_and_series_step(spec,
+                                                     checked_restrictions):
+    ring = ring_from_spec(spec)
+    for _, g in named_pool():
+        if ring.is_field and ring.size is not None:
+            modules.composition_factors(regular_rep(g, ring))
+        for u in range(g.n_objects):
+            simple_modules_group(iso_group(g, u), ring)
+    if spec == "q":
+        # Cyclotomic companions: no chop, no series.
+        assert checked_restrictions == []
+    else:
+        assert {"rep_submodule", "rep_quotient"} \
+            <= set(checked_restrictions)
+
+
+def _ideal_spaces(g, ring, bound=1 << 12):
+    """The principal ideals of the arrow indicators, zero and the whole
+    algebra; over a finite ring every ideal when |R|^m is within bound."""
+    m = g.n_arrows
+    spaces = {Subspace.zero(ring, m), Subspace.full(ring, m)}
+    spaces.update(ideal_from_generators(g, ring, [
+        tuple(ring.one if b == a else ring.zero for b in range(m))]).space
+        for a in range(m))
+    if ring.size is not None and ring.size ** m <= bound:
+        spaces.update(invariant_lattice(_arrow_actions(g, ring), ring, m,
+                                        bound))
+    return sorted(spaces, key=lambda s: (s.num_rows, s.basis))
+
+
+@pytest.mark.parametrize("spec", RESTRICT_SPECS)
+def test_restrict_matches_every_algebra_quotient(spec, checked_restrictions):
+    ring = ring_from_spec(spec)
+    outcomes = set()
+    for _, g in named_pool():
+        for space in _ideal_spaces(g, ring):
+            I = Ideal(g, ring, space, check=False)
+            try:
+                quo = quotient_algebra_rep(g, ring, I)
+            except NonFreeQuotientError:
+                outcomes.add("non-free")
+                continue
+            assert quo.dim == g.n_arrows - space.num_rows
+            outcomes.add("quotient")
+    assert "quotient" in outcomes
+    assert ("non-free" in outcomes) == (not ring.is_field)
+
+
+@pytest.mark.parametrize("spec", RESTRICT_SPECS)
+def test_restrict_keeps_the_error_order(spec):
+    # Random subspaces of regular modules: free or not, invariant or not;
+    # both bodies give the same module or raise the same error first.
+    ring = ring_from_spec(spec)
+    rng = random.Random(spec)
+    elems = [ring.coerce(x) for x in (0, 0, 1, 2, 3, -1)]
+    seen = set()
+    for _, g in named_pool():
+        rho = regular_rep(g, ring)
+        for _ in range(6):
+            gens = [tuple(rng.choice(elems) for _ in range(rho.dim))
+                    for _ in range(rng.randint(1, 2))]
+            space = Subspace(ring, rho.dim, gens)
+            for new, old in ((rep_submodule, reference_rep_submodule),
+                             (rep_quotient, reference_rep_quotient)):
+                got = _outcome(new, rho, space)
+                assert _same_outcome(got, _outcome(old, rho, space))
+                seen.add(type(got).__name__)
+    assert {"Rep", "ConstructionError"} <= seen
+    assert ("NonFreeQuotientError" in seen) == (not ring.is_field)

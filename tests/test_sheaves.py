@@ -43,7 +43,8 @@ from gpdalg import (
     verify_primitive_single_inducer,
 )
 
-from conftest import block_sum, named_pool, reference_is_simple, swap3, zg
+from conftest import (block_sum, named_pool, reference_is_simple,
+                      reference_sheaf_of, swap3, zg)
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -216,8 +217,9 @@ def test_simplicity_never_enumerates(spec, monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated %r" % (args,))
 
-    for mod in (gpdalg.meataxe, gpdalg.modules, gpdalg.linalg):
-        monkeypatch.setattr(mod, "nonzero_vectors", refuse)
+    for mod in (gpdalg.meataxe, gpdalg.modules):
+        monkeypatch.setattr(mod, "span_vectors", refuse)
+    monkeypatch.setattr(gpdalg.linalg, "nonzero_vectors", refuse)
     assert sum(is_simple(M, bound=1) for M in cases) > 0
 
 
@@ -282,3 +284,43 @@ def test_one_disintegration_and_one_closure_check_per_verdict(monkeypatch):
                     assert calls["closure"] == [g, G.groupoid]
                     checked += 1
     assert checked > 30
+
+
+@pytest.mark.parametrize("spec", ("q", "fp:2", "fp:3", "zn:4", "zn:8",
+                                  "zn:9"))
+def test_sheaf_of_matches_the_per_column_coordinates(spec):
+    # The arrow matrices read through linalg.restrict equal the stalk
+    # coordinates of each image, column by column, on regular modules and
+    # on the modules induced from every regular, trivial and simple
+    # isotropy module.
+    ring = ring_from_spec(spec)
+    count = 0
+    for name, g in named_pool():
+        modules = [regular_rep(g, ring)]
+        for u in orbits(g).representatives:
+            G = isotropy(g, u)
+            for N in [regular_module(G, ring), trivial_module(G, ring)] \
+                    + simple_modules_group(G, ring):
+                modules.append(induce(g, ring, u, N))
+        for rho in modules:
+            got, want = sheaf_of(rho), reference_sheaf_of(rho)
+            assert (got.matrix_ring, got.stalk_dims, got.arrow_mats,
+                    got.stalk_bases) == (want.matrix_ring, want.stalk_dims,
+                                         want.arrow_mats,
+                                         want.stalk_bases), name
+            count += 1
+    assert count > 50
+
+
+def test_sheaf_of_keeps_its_errors():
+    Z6 = ring_from_spec("zn:6")
+    g = disjoint_union(pair_groupoid(1), pair_groupoid(1))
+    crt = Rep(g, Z6, 1, [Matrix(Z6, 1, 1, [3]), Matrix(Z6, 1, 1, [4])])
+    bad = Rep(zg(2), F3, 1, [Matrix(F3, 1, 1, [2]), Matrix(F3, 1, 1, [1])])
+    for rho, err in ((crt, NonFreeQuotientError), (bad, ConstructionError)):
+        messages = []
+        for f in (sheaf_of, reference_sheaf_of):
+            with pytest.raises(err) as info:
+                f(rho)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
