@@ -48,6 +48,7 @@ from .groupoid import (
     identity_bisection,
     all_bisections,
     relabel_arrows,
+    transversal,
 )
 from .algebra import (
     AlgebraElement,
@@ -89,7 +90,6 @@ from .modules import (
     simple_modules_group,
 )
 from .induction import (
-    transversal,
     induce,
     induced_annihilator_from_space,
     induced_annihilator_direct,
@@ -129,6 +129,7 @@ __all__ = [
     "OrbitPartition", "isotropy", "IsotropyGroup", "LocalBisection",
     "is_bisection", "bisection", "bisection_mul", "bisection_inv",
     "identity_bisection", "all_bisections", "relabel_arrows",
+    "transversal",
     "AlgebraElement", "zero_element", "basis_element", "indicator",
     "unit_element", "convolve", "involution", "left_mult_matrix",
     "right_mult_matrix",
@@ -140,7 +141,7 @@ __all__ = [
     "all_submodules", "maximal_submodule", "rep_submodule", "rep_quotient",
     "quotient_algebra_rep", "trivial_module", "sign_module",
     "regular_module", "simple_modules_group",
-    "transversal", "induce",
+    "induce",
     "induced_annihilator_from_space", "induced_annihilator_direct",
     "SheafData", "sheaf_validate", "sheaf_of", "stalk_isotropy_module",
     "gamma_c", "disintegration_iso",

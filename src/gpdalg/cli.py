@@ -258,6 +258,17 @@ def _render_reports(args, reports) -> str:
 
 
 def cmd_verify(args) -> int:
+    # Both flags pick the ideals ideal-intersection tests; they exclude
+    # each other, and the other checks take no ideal.
+    if args.check != "ideal-intersection":
+        for flag, given in (("--all-ideals", args.all_ideals),
+                            ("--ideal-gens", args.ideal_gens is not None)):
+            if given:
+                raise ConstructionError("%s applies only to "
+                                        "ideal-intersection" % flag)
+    elif args.all_ideals and args.ideal_gens is not None:
+        raise ConstructionError("--all-ideals and --ideal-gens exclude "
+                                "each other")
     g = _load_groupoid(args)
     ring = ring_from_spec(args.ring)
     name = args.gen if getattr(args, "gen", None) else "file"
@@ -323,8 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap on the vectors one search enumerates, "
                             "counted as q^k for a k-dimensional space: "
                             "the hom maps that pick maximal submodules, "
-                            "Norton kernels no word decides, the "
-                            "--all-ideals lattice")
+                            "Norton kernels no word decides, each "
+                            "isotropy algebra's ideals behind "
+                            "--all-ideals (q^|G_u| per orbit), and the "
+                            "number of ideals they combine to")
         p.add_argument("--out", metavar="FILE", help="write output here")
 
     p = sub.add_parser("generate", help="emit a groupoid as JSON")
@@ -360,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="include wall times in reports")
     p.add_argument("--all-ideals", action="store_true",
-                   help="run over every ideal (finite fields)")
+                   help="run over every ideal (finite rings: fp or "
+                        "zn), found orbit by orbit from the ideals of "
+                        "the isotropy group algebras")
     p.add_argument("--ideal-gens", metavar="JSON",
                    help="coefficient vectors generating the ideal to test")
     p.set_defaults(func=cmd_verify)

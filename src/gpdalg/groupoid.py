@@ -416,6 +416,33 @@ def isotropy(g: FiniteGroupoid, u: int) -> IsotropyGroup:
     return g.memo[key]
 
 
+def transversal(g: FiniteGroupoid, u: int) -> dict:
+    """{v: arrow u -> v} over the orbit of u: the unit at u, otherwise
+    the smallest-id arrow."""
+    arrow_to = {}
+    for v in orbits(g).orbit_containing(u):
+        if v == u:
+            arrow_to[v] = g.unit_of[u]
+        else:
+            choices = g.arrows_from_to(u, v)
+            if not choices:
+                raise ConstructionError("no arrow %d -> %d inside the orbit"
+                                        % (u, v))
+            arrow_to[v] = choices[0]
+    return arrow_to
+
+
+def orbit_blocks(g: FiniteGroupoid, u: int) -> list[tuple]:
+    """The arrows of the orbit of u as orbit x orbit x G_u: per pair
+    (v, w) of its objects, the arrows t_w x t_v^{-1}: v -> w for x over
+    G_u in index order, t the ``transversal``.  That is a bijection, so
+    each arrow of the orbit appears once (see ``induction``)."""
+    T = transversal(g, u)
+    loops = isotropy(g, u).arrow_ids
+    return [tuple(g.comp[(T[w], g.comp[(x, g.inv[T[v]])])] for x in loops)
+            for v in T for w in T]
+
+
 def group_generators(G: IsotropyGroup) -> tuple:
     """Greedy generating set: in ascending index, every element not yet in
     the subgroup generated by the elements picked before it."""

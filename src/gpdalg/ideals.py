@@ -9,9 +9,13 @@ matrices of a generating set of arrows.
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
+
 from .algebra import AlgebraElement, left_mult_matrix, right_mult_matrix
-from .errors import NotAnIdealError, UnsupportedRingError
-from .groupoid import FiniteGroupoid, generating_arrows
+from .errors import BoundExceededError, NotAnIdealError, UnsupportedRingError
+from .groupoid import (FiniteGroupoid, generating_arrows, isotropy,
+                       orbit_blocks, orbits)
 from .linalg import (DEFAULT_BOUND, Subspace, closure, first_escape,
                      invariant_lattice)
 from .rings import ScalarRing
@@ -114,14 +118,53 @@ def ideal_equal(a: Ideal, b: Ideal) -> bool:
     return a == b
 
 
+def orbit_rows(ring: ScalarRing, m: int, blocks, rows) -> list[list]:
+    """Each row of R[G_u] laid in R^m on every block of the orbit of u,
+    `blocks` being its ``orbit_blocks``: rows spanning an ideal J of
+    R[G_u] become rows spanning M_|O|(J), the matrices over J on the
+    orbit O, 0 off it."""
+    laid = []
+    for block in blocks:
+        for b in rows:
+            f = [ring.zero] * m
+            for a, x in zip(block, b):
+                f[a] = x
+            laid.append(f)
+    return laid
+
+
 def enumerate_all_ideals(g: FiniteGroupoid, ring: ScalarRing,
                          bound: int = DEFAULT_BOUND) -> list[Ideal]:
-    """Every two-sided ideal (finite fields only): the principal ideals of
-    the nonzero vectors, closed under joins."""
-    if not ring.is_field or ring.size is None:
+    """Every two-sided ideal (finite rings only), sorted by size then
+    basis, found orbit by orbit.
+
+    Arrows of different orbits multiply to 0, and through
+    ``orbit_blocks`` the arrows over an orbit O with representative u
+    span M_|O|(R[G_u]), so the algebra is the ring product of these over
+    the orbits.  The ideals of a finite product of unital rings are the
+    products of their ideals, and the ideals of M_k(B), B unital, are
+    the M_k(J) for J an ideal of B.  So an ideal is one ideal J of each
+    R[G_u] laid on every block of its orbit (``orbit_rows``), and only
+    the ideals of R[G_u] are searched, in |G_u| dimensions:
+    ``invariant_lattice`` under the arrow actions of the one-object
+    groupoid, each search charged q^{|G_u|} against `bound`.  The
+    product itself is charged its number of ideals.
+    """
+    if ring.size is None:
         raise UnsupportedRingError(
-            "ideal enumeration runs over finite fields, not %s"
+            "ideal enumeration runs over finite rings, not %s"
             % ring.spec_string())
+    per_orbit = []
+    for u in orbits(g).representatives:
+        G, blocks = isotropy(g, u), orbit_blocks(g, u)
+        lattice = invariant_lattice(_arrow_actions(G.groupoid, ring), ring,
+                                    G.order, bound)
+        per_orbit.append([orbit_rows(ring, g.n_arrows, blocks, J.basis)
+                          for J in lattice])
+    count = prod(map(len, per_orbit))
+    if count > bound:
+        raise BoundExceededError("%d ideals exceed bound %d" % (count, bound))
+    spaces = [Subspace(ring, g.n_arrows, [f for rows in pick for f in rows])
+              for pick in product(*per_orbit)]
     return [Ideal(g, ring, space, check=False)
-            for space in invariant_lattice(_arrow_actions(g, ring), ring,
-                                           g.n_arrows, bound)]
+            for space in sorted(spaces, key=lambda s: (s.num_rows, s.basis))]

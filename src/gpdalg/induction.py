@@ -4,9 +4,10 @@ the disintegration.
 Fix a transversal: an arrow t_v: u -> v for every v in the orbit of u,
 the unit at u.  The map a -> (v, w, t_w^{-1} a t_v), for a: v -> w, is a
 bijection from the arrows of the orbit onto orbit x orbit x G_u, with
-inverse (v, w, x) -> t_w x t_v^{-1}.  So on the orbit the groupoid
-algebra is the matrix algebra over R[G_u] with one block per pair (v, w),
-and the arrows off the orbit span a complementary two-sided ideal.
+inverse (v, w, x) -> t_w x t_v^{-1} (``groupoid.orbit_blocks``, the one
+layout of the orbit).  So on the orbit the groupoid algebra is the
+matrix algebra over R[G_u] with one block per pair (v, w), and the
+arrows off the orbit span a complementary two-sided ideal.
 
 The induced module of a G_u-module N puts N on every block: it is the
 module of sections (``gamma_c``) of the sheaf with stalk N on the orbit
@@ -27,36 +28,12 @@ ideal Ann(N), so the annihilator does not depend on the choice.
 from __future__ import annotations
 
 from .errors import ConstructionError, GroupoidMismatchError
-from .groupoid import FiniteGroupoid, IsotropyGroup, isotropy, orbits
-from .ideals import Ideal
+from .groupoid import FiniteGroupoid, isotropy, orbit_blocks, orbits
+from .ideals import Ideal, orbit_rows
 from .linalg import Matrix, Subspace
 from .modules import IsotropyModule, Rep, module_annihilator_space
 from .rings import ScalarRing
 from .sheaves import SheafData, gamma_c
-
-
-def transversal(g: FiniteGroupoid, u: int) -> dict:
-    """{v: arrow u -> v} over the orbit of u: the unit at u, otherwise
-    the smallest-id arrow."""
-    arrow_to = {}
-    for v in orbits(g).orbit_containing(u):
-        if v == u:
-            arrow_to[v] = g.unit_of[u]
-        else:
-            choices = g.arrows_from_to(u, v)
-            if not choices:
-                raise ConstructionError("no arrow %d -> %d inside the orbit"
-                                        % (u, v))
-            arrow_to[v] = choices[0]
-    return arrow_to
-
-
-def _conjugate_index(g: FiniteGroupoid, G: IsotropyGroup, T: dict,
-                     a: int) -> int:
-    """Index in G of t_w^{-1} a t_v for the arrow a: v -> w."""
-    v, w = g.src[a], g.tgt[a]
-    loop = g.comp[(g.inv[T[w]], g.comp[(a, T[v])])]
-    return G.index_of[loop]
 
 
 def induce(g: FiniteGroupoid, ring: ScalarRing, u: int,
@@ -69,12 +46,13 @@ def induce(g: FiniteGroupoid, ring: ScalarRing, u: int,
                                     "at object %d" % u)
     if N.ring != ring:
         raise GroupoidMismatchError("module over the wrong coefficient ring")
-    T = transversal(g, u)
     MR = N.matrix_ring
-    empty = Matrix.zeros(MR, 0, 0)
-    mats = [N.mats[_conjugate_index(g, G, T, a)] if g.src[a] in T else empty
-            for a in range(g.n_arrows)]
-    dims = [N.dim if v in T else 0 for v in range(g.n_objects)]
+    mats = [Matrix.zeros(MR, 0, 0)] * g.n_arrows
+    for block in orbit_blocks(g, u):
+        for a, M in zip(block, N.mats):
+            mats[a] = M
+    orbit = set(orbits(g).orbit_containing(u))
+    dims = [N.dim if v in orbit else 0 for v in range(g.n_objects)]
     return gamma_c(SheafData(g, ring, MR, dims, mats))
 
 
@@ -89,23 +67,12 @@ def induced_annihilator_from_space(g: FiniteGroupoid, ring: ScalarRing,
         raise ConstructionError("annihilator space must live in the group "
                                 "algebra of the isotropy group")
     Ideal(G.groupoid, ring, ann_space, check=True)
-    T = transversal(g, u)
+    blocks = orbit_blocks(g, u)
+    on_orbit = {a for block in blocks for a in block}
     m = g.n_arrows
-    gens = []
-    blocks = {}
-    for a in range(m):
-        if g.src[a] in T:
-            blocks.setdefault((g.src[a], g.tgt[a]), []).append(
-                (a, _conjugate_index(g, G, T, a)))
-        else:
-            gens.append([ring.one if i == a else ring.zero
-                         for i in range(m)])
-    for block in blocks.values():
-        for b in ann_space.basis:
-            f = [ring.zero] * m
-            for a, i in block:
-                f[a] = b[i]
-            gens.append(f)
+    gens = [[ring.one if i == a else ring.zero for i in range(m)]
+            for a in range(m) if a not in on_orbit]
+    gens += orbit_rows(ring, m, blocks, ann_space.basis)
     return Ideal(g, ring, Subspace(ring, m, gens), check=False)
 
 

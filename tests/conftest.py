@@ -36,8 +36,9 @@ from gpdalg import (
     subspace_preimage,
 )
 from gpdalg.errors import ConstructionError, NonFreeQuotientError
+from gpdalg.ideals import _arrow_actions
 from gpdalg.linalg import (_egcd, _first_nonzero, _unit_mult, closure,
-                           nonzero_vectors)
+                           invariant_lattice, nonzero_vectors)
 from gpdalg.modules import (_cyclotomic, is_invariant, matrix_invertible,
                             regular_module, rep_validate)
 from gpdalg.sheaves import SheafData, _stalk_basis
@@ -391,6 +392,16 @@ def reference_invariant_lattice(maps, ring, dim, bound):
                 found.add(U)
                 queue.append(U)
     return sorted(found, key=lambda s: (s.num_rows, s.basis))
+
+
+def reference_enumerate_all_ideals(g, ring, bound=DEFAULT_BOUND):
+    """Slow reference for ``ideals.enumerate_all_ideals``: the lattice of
+    the whole algebra, every subspace of R^m (m = ``n_arrows``) invariant
+    under left and right multiplication by the generating arrows, over
+    any finite ring; it charges q^m against `bound`."""
+    return [Ideal(g, ring, space, check=False)
+            for space in invariant_lattice(_arrow_actions(g, ring), ring,
+                                           g.n_arrows, bound)]
 
 
 def reference_hom_space(A, B):

@@ -170,6 +170,59 @@ def test_verify_all_ideals_f2z2(capsys):
     assert all(l["verdict"] == "verified" for l in lines)
 
 
+@pytest.mark.parametrize("argv,reports", [
+    ("--gen group:z4 --ring zn:4", 23),
+    ("--gen group:z2+pair:1 --ring zn:6", 48),
+    # Each orbit's search costs 2^3 and 2^1 states, within the bound; the
+    # whole algebra's 2^7 exceeded it.
+    ("--gen group:z3+pair:2 --ring fp:2 --bound 64", 8),
+])
+def test_all_ideals_runs_over_finite_rings(argv, reports, capsys):
+    code, out, err = run(capsys, "verify", "ideal-intersection",
+                         "--all-ideals", *argv.split())
+    assert (code, err) == (0, "")
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert [l["verdict"] for l in lines] == ["verified"] * reports
+
+
+def test_all_ideals_refusals(capsys):
+    code, out, err = run(capsys, "verify", "ideal-intersection",
+                         "--all-ideals", "--gen", "group:z2", "--ring", "q")
+    assert (code, out) == (1, "")
+    assert "finite rings" in err
+    # A one-object groupoid searches its whole algebra, as before.
+    code, out, err = run(capsys, "verify", "ideal-intersection",
+                         "--all-ideals", "--gen", "group:z4", "--ring",
+                         "fp:2", "--bound", "8")
+    assert (code, out) == (3, "")
+    assert "state space 2^4 exceeds bound 8" in err
+    # Three orbits of 2 ideals each: every search costs 2^1, within the
+    # bound, but the product has 8 ideals.
+    code, out, err = run(capsys, "verify", "ideal-intersection",
+                         "--all-ideals", "--gen", "pair:1+pair:1+pair:1",
+                         "--ring", "fp:2", "--bound", "4")
+    assert (code, out) == (3, "")
+    assert "8 ideals exceed bound 4" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("primitive-ideals --all-ideals",
+     "--all-ideals applies only to ideal-intersection"),
+    ("primitive-single --all-ideals",
+     "--all-ideals applies only to ideal-intersection"),
+    ("primitive-single --ideal-gens [[1,0]]",
+     "--ideal-gens applies only to ideal-intersection"),
+    ("primitive-ideals --ideal-gens [[1,0]]",
+     "--ideal-gens applies only to ideal-intersection"),
+    ("ideal-intersection --all-ideals --ideal-gens [[1,0]]",
+     "--all-ideals and --ideal-gens exclude each other"),
+])
+def test_ideal_flags_that_would_change_nothing_exit_2(argv, message, capsys):
+    code, out, err = run(capsys, "verify", *argv.split(), "--gen",
+                         "group:z2", "--ring", "fp:2")
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_verify_with_ideal_gens(capsys):
     code, out, _ = run(capsys, "verify", "ideal-intersection", "--gen",
                        "group:z2", "--ring", "zn:4", "--ideal-gens",
@@ -368,12 +421,26 @@ def test_zn_jobs_keep_their_bytes(argv, digest, capsys):
     ("verify ideal-intersection --all-ideals --gen group:z4+pair:2 "
      "--ring fp:2",
      "efdc594a81ab48face45a888a432f8e7eba44d36609297a97d9d194ad3b8be44"),
+    ("verify ideal-intersection --all-ideals --gen action:z2:1,0,2 "
+     "--ring fp:3",
+     "14f37ad1ddd24d0a0a18c4be4063cafc29beca5af660b12ccdb0dc2f83cb2406"),
+    ("verify ideal-intersection --all-ideals --gen group:z6 --ring fp:3",
+     "b498d51fa340c844d3740d0539fdcef2e1ca92ad573b3241768624857d527462"),
+    ("verify ideal-intersection --all-ideals --gen group:z3+pair:2 "
+     "--ring fp:3",
+     "b914a76e292c4eafebbb45ebf5e705e8ea2facdad3ebe11e8d4996872f3c2fd9"),
+    ("verify ideal-intersection --all-ideals --gen pair:4 --ring fp:2",
+     "2f5296d80d01711e45fe9dee18407db93569bb642cbcc30fa274a15b4aa4cf12"),
+    ("verify ideal-intersection --all-ideals --gen action:z4:1,0,3,2 "
+     "--ring fp:2",
+     "9f9d5a939af00ad76ff542bcf905be25834d69ff550bcff92a5d37bf9f130ce9"),
 ])
 def test_search_jobs_keep_their_bytes(argv, digest, capsys):
     # The simplicity checks and the submodule and ideal lattices behind
     # these jobs must print these bytes whatever the search route; the
-    # digests were recorded with a per-vector spin loop in is_simple and
-    # a pairwise join queue in invariant_lattice.
+    # digests were recorded with a per-vector spin loop in is_simple, a
+    # pairwise join queue in invariant_lattice and, for --all-ideals, the
+    # lattice of the whole algebra in n_arrows dimensions.
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -515,7 +582,8 @@ def test_meataxe_answers_within_the_default_bound(argv, summary, capsys):
 
 def test_submodule_lattice_only_serves_all_ideals(capsys, monkeypatch):
     # The finite-field benchmark jobs reach the exhaustive lattice only
-    # through --all-ideals.
+    # through --all-ideals, and that searches each orbit's isotropy
+    # algebra in |G_u| dimensions, never the whole algebra's n_arrows.
     import gpdalg.ideals
     import gpdalg.modules
 
@@ -536,4 +604,5 @@ def test_submodule_lattice_only_serves_all_ideals(capsys, monkeypatch):
     assert calls == []
     assert run(capsys, "verify", "ideal-intersection", "--gen",
                "group:z3+pair:2", "--ring", "fp:2", "--all-ideals")[0] == 0
-    assert len(calls) == 1
+    # One call per orbit: G_0 = Z/3, then the trivial group of pair:2.
+    assert [dim for _, _, dim, _ in calls] == [3, 1]

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from gpdalg import (
@@ -29,6 +31,8 @@ from gpdalg import (
     trivial_module,
 )
 
+from gpdalg.groupoid import orbit_blocks
+
 from conftest import (
     named_pool,
     reference_induce,
@@ -59,6 +63,23 @@ def test_default_transversal_properties():
             assert T[u] == g.unit(u)
             for v, a in T.items():
                 assert g.d(a) == u and g.r(a) == v
+
+
+def test_orbit_blocks_lay_each_orbit_arrow_once():
+    # The block of (v, w) holds the arrows v -> w, its i-th arrow
+    # conjugating back to the i-th loop at u; the blocks cover the orbit.
+    for name, g in named_pool():
+        for u in range(g.n_objects):
+            T = transversal(g, u)
+            loops = isotropy(g, u).arrow_ids
+            blocks = orbit_blocks(g, u)
+            assert len(blocks) == len(T) ** 2, name
+            for (v, w), block in zip(product(T, T), blocks):
+                assert set(block) == set(g.arrows_from_to(v, w)), name
+                assert tuple(g.comp[(g.inv[T[w]], g.comp[(a, T[v])])]
+                             for a in block) == loops, name
+            assert sorted(a for b in blocks for a in b) == [
+                a for a in range(g.n_arrows) if g.d(a) in T], name
 
 
 def test_induce_trivial_on_pair_is_matrix_units():

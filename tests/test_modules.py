@@ -53,6 +53,7 @@ from gpdalg import (
 )
 
 from gpdalg import meataxe, modules
+from gpdalg.cli import parse_generator_spec
 from gpdalg.groupoid import generating_arrows
 from gpdalg.ideals import _arrow_actions
 from gpdalg.linalg import invariant_lattice
@@ -62,6 +63,7 @@ from conftest import (
     brute_span,
     klein_table,
     named_pool,
+    reference_enumerate_all_ideals,
     reference_hom_space,
     reference_module_validate,
     reference_regular_module,
@@ -515,6 +517,32 @@ def test_enumerate_all_ideals_counts():
     # the 2x2 matrix algebra is simple
     assert len(enumerate_all_ideals(pair_groupoid(2), F2)) == 2
     assert len(enumerate_all_ideals(pair_groupoid(2), F3)) == 2
+
+
+# Multi-orbit instances with non-trivial isotropy and one-object ones,
+# beside the shared pool.
+ORBIT_PRODUCT_SPECS = ("group:z3+pair:2", "action:z2:1,0,2",
+                       "group:z2+pair:1", "group:z4", "group:z6")
+
+
+@pytest.mark.parametrize("spec", ["fp:2", "fp:3", "zn:4", "zn:6", "zn:8",
+                                  "zn:9"])
+def test_enumerate_all_ideals_matches_whole_algebra_reference(spec):
+    # The orbit-by-orbit product against the lattice of the whole
+    # algebra, wherever the reference's q^m stays within 5,000.
+    ring = ring_from_spec(spec)
+    pool = named_pool() + [(name, parse_generator_spec(name))
+                           for name in ORBIT_PRODUCT_SPECS]
+    compared = set()
+    for name, g in pool:
+        if ring.size ** g.n_arrows > 5000:
+            continue
+        got = enumerate_all_ideals(g, ring)
+        assert got == reference_enumerate_all_ideals(g, ring), name
+        compared.add(name)
+    # Every ring reaches a multi-orbit instance with non-trivial isotropy
+    # (m = 3) and a one-object one.
+    assert {"group:z2+pair:1", "z:3"} <= compared
 
 
 def test_ideal_check_rejects_non_ideal():
