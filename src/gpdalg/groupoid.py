@@ -80,12 +80,16 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteGroupoid":
+        def n(x):  # a JSON integer: 1.9, true and "0" are refused
+            if type(x) is not int:
+                raise TypeError("%r is not an integer" % (x,))
+            return x
         try:
-            arrows = [(int(a["d"]), int(a["r"])) for a in data["arrows"]]
-            comp = {(int(a), int(b)): int(c) for a, b, c in data["comp"]}
-            return cls(int(data["objects"]), arrows,
-                       [int(u) for u in data["units"]], comp,
-                       [int(i) for i in data["inv"]])
+            arrows = [(n(a["d"]), n(a["r"])) for a in data["arrows"]]
+            comp = {(n(a), n(b)): n(c) for a, b, c in data["comp"]}
+            return cls(n(data["objects"]), arrows,
+                       [n(u) for u in data["units"]], comp,
+                       [n(i) for i in data["inv"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError("malformed groupoid data: %s" % exc)
 
@@ -299,22 +303,6 @@ def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
 # ---------------------------------------------------------------------------
 # orbits and isotropy
 
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 class OrbitPartition:
     """Partition of the object set into connected components."""
 
@@ -336,21 +324,25 @@ class OrbitPartition:
 
 
 def orbits(g: FiniteGroupoid) -> OrbitPartition:
-    """Connected components of the object set, via union-find over arrows.
+    """Connected components of the object set, built once per groupoid.
 
-    Classes are sorted, indexed by their smallest member."""
-    uf = UnionFind(g.n_objects)
-    for a in range(g.n_arrows):
-        uf.union(g.src[a], g.tgt[a])
-    groups = {}
-    for u in range(g.n_objects):
-        groups.setdefault(uf.find(u), []).append(u)
-    classes = [sorted(groups[root]) for root in sorted(groups)]
-    orbit_of = [0] * g.n_objects
-    for i, cls in enumerate(classes):
-        for u in cls:
-            orbit_of[u] = i
-    return OrbitPartition(orbit_of, classes)
+    In a groupoid the targets of the arrows out of u are exactly the
+    orbit of u, so each class is read off its smallest member.  Classes
+    are sorted, indexed by their smallest member."""
+    key = "orbits"
+    if key not in g.memo:
+        reach = [set() for _ in range(g.n_objects)]
+        for a in range(g.n_arrows):
+            reach[g.src[a]].add(g.tgt[a])
+        orbit_of = [None] * g.n_objects
+        classes = []
+        for u in range(g.n_objects):
+            if orbit_of[u] is None:
+                for v in reach[u]:
+                    orbit_of[v] = len(classes)
+                classes.append(sorted(reach[u]))
+        g.memo[key] = OrbitPartition(orbit_of, classes)
+    return g.memo[key]
 
 
 class IsotropyGroup:
@@ -469,19 +461,17 @@ def generating_arrows(g: FiniteGroupoid) -> tuple:
     A connected groupoid is its vertex group times a tree groupoid
     (Higgins 1971), so per orbit with representative u (its smallest
     object) it takes the unit arrows, generators of the loop group at u
-    and, for every other object v, the smallest arrow u -> v and its
-    inverse.  A subspace is invariant under every arrow of a
+    and, for every other object v, the ``transversal`` arrow u -> v and
+    its inverse.  A subspace is invariant under every arrow of a
     representation exactly when it is invariant under these.
     """
     key = "generating_arrows"
     if key not in g.memo:
         gens = set(g.unit_of)
-        for cls in orbits(g).classes:
-            u = cls[0]
+        for u in orbits(g).representatives:
             G = isotropy(g, u)
             gens.update(G.arrow_ids[i] for i in group_generators(G))
-            for v in cls[1:]:
-                a = g.arrows_from_to(u, v)[0]
+            for a in transversal(g, u).values():
                 gens.update((a, g.inv[a]))
         g.memo[key] = tuple(sorted(gens))
     return g.memo[key]

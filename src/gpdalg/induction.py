@@ -28,7 +28,7 @@ ideal Ann(N), so the annihilator does not depend on the choice.
 from __future__ import annotations
 
 from .errors import ConstructionError, GroupoidMismatchError
-from .groupoid import FiniteGroupoid, isotropy, orbit_blocks, orbits
+from .groupoid import FiniteGroupoid, isotropy, orbit_blocks
 from .ideals import Ideal, orbit_rows
 from .linalg import Matrix, Subspace
 from .modules import IsotropyModule, Rep, module_annihilator_space
@@ -48,11 +48,11 @@ def induce(g: FiniteGroupoid, ring: ScalarRing, u: int,
         raise GroupoidMismatchError("module over the wrong coefficient ring")
     MR = N.matrix_ring
     mats = [Matrix.zeros(MR, 0, 0)] * g.n_arrows
+    dims = [0] * g.n_objects
     for block in orbit_blocks(g, u):
         for a, M in zip(block, N.mats):
             mats[a] = M
-    orbit = set(orbits(g).orbit_containing(u))
-    dims = [N.dim if v in orbit else 0 for v in range(g.n_objects)]
+            dims[g.src[a]] = N.dim
     return gamma_c(SheafData(g, ring, MR, dims, mats))
 
 

@@ -103,33 +103,37 @@ def matrix_invertible(M: Matrix) -> bool:
 
 
 def rep_validate(rho: Rep) -> list[str]:
-    """Multiplicativity on the composition table and unitarity.
+    """Multiplicativity on the generating arrows and unitarity.
 
-    Checks rho(a) rho(b) = rho(ab) on the composable pairs and
-    rho(e_u) rho(e_v) = 0 on distinct units, in (a, b) order.  Every
-    other non-composable product then vanishes for free:
-    rho(a) rho(b) = rho(a) rho(e_d(a)) rho(e_r(b)) rho(b) = 0, the outer
-    factorisations being composable pairs.  That argument assumes a
-    valid groupoid (``validate(g) == []``).  On a group these are the
-    module axioms: rho(g) rho(g^-1) = rho(e) = 1 makes rho(g) invertible.
+    Checks rho(s) rho(b) = rho(sb) for s in ``generating_arrows`` and
+    every b with r(b) = d(s), then rho(e_u) rho(e_v) = 0 on distinct
+    units, in (s, b) order, and that the units sum to the identity.
+    Every arrow is a word in the generating arrows, so induction on the
+    length of a = s a' gives the other composable pairs:
+    rho(a) rho(b) = rho(s) rho(a') rho(b) = rho(s) rho(a'b) = rho(ab).
+    Every non-composable product then vanishes:
+    rho(a) rho(b) = rho(a) rho(e_d(a)) rho(e_r(b)) rho(b) = 0.  That
+    argument assumes a valid groupoid (``validate(g) == []``).  On a
+    group these are the module axioms: rho(g) rho(g^-1) = rho(e) = 1
+    makes rho(g) invertible.
     """
     errs = []
     g = rho.groupoid
     MR = rho.matrix_ring
     zero = Matrix.zeros(MR, rho.dim, rho.dim)
+    for s in generating_arrows(g):
+        for b in g.arrows_into(g.src[s]):
+            if rho.mats[s] * rho.mats[b] != rho.mats[g.comp[(s, b)]]:
+                errs.append("rho(e_%d) rho(e_%d) != rho(e_%d%d)"
+                            % (s, b, s, b))
     units = g.unit_of
-    pairs = list(g.comp) + [(u, v) for u in units for v in units if u != v]
-    for a, b in sorted(pairs):
-        prod = rho.mats[a] * rho.mats[b]
-        ab = g.comp.get((a, b))
-        if ab is None:
-            if prod != zero:
+    for u in units:
+        for v in units:
+            if u != v and rho.mats[u] * rho.mats[v] != zero:
                 errs.append("rho(e_%d) rho(e_%d) != 0 on non-composable pair"
-                            % (a, b))
-        elif prod != rho.mats[ab]:
-            errs.append("rho(e_%d) rho(e_%d) != rho(e_%d%d)" % (a, b, a, b))
+                            % (u, v))
     total = Matrix.zeros(MR, rho.dim, rho.dim)
-    for e in rho.groupoid.unit_of:
+    for e in units:
         total = total + rho.mats[e]
     if total != Matrix.identity(MR, rho.dim):
         errs.append("unit indicators do not sum to the identity")

@@ -102,6 +102,9 @@ class RationalField(ScalarRing):
     def coerce(self, x):
         if isinstance(x, Fraction):
             return x
+        if isinstance(x, bool):
+            raise ConstructionError("cannot coerce %r into the rationals"
+                                    % (x,))
         if isinstance(x, str) and ("e" in x or "E" in x):
             # Fraction would expand the exponent: "1e2000000" alone
             # costs seconds and megabytes.
@@ -153,7 +156,7 @@ class _FiniteRing(ScalarRing):
                         % (x, self.modulus))
                 return (num * den) % self.modulus
             x = x.numerator
-        if not isinstance(x, int):
+        if not isinstance(x, int) or isinstance(x, bool):
             raise ConstructionError("cannot coerce %r mod %d" % (x, self.modulus))
         return x % self.modulus
 
@@ -165,6 +168,9 @@ class _FiniteRing(ScalarRing):
 
     def mul(self, a, b):
         return (a * b) % self.modulus
+
+    def inv(self, a):
+        return pow(a, -1, self.modulus)
 
     def elements(self):
         return range(self.modulus)
@@ -185,9 +191,6 @@ class PrimeField(_FiniteRing):
     def spec_string(self):
         return "fp:%d" % self.modulus
 
-    def inv(self, a):
-        return pow(a, -1, self.modulus)
-
 
 class IntegersMod(_FiniteRing):
     """Z/n with n >= 2.  The zero ring (n = 1) is rejected."""
@@ -202,9 +205,6 @@ class IntegersMod(_FiniteRing):
 
     def spec_string(self):
         return "zn:%d" % self.modulus
-
-    def inv(self, a):
-        return pow(a, -1, self.modulus)
 
     def residue_field(self) -> PrimeField | None:
         """F_p when n is a power of the prime p, else None.  The root r

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import (ConstructionError, NonFreeQuotientError,
                      UnsupportedRingError)
-from .groupoid import FiniteGroupoid, isotropy, orbits
+from .groupoid import FiniteGroupoid, generating_arrows, isotropy, orbits
 from .linalg import (DEFAULT_BOUND, Matrix, Subspace, canonical_rows,
                      poly_at, restrict)
 from .meataxe import proper_submodule
@@ -67,20 +67,22 @@ class SheafData:
 
 
 def sheaf_validate(S: SheafData) -> list[str]:
-    """Units act as identities, composition is respected, arrows invert."""
+    """Units act as identities and S(s) S(b) = S(sb) for s in
+    ``generating_arrows`` and every b with r(b) = d(s).  As in
+    ``rep_validate``, induction on the length of a = s a' then gives
+    S(a) S(b) = S(ab) on every composable pair, so arrows act
+    invertibly: S(a) S(a^-1) = S(e) = 1."""
     errs = []
-    g = S.groupoid
+    g, M = S.groupoid, S.arrow_mats
     for u in range(g.n_objects):
-        e = g.unit_of[u]
-        if S.arrow_mats[e] != Matrix.identity(S.matrix_ring,
+        if M[g.unit_of[u]] != Matrix.identity(S.matrix_ring,
                                               S.stalk_dims[u]):
             errs.append("unit at object %d does not act as identity" % u)
-    for (a, b), c in g.comp.items():
-        if S.arrow_mats[a] * S.arrow_mats[b] != S.arrow_mats[c]:
-            errs.append("arrow matrices break composition at (%d,%d)" % (a, b))
-    for a in range(g.n_arrows):
-        if not matrix_invertible(S.arrow_mats[a]):
-            errs.append("arrow %d acts non-invertibly" % a)
+    for s in generating_arrows(g):
+        for b in g.arrows_into(g.src[s]):
+            if M[s] * M[b] != M[g.comp[(s, b)]]:
+                errs.append("arrow matrices break composition at (%d,%d)"
+                            % (s, b))
     return errs
 
 

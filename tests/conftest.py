@@ -309,6 +309,53 @@ def reference_rep_validate(rho):
     return errs
 
 
+def reference_sheaf_validate(S):
+    """Slow reference for ``sheaves.sheaf_validate``: units act as
+    identities, every composable pair is multiplied and every arrow is
+    checked to act invertibly."""
+    errs = []
+    g = S.groupoid
+    for u in range(g.n_objects):
+        e = g.unit_of[u]
+        if S.arrow_mats[e] != Matrix.identity(S.matrix_ring,
+                                              S.stalk_dims[u]):
+            errs.append("unit at object %d does not act as identity" % u)
+    for (a, b), c in g.comp.items():
+        if S.arrow_mats[a] * S.arrow_mats[b] != S.arrow_mats[c]:
+            errs.append("arrow matrices break composition at (%d,%d)" % (a, b))
+    for a in range(g.n_arrows):
+        if not matrix_invertible(S.arrow_mats[a]):
+            errs.append("arrow %d acts non-invertibly" % a)
+    return errs
+
+
+def reference_orbits(g):
+    """Slow reference for ``groupoid.orbits``: a union-find over every
+    arrow, classes sorted and indexed by their smallest member, as
+    (orbit_of, classes)."""
+    parent = list(range(g.n_objects))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in range(g.n_arrows):
+        rx, ry = find(g.src[a]), find(g.tgt[a])
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    groups = {}
+    for u in range(g.n_objects):
+        groups.setdefault(find(u), []).append(u)
+    classes = tuple(tuple(sorted(groups[r])) for r in sorted(groups))
+    orbit_of = [0] * g.n_objects
+    for i, cls in enumerate(classes):
+        for u in cls:
+            orbit_of[u] = i
+    return tuple(orbit_of), classes
+
+
 def reference_module_validate(N):
     """Slow reference for ``modules.rep_validate`` on an isotropy module:
     the group-module axioms checked one by one."""

@@ -103,6 +103,34 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("objects", 1.9), ("units", [True]), ("arrows", [{"d": 0, "r": 0.2}]),
+    ("arrows", [{"d": "0", "r": 0}])])
+def test_non_integer_groupoid_fields_exit_2(tmp_path, capsys, field, value):
+    # Each field once read through int(): 1.9 as 1, 0.2 as 0, true as 1
+    # and "0" as 0, so a one-object group came out valid.
+    data = json.loads(run(capsys, "generate", "pair", "1")[1])
+    data[field] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate", "--in", str(path)],
+                 ["compute", "orbits", "--in", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: malformed groupoid data") \
+            and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:3", "zn:4"])
+def test_boolean_coefficients_exit_2(capsys, spec):
+    code, out, err = run(capsys, "verify", "ideal-intersection", "--gen",
+                         "group:z2", "--ring", spec, "--ideal-gens",
+                         "[[true,1]]")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot coerce True") \
+        and err.count("\n") == 1
+
+
 def test_bad_ring_spec_exits_2(capsys):
     code, _, _ = run(capsys, "compute", "primitive-ideals", "--gen",
                      "group:z2", "--ring", "fp:6")

@@ -26,7 +26,8 @@ from gpdalg.cli import parse_generator_spec
 from gpdalg.groupoid import generating_arrows, group_generators
 from gpdalg.ideals import _arrow_actions
 
-from conftest import cycle3, klein_table, named_pool, swap2, swap3, zg
+from conftest import (cycle3, klein_table, named_pool, reference_orbits,
+                      swap2, swap3, zg)
 
 
 def test_pool_validates():
@@ -129,6 +130,18 @@ def test_json_round_trip():
         FiniteGroupoid.from_json_dict({"objects": 1})
 
 
+def test_json_fields_must_be_integers():
+    for field, value in (("objects", 1.9), ("objects", True),
+                         ("units", [True]), ("inv", [0, 1.0]),
+                         ("comp", [[0, 0, "0"], [0, 1, 1], [1, 0, 1],
+                                   [1, 1, 0]]),
+                         ("arrows", [{"d": 0, "r": 0.2}, {"d": 0, "r": 0}]),
+                         ("arrows", [{"d": "0", "r": 0}, {"d": 0, "r": 0}])):
+        with pytest.raises(ConstructionError, match="not an integer"):
+            planted(field, value)
+    assert validate(planted("objects", 1)) == []
+
+
 def planted(field, value):
     data = zg(2).to_json_dict()
     data[field] = value
@@ -149,6 +162,24 @@ def test_validate_catches_planted_defects():
     data = pair_groupoid(2).to_json_dict()
     data["units"] = [1, 3]
     assert validate(FiniteGroupoid.from_json_dict(data)) != []
+
+
+def test_orbits_match_union_find():
+    rng = random.Random(7)
+    pool = [g for _, g in named_pool()]
+    pool += [disjoint_union(g, h) for g in pool[5:9] for h in pool[7:11]]
+    pool += [parse_generator_spec(spec) for spec in
+             ("action:z4:1,0,3,2", "action:z6:1,2,0,4,3", "pair:3+group:z2",
+              "action:z2:1,0,2+pair:2+action:z3:1,2,0")]
+    for g in list(pool):
+        perm = list(range(g.n_arrows))
+        rng.shuffle(perm)
+        pool.append(relabel_arrows(g, perm))
+    for g in pool:
+        orb = orbits(g)
+        assert orb is orbits(g)
+        assert (orb.orbit_of, orb.classes) == reference_orbits(g), g
+        assert orb.representatives == tuple(c[0] for c in orb.classes)
 
 
 def test_relabel_preserves_structure():

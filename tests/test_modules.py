@@ -46,6 +46,7 @@ from gpdalg import (
     rep_validate,
     ring_from_spec,
     sheaf_of,
+    sheaf_validate,
     sign_module,
     simple_modules_group,
     trivial_module,
@@ -57,9 +58,11 @@ from gpdalg.cli import parse_generator_spec
 from gpdalg.groupoid import generating_arrows
 from gpdalg.ideals import _arrow_actions
 from gpdalg.linalg import invariant_lattice
+from gpdalg.sheaves import SheafData
 
 from conftest import (
     RING_SPECS,
+    block_sum,
     brute_span,
     klein_table,
     named_pool,
@@ -70,6 +73,7 @@ from conftest import (
     reference_rep_quotient,
     reference_rep_submodule,
     reference_rep_validate,
+    reference_sheaf_validate,
     swap3,
     zg,
 )
@@ -100,32 +104,85 @@ def test_rep_validate_catches_tampering():
     assert rep_validate(bad) != []
 
 
+def corruptions(mats, ring):
+    """Each matrix list with one entry changed by one, every entry in
+    turn, inside and outside the blocks."""
+    for a, M in enumerate(mats):
+        for pos, x in enumerate(M.entries):
+            entries = list(M.entries)
+            entries[pos] = ring.add(x, ring.one)
+            bad = list(mats)
+            bad[a] = Matrix(ring, M.nrows, M.ncols, entries)
+            yield (a, pos), bad
+
+
+def validation_pool(ring):
+    """(groupoid, valid modules) pairs: the regular module and its
+    sections where they are small, and on action:z4:1,0,3,2, whose Z/2
+    isotropy sits on 2-object orbits, a module induced on each orbit."""
+    pool = []
+    for g in (pair_groupoid(2), disjoint_union(zg(2), pair_groupoid(2)),
+              swap3(), group_groupoid(klein_table())):
+        reg = regular_rep(g, ring)
+        pool.append((g, [reg, gamma_c(sheaf_of(reg))]))
+    g = parse_generator_spec("action:z4:1,0,3,2")
+    sign = induce(g, ring, 0, sign_module(isotropy(g, 0), ring))
+    triv = induce(g, ring, 2, trivial_module(isotropy(g, 2), ring))
+    pool.append((g, [block_sum(sign, triv)]))
+    return pool
+
+
 @pytest.mark.parametrize("spec", ["fp:2", "fp:3", "q", "zn:4"])
 def test_rep_validate_cut_agrees_with_all_pairs(spec):
     ring = ring_from_spec(spec)
-    pool = [pair_groupoid(2), disjoint_union(zg(2), pair_groupoid(2)),
-            swap3()]
-    for g in pool:
-        reg = regular_rep(g, ring)
+    for g, modules in validation_pool(ring):
         # Every arrow acting as the identity passes the composable pairs;
         # on three objects over F_2 the units also sum to the identity, so
         # only their orthogonality rules it out.
-        ident = Matrix.identity(ring, reg.dim)
-        const = Rep(g, ring, reg.dim, [ident] * g.n_arrows)
+        ident = Matrix.identity(ring, modules[0].dim)
+        const = Rep(g, ring, modules[0].dim, [ident] * g.n_arrows)
         assert bool(rep_validate(const)) \
             == bool(reference_rep_validate(const))
-        for rho in (reg, gamma_c(sheaf_of(reg))):
+        for rho in modules:
             assert rep_validate(rho) == reference_rep_validate(rho) == []
-            # Change one entry at a time, inside and outside the blocks.
-            for a, M in enumerate(rho.mats):
-                for pos, x in enumerate(M.entries):
-                    entries = list(M.entries)
-                    entries[pos] = ring.add(x, ring.one)
-                    mats = list(rho.mats)
-                    mats[a] = Matrix(ring, M.nrows, M.ncols, entries)
-                    bad = Rep(g, ring, rho.dim, mats)
-                    assert bool(rep_validate(bad)) \
-                        == bool(reference_rep_validate(bad)), (a, pos)
+            for where, mats in corruptions(rho.mats, ring):
+                bad = Rep(g, ring, rho.dim, mats)
+                assert bool(rep_validate(bad)) \
+                    == bool(reference_rep_validate(bad)), where
+
+
+@pytest.mark.parametrize("spec", ["fp:2", "fp:3", "q", "zn:4"])
+def test_sheaf_validate_cut_agrees_with_all_pairs(spec):
+    ring = ring_from_spec(spec)
+    for g, modules in validation_pool(ring):
+        for rho in modules + [regular_rep(g, ring)]:
+            S = sheaf_of(rho)
+            assert sheaf_validate(S) == reference_sheaf_validate(S) == []
+            for where, mats in corruptions(S.arrow_mats, ring):
+                bad = SheafData(g, ring, ring, S.stalk_dims, mats)
+                assert bool(sheaf_validate(bad)) \
+                    == bool(reference_sheaf_validate(bad)), where
+
+
+@pytest.mark.parametrize("n", [3, 5, 10])
+def test_rep_validate_multiplies_only_on_generating_arrows(n, monkeypatch):
+    g = pair_groupoid(n)
+    assert orbits(g) is orbits(g)
+    rho = regular_rep(g, Q)
+    calls = []
+    mul = Matrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert rep_validate(rho) == []
+    expected = sum(len(g.arrows_into(g.d(s)))
+                   for s in generating_arrows(g)) + n * (n - 1)
+    assert len(calls) == expected
+    if n == 10:
+        assert expected == 370
 
 
 def test_builtin_modules_validate():

@@ -118,8 +118,9 @@ def test_finite_coerce_pins_every_input_kind():
         n = R.modulus
         assert [R.coerce(x) for x in (0, 7, -1, -13, 10 ** 20)] \
             == [0, 7 % n, n - 1, -13 % n, 10 ** 20 % n]
-        assert (R.coerce(True), R.coerce(False)) == (1, 0)
-        assert type(R.coerce(True)) is int
+        for flag in (True, False):
+            with pytest.raises(ConstructionError):
+                R.coerce(flag)
         assert [R.coerce(x) for x in ("4", "-2", " 3 ")] \
             == [4 % n, -2 % n, 3]
         assert R.coerce(Fraction(-9, 1)) == -9 % n
@@ -152,3 +153,13 @@ def test_coerce_rejects_malformed_strings():
                 R.coerce(text)
     assert RationalField().coerce("-3/6") == Fraction(-1, 2)
     assert IntegersMod(4).coerce("-3") == 1
+
+
+def test_coerce_rejects_booleans():
+    # JSON true once coerced to 1 on every ring.
+    for spec in ("q", "fp:3", "zn:4"):
+        R = ring_from_spec(spec)
+        for flag in (True, False):
+            with pytest.raises(ConstructionError):
+                R.coerce(flag)
+        assert R.coerce(1) == R.one
