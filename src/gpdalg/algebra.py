@@ -141,19 +141,21 @@ def involution(f: AlgebraElement) -> AlgebraElement:
 
 def left_mult_matrix(g: FiniteGroupoid, ring: ScalarRing, a: int) -> Matrix:
     """Matrix of f -> e_a * f on the arrow basis."""
-    m = g.n_arrows
-    ent = [ring.zero] * (m * m)
-    for (x, b), c in g.comp.items():
-        if x == a:
-            ent[c * m + b] = ring.one
-    return Matrix(ring, m, m, ent)
+    return _mult_matrix(g, ring, [(g.comp[(a, b)], b)
+                                  for b in g.arrows_into(g.src[a])])
 
 
 def right_mult_matrix(g: FiniteGroupoid, ring: ScalarRing, a: int) -> Matrix:
     """Matrix of f -> f * e_a on the arrow basis."""
+    return _mult_matrix(g, ring, [(g.comp[(b, a)], b)
+                                  for b in g.arrows_from(g.tgt[a])])
+
+
+def _mult_matrix(g: FiniteGroupoid, ring: ScalarRing, places) -> Matrix:
+    """The 0/1 matrix with a 1 at each (composite, b) of `places`, b over
+    the arrows composable with the multiplier; built in the ring."""
     m = g.n_arrows
     ent = [ring.zero] * (m * m)
-    for (b, x), c in g.comp.items():
-        if x == a:
-            ent[c * m + b] = ring.one
-    return Matrix(ring, m, m, ent)
+    for c, b in places:
+        ent[c * m + b] = ring.one
+    return Matrix._trusted(ring, m, m, ent)

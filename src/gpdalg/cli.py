@@ -111,18 +111,23 @@ def _cyclic_order(name: str) -> int:
     return k
 
 
+def _load_json(text, what: str):
+    """JSON from str or bytes; undecodable bytes, bad syntax and nesting
+    too deep for the decoder are malformed input."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConstructionError("invalid %s: %s" % (what, exc))
+
+
 def _read_groupoid(infile: str) -> FiniteGroupoid:
     """Groupoid JSON from a file, or from stdin when `infile` is "-"."""
     if infile == "-":
         raw = sys.stdin.read()
     else:
-        with open(infile) as fh:
+        with open(infile, "rb") as fh:
             raw = fh.read()
-    try:
-        data = json.loads(raw)
-    except ValueError as exc:
-        raise ConstructionError("invalid JSON: %s" % exc)
-    return FiniteGroupoid.from_json_dict(data)
+    return FiniteGroupoid.from_json_dict(_load_json(raw, "JSON"))
 
 
 def _load_groupoid(args) -> FiniteGroupoid:
@@ -282,11 +287,7 @@ def cmd_verify(args) -> int:
         else:
             gens = []
             if args.ideal_gens:
-                try:
-                    vectors = json.loads(args.ideal_gens)
-                except ValueError as exc:
-                    raise ConstructionError("invalid --ideal-gens JSON: %s"
-                                            % exc)
+                vectors = _load_json(args.ideal_gens, "--ideal-gens JSON")
                 if not (isinstance(vectors, list)
                         and all(isinstance(v, list) and len(v) == g.n_arrows
                                 for v in vectors)):
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable --in, unwritable --out
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except GpdalgError as exc:

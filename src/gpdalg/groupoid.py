@@ -53,6 +53,9 @@ class FiniteGroupoid:
     def arrows_into(self, u: int) -> tuple:
         return tuple(a for a in range(self.n_arrows) if self.tgt[a] == u)
 
+    def arrows_from(self, u: int) -> tuple:
+        return tuple(a for a in range(self.n_arrows) if self.src[a] == u)
+
     def __eq__(self, other):
         return isinstance(other, FiniteGroupoid) \
             and self.n_objects == other.n_objects \
@@ -475,6 +478,20 @@ def generating_arrows(g: FiniteGroupoid) -> tuple:
                 gens.update((a, g.inv[a]))
         g.memo[key] = tuple(sorted(gens))
     return g.memo[key]
+
+
+def functor_breaks(g: FiniteGroupoid, mats) -> list[tuple]:
+    """The pairs (s, b), s in ``generating_arrows`` and b with
+    r(b) = d(s), both ascending, where mats[s] mats[b] != mats[sb].
+
+    None means mats[a] mats[b] = mats[ab] on every composable pair:
+    every arrow is a word in the generating arrows, so induction on the
+    length of a = s a' gives mats[a] mats[b] = mats[s] mats[a'] mats[b]
+    = mats[s] mats[a'b] = mats[ab].  That argument assumes a valid
+    groupoid (``validate(g) == []``)."""
+    return [(s, b) for s in generating_arrows(g)
+            for b in g.arrows_into(g.src[s])
+            if mats[s] * mats[b] != mats[g.comp[(s, b)]]]
 
 
 # ---------------------------------------------------------------------------

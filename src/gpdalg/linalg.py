@@ -41,7 +41,8 @@ class Matrix:
     """Dense matrix over a ScalarRing, entries stored row-major.
 
     Each row's nonzero (column, entry) pairs are memoised in `_nz` on
-    first use, for `apply` and for products by this matrix on the right;
+    first use (`_nonzero_rows`, the one place that finds zeros), for
+    `apply`, both factors of a product and the right operand of a sum;
     `entries` stays the one representation, and equality and hashing
     ignore the memo.
     """
@@ -84,13 +85,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(ring, n, n,
-                   [ring.one if i == j else ring.zero
-                    for i in range(n) for j in range(n)])
+        return cls._trusted(ring, n, n, [ring.one if i == j else ring.zero
+                                         for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, ring, nrows, ncols):
-        return cls(ring, nrows, ncols, [ring.zero] * (nrows * ncols))
+        return cls._trusted(ring, nrows, ncols, [ring.zero] * (nrows * ncols))
 
     def at(self, i, j):
         return self.entries[i * self.ncols + j]
@@ -143,20 +143,19 @@ class Matrix:
             raise DimensionMismatchError("shapes %dx%d and %dx%d"
                                          % (self.nrows, self.ncols,
                                             other.nrows, other.ncols))
-        # Row i, then k, then column j, skipping zeros on both sides: a
-        # block-monomial product costs O(dim^2), not O(dim^3).  Exact,
-        # since the dropped terms are zero.
+        # Row i, then k, then column j, over the nonzero entries of both
+        # factors: a block-monomial product costs O(dim^2), not O(dim^3).
+        # Exact, since the dropped terms are zero.
         R = self.ring
         add, mul = R.add, R.mul
-        k, c = self.ncols, other.ncols
+        c = other.ncols
         sparse_rows = other._nonzero_rows()
         out = []
-        for i in range(self.nrows):
+        for row in self._nonzero_rows():
             acc = [R.zero] * c
-            for a, row in zip(self.entries[i * k:(i + 1) * k], sparse_rows):
-                if a:
-                    for j, b in row:
-                        acc[j] = add(acc[j], mul(a, b))
+            for k, a in row:
+                for j, b in sparse_rows[k]:
+                    acc[j] = add(acc[j], mul(a, b))
             out.extend(acc)
         return Matrix._trusted(R, self.nrows, c, out)
 
@@ -167,14 +166,15 @@ class Matrix:
             raise RingMismatchError("matrix sum over different rings")
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatchError("matrix sum shape mismatch")
-        R = self.ring
-        return Matrix._trusted(R, self.nrows, self.ncols,
-                               [R.add(a, b) for a, b
-                                in zip(self.entries, other.entries)])
+        R, c = self.ring, self.ncols
+        out = list(self.entries)
+        for i, row in enumerate(other._nonzero_rows()):
+            for j, x in row:
+                out[i * c + j] = R.add(out[i * c + j], x)
+        return Matrix._trusted(R, self.nrows, c, out)
 
     def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(x == z for x in self.entries)
+        return not any(self._nonzero_rows())
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.ring == other.ring \
@@ -196,9 +196,10 @@ def poly_at(poly, X: Matrix) -> Matrix:
     """The integer polynomial (low-first coefficients) at X, by Horner."""
     R, d = X.ring, X.nrows
     P = Matrix.zeros(R, d, d)
-    for c in reversed(poly):
-        P = P * X + Matrix(R, d, d, [R.coerce(c) if i == j else R.zero
-                                     for i in range(d) for j in range(d)])
+    for c in map(R.coerce, reversed(poly)):
+        P = P * X + Matrix._trusted(R, d, d, [c if i == j else R.zero
+                                              for i in range(d)
+                                              for j in range(d)])
     return P
 
 

@@ -20,7 +20,8 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .groupoid import FiniteGroupoid, IsotropyGroup, generating_arrows
+from .groupoid import (FiniteGroupoid, IsotropyGroup, functor_breaks,
+                       generating_arrows)
 from .ideals import Ideal
 from .linalg import (
     DEFAULT_BOUND,
@@ -105,37 +106,23 @@ def matrix_invertible(M: Matrix) -> bool:
 def rep_validate(rho: Rep) -> list[str]:
     """Multiplicativity on the generating arrows and unitarity.
 
-    Checks rho(s) rho(b) = rho(sb) for s in ``generating_arrows`` and
-    every b with r(b) = d(s), then rho(e_u) rho(e_v) = 0 on distinct
-    units, in (s, b) order, and that the units sum to the identity.
-    Every arrow is a word in the generating arrows, so induction on the
-    length of a = s a' gives the other composable pairs:
-    rho(a) rho(b) = rho(s) rho(a') rho(b) = rho(s) rho(a'b) = rho(ab).
-    Every non-composable product then vanishes:
-    rho(a) rho(b) = rho(a) rho(e_d(a)) rho(e_r(b)) rho(b) = 0.  That
-    argument assumes a valid groupoid (``validate(g) == []``).  On a
+    The pairs ``functor_breaks`` finds, then rho(e_u) rho(e_v) = 0 on
+    distinct units, then that the units sum to the identity.  When all
+    hold, every non-composable product vanishes too:
+    rho(a) rho(b) = rho(a) rho(e_d(a)) rho(e_r(b)) rho(b) = 0.  On a
     group these are the module axioms: rho(g) rho(g^-1) = rho(e) = 1
     makes rho(g) invertible.
     """
-    errs = []
     g = rho.groupoid
     MR = rho.matrix_ring
-    zero = Matrix.zeros(MR, rho.dim, rho.dim)
-    for s in generating_arrows(g):
-        for b in g.arrows_into(g.src[s]):
-            if rho.mats[s] * rho.mats[b] != rho.mats[g.comp[(s, b)]]:
-                errs.append("rho(e_%d) rho(e_%d) != rho(e_%d%d)"
-                            % (s, b, s, b))
+    errs = ["rho(e_%d) rho(e_%d) != rho(e_%d%d)" % (s, b, s, b)
+            for s, b in functor_breaks(g, rho.mats)]
     units = g.unit_of
-    for u in units:
-        for v in units:
-            if u != v and rho.mats[u] * rho.mats[v] != zero:
-                errs.append("rho(e_%d) rho(e_%d) != 0 on non-composable pair"
-                            % (u, v))
-    total = Matrix.zeros(MR, rho.dim, rho.dim)
-    for e in units:
-        total = total + rho.mats[e]
-    if total != Matrix.identity(MR, rho.dim):
+    errs += ["rho(e_%d) rho(e_%d) != 0 on non-composable pair" % (u, v)
+             for u in units for v in units
+             if u != v and not (rho.mats[u] * rho.mats[v]).is_zero()]
+    if sum((rho.mats[e] for e in units), Matrix.zeros(MR, rho.dim, rho.dim)) \
+            != Matrix.identity(MR, rho.dim):
         errs.append("unit indicators do not sum to the identity")
     return errs
 
@@ -215,8 +202,7 @@ def _intertwiners(A, B) -> Subspace:
     nunk = d2 * d1
     rows = []
     for M1, M2 in zip(A.action_mats(), B.action_mats()):
-        cols1 = [[(k, x) for k, x in enumerate(M1.entries[j::d1]) if x]
-                 for j in range(d1)]
+        cols1 = M1.transpose()._nonzero_rows()
         rows2 = M2._nonzero_rows()
         for i in range(d2):
             for j in range(d1):

@@ -177,6 +177,26 @@ def reference_matmul(A, B):
     return Matrix(R, A.nrows, B.ncols, out)
 
 
+def reference_left_mult_matrix(g, ring, a):
+    """Matrix of f -> e_a * f on the arrow basis."""
+    m = g.n_arrows
+    ent = [ring.zero] * (m * m)
+    for (x, b), c in g.comp.items():
+        if x == a:
+            ent[c * m + b] = ring.one
+    return Matrix(ring, m, m, ent)
+
+
+def reference_right_mult_matrix(g, ring, a):
+    """Matrix of f -> f * e_a on the arrow basis."""
+    m = g.n_arrows
+    ent = [ring.zero] * (m * m)
+    for (b, x), c in g.comp.items():
+        if x == a:
+            ent[c * m + b] = ring.one
+    return Matrix(ring, m, m, ent)
+
+
 def reference_rref(ring, work, width):
     """Slow reference for ``linalg.canonical_rows`` over a field: batch
     Gauss-Jordan elimination, column by column over all rows.

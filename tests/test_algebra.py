@@ -20,7 +20,11 @@ from gpdalg import (
     zero_element,
 )
 
-from conftest import named_pool, swap3, zg
+from gpdalg.ideals import _arrow_actions
+from gpdalg.modules import regular_rep
+
+from conftest import (named_pool, reference_left_mult_matrix,
+                      reference_right_mult_matrix, swap3, zg)
 
 Q = ring_from_spec("q")
 F2 = ring_from_spec("fp:2")
@@ -119,6 +123,42 @@ def test_mult_matrices_agree_with_convolution():
         f = rand_elt(g, F5, rng)
         assert L.apply(f.coeffs) == (basis_element(g, F5, a) * f).coeffs
         assert R.apply(f.coeffs) == (f * basis_element(g, F5, a)).coeffs
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3", "zn:4"])
+def test_mult_matrices_match_reference(spec):
+    # The one builder places only arrow a's own composites; the reference
+    # scans the whole composition table and coerces every entry.
+    ring = ring_from_spec(spec)
+    for name, g in named_pool():
+        for a in range(g.n_arrows):
+            for got, want in ((left_mult_matrix(g, ring, a),
+                               reference_left_mult_matrix(g, ring, a)),
+                              (right_mult_matrix(g, ring, a),
+                               reference_right_mult_matrix(g, ring, a))):
+                assert got == want, (name, a)
+                assert [type(x) for x in got.entries] \
+                    == [type(x) for x in want.entries], (name, a)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:3"])
+def test_arrow_actions_are_built_without_coercion(spec, monkeypatch):
+    # Their 0/1 entries are the ring's own zero and one, so building the
+    # regular module and the ideal actions coerces nothing.
+    ring = ring_from_spec(spec)
+    calls = []
+    coerce = type(ring).coerce
+
+    def counted(self, x):
+        calls.append(x)
+        return coerce(self, x)
+
+    monkeypatch.setattr(type(ring), "coerce", counted)
+    g = pair_groupoid(5)
+    assert regular_rep(g, ring).dim == 25
+    assert len(_arrow_actions(g, ring)) == 2 * 13
+    assert calls == []
+    assert ring.coerce(2) is not None and len(calls) == 1
 
 
 def test_support_and_zero():

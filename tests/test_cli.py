@@ -103,6 +103,33 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _unreadable_argv(case, tmp_path):
+    """The argv of one input that cannot be read as JSON text."""
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes('{"objects": "\xe9"}'.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    return {
+        "directory-in": ["compute", "orbits", "--in", str(tmp_path)],
+        "non-utf8-in": ["compute", "orbits", "--in", str(latin)],
+        "deep-in": ["compute", "orbits", "--in", str(deep)],
+        "deep-ideal-gens": ["verify", "ideal-intersection", "--gen",
+                            "group:z2", "--ideal-gens", deep.read_text()],
+        "directory-out": ["compute", "orbits", "--gen", "pair:2", "--out",
+                          str(tmp_path)],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["directory-in", "non-utf8-in", "deep-in",
+                                  "deep-ideal-gens", "directory-out"])
+def test_unreadable_input_exits_2_with_one_line(case, tmp_path, capsys):
+    # Each of these printed a traceback and exited 1: IsADirectoryError,
+    # UnicodeDecodeError and RecursionError escaped the error handling.
+    code, out, err = run(capsys, *_unreadable_argv(case, tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field,value", [
     ("objects", 1.9), ("units", [True]), ("arrows", [{"d": 0, "r": 0.2}]),
     ("arrows", [{"d": "0", "r": 0}])])
@@ -469,6 +496,22 @@ def test_search_jobs_keep_their_bytes(argv, digest, capsys):
     # digests were recorded with a per-vector spin loop in is_simple, a
     # pairwise join queue in invariant_lattice and, for --all-ideals, the
     # lattice of the whole algebra in n_arrows dimensions.
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("compute stalks --gen pair:10 --ring q",
+     "9d0014f8a2b50b267cea3055ee0d0a75ee881983791a84a2e7e5cded294929f5"),
+    ("compute stalks --gen pair:8 --ring zn:4",
+     "fb70b1a01fecd49227267b506e9416873f11fec2b87def11766d0e1bd2f2a3a6"),
+])
+def test_large_stalk_jobs_keep_their_bytes(argv, digest, capsys):
+    # Larger than the benchmark's pair:4 and pair:5, so the products and
+    # sums that skip zeros on both sides are checked on 100x100 and 64x64
+    # matrices; the digests were recorded with the dense left factor and
+    # the entrywise sum.
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -183,6 +183,12 @@ def test_rep_validate_multiplies_only_on_generating_arrows(n, monkeypatch):
     assert len(calls) == expected
     if n == 10:
         assert expected == 370
+    # sheaf_validate runs the same functor check, without the unit
+    # products.
+    S = sheaf_of(rho)
+    calls.clear()
+    assert sheaf_validate(S) == []
+    assert len(calls) == expected - n * (n - 1)
 
 
 def test_builtin_modules_validate():
