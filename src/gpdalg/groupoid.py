@@ -199,42 +199,38 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
 
 def validate_group_table(table) -> list[str]:
     """Group axioms for a multiplication table table[a][b] = ab."""
+    return _group_table(table)[0]
+
+
+def _group_table(table) -> tuple:
+    """(errors, identity, inverses) of a multiplication table: the failed
+    group axioms, then the identity and each element's inverse, each found
+    once (None where missing, or before the checks reach them)."""
     k = len(table)
-    errs = []
     for row in table:
         if len(row) != k:
-            return ["table is not square"]
+            return ["table is not square"], None, None
     for row in table:
         for x in row:
             if not 0 <= x < k:
-                return ["table entry %r out of range" % (x,)]
-    ident = None
-    for e in range(k):
-        if all(table[e][x] == x and table[x][e] == x for x in range(k)):
-            ident = e
-            break
+                return ["table entry %r out of range" % (x,)], None, None
+    ident = next((e for e in range(k)
+                  if all(table[e][x] == x and table[x][e] == x
+                         for x in range(k))), None)
     if ident is None:
-        errs.append("no identity element")
-        return errs
-    for a in range(k):
-        if not any(table[a][b] == ident and table[b][a] == ident
-                   for b in range(k)):
-            errs.append("element %d has no inverse" % a)
+        return ["no identity element"], None, None
+    inv = [next((b for b in range(k)
+                 if table[a][b] == ident and table[b][a] == ident), None)
+           for a in range(k)]
+    errs = ["element %d has no inverse" % a
+            for a in range(k) if inv[a] is None]
     for a in range(k):
         for b in range(k):
             for c in range(k):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     errs.append("associativity fails at (%d,%d,%d)" % (a, b, c))
-                    return errs
-    return errs
-
-
-def group_identity(table) -> int:
-    k = len(table)
-    for e in range(k):
-        if all(table[e][x] == x and table[x][e] == x for x in range(k)):
-            return e
-    raise ConstructionError("no identity element in group table")
+                    return errs, ident, inv
+    return errs, ident, inv
 
 
 def cyclic_table(k: int) -> list[list[int]]:
@@ -253,14 +249,13 @@ def action_groupoid(table, perms) -> FiniteGroupoid:
     element ``gel``; arrow (gel, x) runs from x to perms[gel][x] and the
     arrow id is gel * X + x.
     """
-    errs = validate_group_table(table)
+    errs, ident, ginv = _group_table(table)
     if errs:
         raise ConstructionError("bad group table: %s" % errs[0])
     k = len(table)
     if len(perms) != k:
         raise ConstructionError("need one permutation per group element")
     npts = len(perms[0])
-    ident = group_identity(table)
     for p in perms:
         if len(p) != npts or sorted(p) != list(range(npts)):
             raise ConstructionError("action entry %r is not a permutation" % (p,))
@@ -282,9 +277,6 @@ def action_groupoid(table, perms) -> FiniteGroupoid:
         for b in range(k):
             for x in range(npts):
                 comp[(aid(a, perms[b][x]), aid(b, x))] = aid(table[a][b], x)
-    ginv = [next(b for b in range(k)
-                 if table[a][b] == ident and table[b][a] == ident)
-            for a in range(k)]
     inv = [aid(ginv[gel], perms[gel][x])
            for gel in range(k) for x in range(npts)]
     return FiniteGroupoid(npts, arrows, units, comp, inv)

@@ -470,12 +470,9 @@ class Subspace:
         R = self.ring
         if R.size is None:
             raise UnsupportedRingError("infinite ring")
-        if R.is_field:
-            return R.size ** len(self.basis)
-        n = R.modulus
         count = 1
         for b, p in zip(self.basis, self.pivots):
-            count *= n // b[p]
+            count *= R.size // b[p]  # every pivot is 1 over a field
         return count
 
     def _check_compatible(self, other):
@@ -497,17 +494,20 @@ class Subspace:
             len(self.basis), self.ambient_dim, self.ring.spec_string())
 
 
-def _relations(ring, vectors, width) -> list[tuple]:
-    """Generators of {c : sum_i c_i v_i = 0}, for vectors in R^width.
+def _relations(ring, vectors, width, tags=None) -> list[tuple]:
+    """Canonical basis (RREF or Howell) of {sum_i c_i t_i : sum_i c_i v_i
+    = 0}, for v_i in R^width with tags t_i (by default e_i: the relations).
 
-    Read off the canonical form of the rows [v_i | e_i]: the rows whose
-    left block vanished record the vanishing combinations.  Over Z/n the
-    Howell property guarantees that they generate every one.
+    In one canonical form of the rows [v_i | t_i], the rows whose left
+    block vanished span every [0 | t] of the span (over Z/n by the Howell
+    property), and their right blocks are in RREF or Howell form: the
+    canonical basis, with no second elimination.
     """
-    k = len(vectors)
-    aug = [list(v) + [ring.one if t == i else ring.zero for t in range(k)]
-           for i, v in enumerate(vectors)]
-    return [row[width:] for row in canonical_rows(ring, aug, width + k)
+    if tags is None:
+        tags = Matrix.identity(ring, len(vectors)).rows()
+    rows = [list(v) + list(t) for v, t in zip(vectors, tags)]
+    return [row[width:] for row
+            in canonical_rows(ring, rows, len(rows[0]) if rows else width)
             if not any(row[:width])]
 
 
@@ -515,35 +515,31 @@ def mat_kernel(mat: Matrix) -> Subspace:
     """Kernel {x : mat @ x = 0}: the relations among the columns."""
     R = mat.ring
     cols = [mat.col(j) for j in range(mat.ncols)]
-    return Subspace(R, mat.ncols, _relations(R, cols, mat.nrows))
+    return Subspace._trusted(R, mat.ncols, _relations(R, cols, mat.nrows))
 
 
 def left_kernel(mat: Matrix) -> Subspace:
     """{x : x @ mat = 0}: the relations among the rows."""
     R = mat.ring
-    return Subspace(R, mat.nrows, _relations(R, mat.rows(), mat.ncols))
+    return Subspace._trusted(R, mat.nrows,
+                             _relations(R, mat.rows(), mat.ncols))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection (Zassenhaus): the rows (a_i | a_i) and (b_j | 0) span
-    the pairs (x + y | x) with x in a and y in b, and those with left
-    half zero carry the meet on the right.  The rows of one canonical
-    form whose left half vanished span them (over Z/n by the Howell
-    property), and their right halves are already the canonical basis
-    of the meet."""
+    """Intersection (Zassenhaus): x = sum_i c_i a_i lies in b iff
+    sum_i c_i a_i + sum_j d_j b_j = 0 for some d, so the meet is the
+    tags of the relations among a's and b's rows, a_i tagged by itself
+    and b_j by 0."""
     a._check_compatible(b)
     R, dim = a.ring, a.ambient_dim
-    zero = (R.zero,) * dim
-    rows = [r + r for r in a.basis] + [r + zero for r in b.basis]
-    return Subspace._trusted(R, dim, [
-        row[dim:] for row in canonical_rows(R, rows, 2 * dim)
-        if not any(row[:dim])])
+    return Subspace._trusted(R, dim, _relations(
+        R, a.basis + b.basis, dim, a.basis + ((R.zero,) * dim,) * b.num_rows))
 
 
 def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
-    """{x : mat @ x lies in target}: the x-part of the relations
-    sum x_j mat_j - sum y_t t_t = 0 among mat's columns and the negated
-    target rows."""
+    """{x : mat @ x lies in target}: the relations among mat's columns
+    and the negated target rows, tagged by their x-part (e_j on column
+    j, 0 on the target rows)."""
     R = mat.ring
     if target.ring != R:
         raise RingMismatchError("preimage target over a different ring")
@@ -553,7 +549,8 @@ def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
     k = mat.ncols
     vectors = [mat.col(j) for j in range(k)]
     vectors.extend(tuple(R.neg(x) for x in t) for t in target.basis)
-    return Subspace(R, k, [c[:k] for c in _relations(R, vectors, mat.nrows)])
+    tags = [e[:k] for e in Matrix.identity(R, len(vectors)).rows()]
+    return Subspace._trusted(R, k, _relations(R, vectors, mat.nrows, tags))
 
 
 def _columns(ring, vectors, width) -> Matrix:

@@ -229,9 +229,10 @@ def charpoly(M: Matrix) -> list[int]:
 
 
 def _is_scalar(M: Matrix) -> bool:
+    """Whether M = c*1, read off the memoised nonzero rows."""
     c = M.entries[0]
-    return all(x == (c if i == j else 0) for i, row in enumerate(M.rows())
-               for j, x in enumerate(row))
+    return all(row == ([(i, c)] if c else [])
+               for i, row in enumerate(M._nonzero_rows()))
 
 
 def _words(maps):
@@ -266,7 +267,8 @@ def proper_submodule(maps, field, dim: int, bound: int) -> Subspace | None:
             W = closure(duals, Subspace._trusted(
                 field, dim, left_kernel(T).basis[:1]))
             if W.num_rows < dim:
-                return mat_kernel(Matrix.from_rows(field, W.basis))
+                return mat_kernel(Matrix._trusted(
+                    field, W.num_rows, dim, [x for w in W.basis for x in w]))
             if K.num_rows == len(f) - 1:
                 return None
             if fallback is None or K.num_rows < fallback.num_rows:

@@ -152,7 +152,8 @@ def module_annihilator_space(rho: Rep) -> Subspace:
     there: the annihilator as a subspace over the ambient ring,
     unchecked."""
     MR = rho.matrix_ring
-    kern = left_kernel(Matrix.from_rows(MR, [M.entries for M in rho.mats]))
+    flat = [x for M in rho.mats for x in M.entries]
+    kern = left_kernel(Matrix._trusted(MR, len(rho.mats), rho.dim ** 2, flat))
     if MR == rho.ring:
         return kern
     return _residue_lift_space(rho.ring, MR, kern)
@@ -214,10 +215,10 @@ def _intertwiners(A, B) -> Subspace:
                     row[t] = MR.sub(row[t], x)
                 # The unit of a group acts as 1 on both sides: no condition.
                 if any(row):
-                    rows.append(tuple(row))
-    if not rows:
-        return Subspace.full(MR, nunk)
-    return mat_kernel(Matrix.from_rows(MR, rows))
+                    rows.append(row)
+    # With no condition, the kernel of the 0 x nunk system is everything.
+    return mat_kernel(Matrix._trusted(MR, len(rows), nunk,
+                                      [x for r in rows for x in r]))
 
 
 def is_isomorphic(A, B, bound: int = DEFAULT_BOUND) -> bool:
@@ -414,7 +415,8 @@ def sign_module(G: IsotropyGroup, ring: ScalarRing) -> IsotropyModule:
     if gen is None or G.order % 2 != 0:
         raise ConstructionError("sign module needs a cyclic group of even "
                                 "order")
-    return _cyclic_module(G, gen, Matrix(ring, 1, 1, [ring.neg(ring.one)]))
+    return _cyclic_module(G, gen,
+                          Matrix._trusted(ring, 1, 1, [ring.neg(ring.one)]))
 
 
 def regular_module(G: IsotropyGroup, ring: ScalarRing) -> IsotropyModule:
@@ -458,7 +460,7 @@ def _companion(ring, poly) -> Matrix:
         ent[i * d + (i - 1)] = ring.one
     for i in range(d):
         ent[i * d + (d - 1)] = ring.neg(ring.coerce(poly[i]))
-    return Matrix(ring, d, d, ent)
+    return Matrix._trusted(ring, d, d, ent)
 
 
 def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
@@ -502,7 +504,8 @@ def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
     simples = composition_factors(reg, bound)
     tops = {}
     M = reg
-    while M.dim:
+    # Every composition factor tops some step; later steps add nothing.
+    while len(tops) < len(simples):
         N, i = _first_maximal(M, simples, bound)
         if i not in tops:
             tops[i] = rep_quotient(M, N)

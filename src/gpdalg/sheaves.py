@@ -167,7 +167,8 @@ def is_simple(rho: Rep, bound: int = DEFAULT_BOUND) -> bool:
 
 def gamma_c(S: SheafData) -> Rep:
     """Reassemble the module of global sections: an element f sends the
-    section value at d(a) through the arrow matrix into the block at r(a)."""
+    section value at d(a) through the arrow matrix into the block at r(a),
+    so each matrix's nonzero entries land in block (r(a), d(a))."""
     g = S.groupoid
     MR = S.matrix_ring
     offsets = []
@@ -179,10 +180,10 @@ def gamma_c(S: SheafData) -> Rep:
     for a in range(g.n_arrows):
         v, w = g.src[a], g.tgt[a]
         ent = [MR.zero] * (total * total)
-        B = S.arrow_mats[a]
-        for i in range(S.stalk_dims[w]):
-            for j in range(S.stalk_dims[v]):
-                ent[(offsets[w] + i) * total + (offsets[v] + j)] = B.at(i, j)
+        for i, row in enumerate(S.arrow_mats[a]._nonzero_rows()):
+            at = (offsets[w] + i) * total + offsets[v]
+            for j, x in row:
+                ent[at + j] = x
         mats.append(Matrix._trusted(MR, total, total, ent))
     return Rep(g, S.ring, total, mats, matrix_ring=MR)
 
@@ -196,7 +197,7 @@ def disintegration_iso(rho: Rep) -> Matrix:
     # Stalk coordinates of unit_u m are its entries at the pivots.
     rows = [rho.mats[g.unit_of[u]].row(p) for u in range(g.n_objects)
             for p in S.stalk_bases[u].pivots]
-    T = Matrix.from_rows(MR, rows) if rows else Matrix.zeros(MR, 0, rho.dim)
+    T = Matrix._trusted(MR, len(rows), rho.dim, [x for r in rows for x in r])
     if T.nrows != rho.dim:
         raise ConstructionError("stalk dimensions sum to %d, module has %d"
                                 % (T.nrows, rho.dim))

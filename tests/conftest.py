@@ -720,6 +720,13 @@ def reference_is_simple(module, bound=DEFAULT_BOUND):
                for phi in phis)
 
 
+def reference_is_scalar(M):
+    """Slow reference for ``meataxe._is_scalar``: every dense entry."""
+    c = M.entries[0]
+    return all(x == (c if i == j else 0) for i, row in enumerate(M.rows())
+               for j, x in enumerate(row))
+
+
 RING_SPECS = ("q", "fp:2", "fp:3", "zn:4")
 
 

@@ -82,6 +82,33 @@ def test_action_groupoid_shape():
         action_groupoid(cyclic_table(2), [(0, 1), (0, 0)])
 
 
+def test_group_table_errors_keep_their_messages():
+    # The identity and the inverses are found once, for the axiom checks
+    # and for the action groupoid's units and inverse arrows alike.
+    from gpdalg import action_groupoid
+    from gpdalg.groupoid import validate_group_table
+    assert validate_group_table([[0, 1], [1]]) == ["table is not square"]
+    assert validate_group_table([[0, 2], [1, 0]]) \
+        == ["table entry 2 out of range"]
+    assert validate_group_table([[1, 0], [0, 0]]) == ["no identity element"]
+    assert validate_group_table([[0, 1], [1, 1]]) \
+        == ["element 1 has no inverse"]
+    assert validate_group_table([[0, 1, 2, 3], [1, 0, 1, 1], [2, 2, 0, 2],
+                                 [3, 3, 3, 0]]) \
+        == ["associativity fails at (1,1,2)"]
+    with pytest.raises(ConstructionError,
+                       match="^bad group table: no identity element$"):
+        action_groupoid([[1, 0], [0, 0]], [(0,), (0,)])
+    with pytest.raises(ConstructionError,
+                       match="^identity element must act trivially$"):
+        action_groupoid(cyclic_table(2), [(1, 0), (0, 1)])
+    for table in (cyclic_table(5), klein_table()):
+        g = action_groupoid(table, [(0,)] * len(table))
+        assert validate(g) == []
+        assert all(table[a][g.inv[a]] == g.unit_of[0]
+                   for a in range(len(table)))
+
+
 def groupoids_isomorphic(g, h):
     """Brute-force isomorphism search, for tiny instances only."""
     if g.n_objects != h.n_objects or g.n_arrows != h.n_arrows:

@@ -32,6 +32,7 @@ from gpdalg import (
 )
 
 from gpdalg.groupoid import orbit_blocks
+from gpdalg.ideals import _closed_two_sided
 
 from conftest import (
     named_pool,
@@ -184,6 +185,24 @@ def test_induced_from_simple_is_simple():
                 for N in simple_modules_group(isotropy(g, u), ring):
                     rho = induce(g, ring, u, N)
                     assert is_simple(rho), (name, u)
+
+
+@pytest.mark.parametrize("spec", ("q", "fp:3", "zn:4", "zn:9"))
+def test_annihilators_of_induced_simples_are_closed(spec):
+    # The primitive-ideal verdicts compare Ann(Ind N) with the induced
+    # ideal as spaces and do not check its closure on the whole algebra;
+    # that closure is checked here, on every induced simple of the pool.
+    ring = ring_from_spec(spec)
+    checked = 0
+    for name, g in named_pool():
+        for u in orbits(g).representatives:
+            for N in simple_modules_group(isotropy(g, u), ring):
+                space = module_annihilator_space(induce(g, ring, u, N))
+                assert _closed_two_sided(g, ring, space) is None, (name, u)
+                assert space \
+                    == induced_annihilator_direct(g, ring, u, N).space
+                checked += 1
+    assert checked >= len(named_pool())
 
 
 def test_distinct_orbits_give_nonisomorphic_induced():

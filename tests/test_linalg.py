@@ -311,6 +311,30 @@ def test_kernels_match_reference(spec):
                         == reference_subspace_intersect(rows, other)
 
 
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_kernels_return_canonical_relation_rows(spec):
+    # mat_kernel and left_kernel hand the relation rows of one canonical
+    # form straight to Subspace._trusted; they must be the canonical basis
+    # (entry types included) that the coercing route builds, on every
+    # shape, 0 x k and k x 0 included.
+    ring = ring_from_spec(spec)
+    rng = random.Random("trusted-kernels/" + spec)
+    shapes = [(0, k) for k in range(4)] + [(k, 0) for k in range(4)]
+    shapes += [(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(40)]
+    for n, k in shapes:
+        A = _random_matrix(rng, ring, n, k, rng.choice((0.2, 0.5, 0.9)))
+        for got, want, dim in ((mat_kernel(A), reference_mat_kernel(A), k),
+                               (left_kernel(A), reference_left_kernel(A), n)):
+            assert got == want, (n, k)
+            assert got.pivots == want.pivots, (n, k)
+            assert got.basis == canonical_rows(ring, got.basis, dim)
+            assert [list(map(type, r)) for r in got.basis] \
+                == [list(map(type, r)) for r in want.basis], (n, k)
+    assert mat_kernel(Matrix(ring, 0, 3, [])) == Subspace.full(ring, 3)
+    assert left_kernel(Matrix(ring, 3, 0, [])) == Subspace.full(ring, 3)
+    assert mat_kernel(Matrix(ring, 3, 0, [])) == Subspace.zero(ring, 0)
+
+
 def _random_map(rng, ring, dim):
     # A dense map, a sparse nilpotent one (strictly upper triangular, at
     # times zero, which leaves every subspace invariant) or a permutation

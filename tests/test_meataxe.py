@@ -28,7 +28,7 @@ from gpdalg import (
     ring_from_spec,
     trivial_module,
 )
-from gpdalg import meataxe
+from gpdalg import meataxe, modules
 from gpdalg.linalg import poly_at
 from gpdalg.meataxe import (
     _divmod,
@@ -50,6 +50,7 @@ from conftest import (
     block_sum,
     klein_table,
     named_pool,
+    reference_is_scalar,
     reference_is_simple,
     reference_maximal_submodules,
     reference_primitive_ideal_oracle,
@@ -136,6 +137,26 @@ def test_simple_modules_group_matches_the_lattice(spec):
         want = reference_simple_modules_group(G, F)
         assert [(N.dim, N.mats) for N in got] \
             == [(N.dim, N.mats) for N in want], name
+
+
+def test_the_walk_stops_once_every_factor_has_its_top(monkeypatch):
+    # F_2[Z/8] is uniserial with the trivial module as its one composition
+    # factor: the first step finds its top, and the seven steps down the
+    # rest of the series would only discard their results.
+    F = ring_from_spec("fp:2")
+    G = isotropy(zg(8), 0)
+    dims = []
+    first_maximal = modules._first_maximal
+
+    def counted(M, simples, bound):
+        dims.append(M.dim)
+        return first_maximal(M, simples, bound)
+
+    monkeypatch.setattr(modules, "_first_maximal", counted)
+    got = simple_modules_group(G, F)
+    assert dims == [8]
+    assert [(N.dim, N.mats) for N in got] == [
+        (N.dim, N.mats) for N in reference_simple_modules_group(G, F)]
 
 
 @pytest.mark.parametrize("spec", FIELDS)
@@ -251,6 +272,33 @@ def test_scalar_maps_split_off_a_line():
                                                     0, 0, 2])]
     assert proper_submodule(maps, F, 3, 1).basis == ((1, 0, 0),)
     assert proper_submodule(maps[:1], F, 1, 1) is None
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_is_scalar_matches_the_dense_test(spec):
+    # _is_scalar reads the memoised nonzero rows; the reference scans
+    # every entry.
+    F = ring_from_spec(spec)
+    rng = random.Random("scalar/" + spec)
+    mats = []
+    for d in range(1, 5):
+        mats.append(Matrix.zeros(F, d, d))
+        mats += [Matrix(F, d, d, [c if i == j else 0 for i in range(d)
+                                  for j in range(d)])
+                 for c in range(1, F.size)]
+        if d > 1:
+            diag = [1] * (d - 1) + [0]
+            mats.append(Matrix(F, d, d, [diag[i] if i == j else 0
+                                         for i in range(d) for j in range(d)]))
+            mats.append(Matrix(F, d, d, [1 if i == j or (i, j) == (0, d - 1)
+                                         else 0 for i in range(d)
+                                         for j in range(d)]))
+        mats += [Matrix(F, d, d, [rng.randrange(F.size) if rng.random() < 0.5
+                                  else 0 for _ in range(d * d)])
+                 for _ in range(20)]
+    got = [meataxe._is_scalar(M) for M in mats]
+    assert got == [reference_is_scalar(M) for M in mats]
+    assert True in got and False in got
 
 
 def _is_irreducible(f, p):

@@ -355,6 +355,8 @@ def test_is_simple_basic():
     assert is_simple(trivial_module(G, Q))
     assert not is_simple(regular_module(G, Q))
     assert not is_simple(regular_module(G, F2))
+    # Q[Z3] = Q + Q(zeta_3): basis vectors and their sums all spin to it
+    assert not is_simple(regular_module(iso_group(zg(3)), Q))
     # the regular module of Z3 over F2 splits but is not simple
     assert not is_simple(regular_module(iso_group(zg(3)), F2))
 
@@ -674,6 +676,29 @@ def test_hom_space_matches_all_arrows_reference(spec):
     for A in mods:
         for B in mods:
             assert hom_space(A, B) == reference_hom_space(A, B)
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_hom_space_with_a_zero_module(spec):
+    # With no intertwining condition, the kernel of the 0 x k system is
+    # all of R^k: k = 0 next to a zero module, and k = 4 between sums of
+    # trivial modules of the trivial group, whose one arrow acts as 1.
+    ring = ring_from_spec(spec)
+    G = iso_group(zg(3))
+    zero = IsotropyModule(G, ring, 0, [Matrix.zeros(ring, 0, 0)] * G.order)
+    g = pair_groupoid(2)
+    zrep = Rep(g, ring, 0, [Matrix.zeros(ring, 0, 0)] * g.n_arrows)
+    pairs = [(zero, zero), (zero, regular_module(G, ring)),
+             (trivial_module(G, ring), zero),
+             (zrep, zrep), (zrep, regular_rep(g, ring)),
+             (regular_rep(g, ring), zrep)]
+    for A, B in pairs:
+        assert hom_space(A, B) == reference_hom_space(A, B) \
+            == Subspace.full(ring, 0)
+    T = trivial_module(iso_group(zg(1)), ring)
+    TT = block_sum(T, T)
+    assert hom_space(TT, TT) == reference_hom_space(TT, TT) \
+        == Subspace.full(ring, 4)
 
 
 def test_simplicity_over_zn_spins_non_unit_vectors():
