@@ -17,10 +17,9 @@ Its annihilator puts Ann(N) on every block.  An element f kills the
 induced module iff f vanishes off the orbit and, for every pair (v, w),
 the group algebra element collecting f over the arrows v -> w lies in
 Ann(N).  By the bijection these conditions only permute coordinates, so
-the annihilator is spanned by e_a for every arrow a off the orbit and,
-for every pair (v, w) and basis row b of Ann(N), the f with
-f(a) = b[t_w^{-1} a t_v] on the arrows v -> w and 0 elsewhere.  That is
-exact over every Z/n, and no system is solved.  Another transversal
+the annihilator is the ``product_ideal`` with Ann(N) on the orbit of u
+and the whole group algebra R[G_v] on every other orbit.  That is exact
+over every Z/n, and no system is solved.  Another transversal
 multiplies each block by loops on both sides, which fixes the two-sided
 ideal Ann(N), so the annihilator does not depend on the choice.
 """
@@ -28,8 +27,8 @@ ideal Ann(N), so the annihilator does not depend on the choice.
 from __future__ import annotations
 
 from .errors import ConstructionError, GroupoidMismatchError
-from .groupoid import FiniteGroupoid, isotropy, orbit_blocks
-from .ideals import Ideal, orbit_rows
+from .groupoid import FiniteGroupoid, isotropy, orbit_blocks, orbits
+from .ideals import Ideal, product_ideal
 from .linalg import Matrix, Subspace
 from .modules import IsotropyModule, Rep, module_annihilator_space
 from .rings import ScalarRing
@@ -59,21 +58,19 @@ def induce(g: FiniteGroupoid, ring: ScalarRing, u: int,
 def induced_annihilator_from_space(g: FiniteGroupoid, ring: ScalarRing,
                                    u: int, ann_space: Subspace) -> Ideal:
     """Annihilator of an induced module, given the annihilator of the
-    isotropy module as a subspace of the group algebra: every arrow off
-    the orbit, and Ann(N) on every block of the orbit.  That is an ideal
-    iff Ann(N) is one of R[G_u], so only Ann(N) is checked."""
+    isotropy module as a subspace of the group algebra: Ann(N) on every
+    block of the orbit, and every arrow off it.  That is an ideal iff
+    Ann(N) is one of R[G_u], so only Ann(N) is checked."""
     G = isotropy(g, u)
     if ann_space.ring != ring or ann_space.ambient_dim != G.order:
         raise ConstructionError("annihilator space must live in the group "
                                 "algebra of the isotropy group")
     Ideal(G.groupoid, ring, ann_space, check=True)
-    blocks = orbit_blocks(g, u)
-    on_orbit = {a for block in blocks for a in block}
-    m = g.n_arrows
-    gens = [[ring.one if i == a else ring.zero for i in range(m)]
-            for a in range(m) if a not in on_orbit]
-    gens += orbit_rows(ring, m, blocks, ann_space.basis)
-    return Ideal(g, ring, Subspace(ring, m, gens), check=False)
+    orb = orbits(g)
+    return product_ideal(g, ring, [
+        (u, ann_space) if orb.orbit_of[v] == orb.orbit_of[u]
+        else (v, Subspace.full(ring, isotropy(g, v).order))
+        for v in orb.representatives])
 
 
 def induced_annihilator_direct(g: FiniteGroupoid, ring: ScalarRing, u: int,

@@ -358,6 +358,9 @@ def canonical_rows(ring, rows, width):
     length `width`: each row is inserted into one pivot table."""
     table: dict[int, list] = {}
     for r in rows:
+        if len(r) != width:
+            raise DimensionMismatchError("row of length %d in width %d"
+                                         % (len(r), width))
         _insert(ring, table, list(ring.coerce_vector(r)))
     return _table_rows(ring, table)
 
@@ -370,11 +373,6 @@ class Subspace:
     def __init__(self, ring, ambient_dim, generators):
         self.ring = ring
         self.ambient_dim = ambient_dim
-        for gvec in generators:
-            if len(gvec) != ambient_dim:
-                raise DimensionMismatchError(
-                    "generator of length %d in ambient dimension %d"
-                    % (len(gvec), ambient_dim))
         self.basis = canonical_rows(ring, generators, ambient_dim)
         self.pivots = tuple(_first_nonzero(b, ring.zero) for b in self.basis)
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 from math import gcd
 
@@ -35,10 +36,13 @@ from gpdalg import (
     stalk_isotropy_module,
     subspace_preimage,
 )
+from gpdalg.algebra import left_mult_matrix, right_mult_matrix
+from gpdalg.cli import parse_generator_spec
 from gpdalg.errors import ConstructionError, NonFreeQuotientError
+from gpdalg.groupoid import generating_arrows, orbit_blocks, relabel_arrows
 from gpdalg.ideals import _arrow_actions
 from gpdalg.linalg import (_egcd, _first_nonzero, _unit_mult, closure,
-                           invariant_lattice, nonzero_vectors)
+                           first_escape, invariant_lattice, nonzero_vectors)
 from gpdalg.modules import (_cyclotomic, is_invariant, matrix_invertible,
                             regular_module, rep_validate)
 from gpdalg.sheaves import SheafData, _stalk_basis
@@ -89,6 +93,25 @@ def named_pool():
         ("z2+pt", disjoint_union(zg(2), pair_groupoid(1))),
         ("pair2+z3", disjoint_union(pair_groupoid(2), zg(3))),
     ]
+
+
+LAYOUT_SPECS = ("action:z4:1,0,3,2", "action:z6:1,2,0,4,5,3", "action:z8:1,0")
+
+
+def layout_pool():
+    """Each of LAYOUT_SPECS and one arrow-relabelled copy: orbit blocks
+    whose arrows are out of ascending order, which ``named_pool`` lacks
+    (2 and 6 at the orbit representatives of the first two specs).  Their
+    isotropy groups have order 2, where every reordering of a block is a
+    translation, which fixes every ideal; on the relabelled action:z8:1,0
+    (isotropy Z/4) it is not, so an ideal laid in the wrong order shows."""
+    pool = []
+    for spec in LAYOUT_SPECS:
+        g = parse_generator_spec(spec)
+        perm = list(range(g.n_arrows))
+        random.Random(spec).shuffle(perm)
+        pool += [(spec, g), (spec + "/relabelled", relabel_arrows(g, perm))]
+    return pool
 
 
 def all_subspaces(ring, dim):
@@ -469,6 +492,58 @@ def reference_enumerate_all_ideals(g, ring, bound=DEFAULT_BOUND):
     return [Ideal(g, ring, space, check=False)
             for space in invariant_lattice(_arrow_actions(g, ring), ring,
                                            g.n_arrows, bound)]
+
+
+def reference_arrow_actions(g, ring):
+    """Slow reference for ``ideals._arrow_actions``: left and right
+    multiplication by each generating arrow, interleaved, with the
+    identity and repeated matrices kept."""
+    return tuple(M for a in generating_arrows(g)
+                 for M in (left_mult_matrix(g, ring, a),
+                           right_mult_matrix(g, ring, a)))
+
+
+def reference_arrow_witness(g, actions, space):
+    """Slow reference for ``ideals._closed_two_sided``: the first escape
+    under `actions`, which are ``reference_arrow_actions(g, ring)``, its
+    index decoded into the side and the generating arrow."""
+    escape = first_escape(actions, space)
+    if escape is None:
+        return None
+    i, v = escape
+    return ("right" if i % 2 else "left", generating_arrows(g)[i // 2], v)
+
+
+def reference_orbit_rows(ring, m, blocks, rows):
+    """Each row of R[G_u] laid in R^m on every block of the orbit of u,
+    `blocks` being its ``orbit_blocks``, 0 off the orbit."""
+    laid = []
+    for block in blocks:
+        for b in rows:
+            f = [ring.zero] * m
+            for a, x in zip(block, b):
+                f[a] = x
+            laid.append(f)
+    return laid
+
+
+def reference_orbit_ideals(g, ring, bound=DEFAULT_BOUND):
+    """Slow reference for ``ideals.enumerate_all_ideals`` and its
+    ``product_ideal`` layout: every ideal of each R[G_u] laid on its
+    orbit's blocks (``reference_orbit_rows``), each choice of one per
+    orbit eliminated again in n_arrows dimensions."""
+    m = g.n_arrows
+    per_orbit = []
+    for u in orbits(g).representatives:
+        G = isotropy(g, u)
+        lattice = invariant_lattice(reference_arrow_actions(G.groupoid, ring),
+                                    ring, G.order, bound)
+        per_orbit.append([reference_orbit_rows(ring, m, orbit_blocks(g, u),
+                                               J.basis) for J in lattice])
+    spaces = [Subspace(ring, m, [f for rows in pick for f in rows])
+              for pick in product(*per_orbit)]
+    return [Ideal(g, ring, space, check=False)
+            for space in sorted(spaces, key=lambda s: (s.num_rows, s.basis))]
 
 
 def reference_hom_space(A, B):

@@ -6,6 +6,7 @@ import pytest
 from gpdalg import (
     ConstructionError,
     FiniteGroupoid,
+    Matrix,
     all_bisections,
     bisection,
     bisection_inv,
@@ -26,8 +27,9 @@ from gpdalg.cli import parse_generator_spec
 from gpdalg.groupoid import generating_arrows, group_generators
 from gpdalg.ideals import _arrow_actions
 
-from conftest import (cycle3, klein_table, named_pool, reference_orbits,
-                      swap2, swap3, zg)
+from conftest import (cycle3, klein_table, layout_pool, named_pool,
+                      reference_arrow_actions, reference_orbits, swap2,
+                      swap3, zg)
 
 
 def test_pool_validates():
@@ -257,10 +259,22 @@ def test_generating_arrow_counts():
         assert len(generating_arrows(zg(n))) == 2
     for n in range(1, 7):
         assert len(generating_arrows(pair_groupoid(n))) == 3 * n - 2
-    for name, g in named_pool():
+    # The arrow actions are the distinct non-identity matrices among the
+    # interleaved left and right actions, each labelled by its first copy.
+    for name, g in named_pool() + layout_pool():
         for spec in ("q", "fp:2"):
-            assert len(_arrow_actions(g, ring_from_spec(spec))) \
-                == 2 * len(generating_arrows(g)), name
+            ring = ring_from_spec(spec)
+            labelled = {}
+            for i, M in enumerate(reference_arrow_actions(g, ring)):
+                labelled.setdefault(M, ("right" if i % 2 else "left",
+                                        generating_arrows(g)[i // 2]))
+            labelled.pop(Matrix.identity(ring, g.n_arrows), None)
+            assert len(_arrow_actions(g, ring)) == len(labelled), name
+            assert list(_arrow_actions(g, ring).items()) \
+                == list(labelled.items()), name
+    Q = ring_from_spec("q")
+    assert len(_arrow_actions(zg(18), Q)) == 1
+    assert len(_arrow_actions(pair_groupoid(5), Q)) == 26
 
 
 def test_group_generators_klein():

@@ -382,6 +382,21 @@ def test_unit_mult_matches_scan():
             assert _unit_mult(a, n) == scan(a, n), (a, n)
 
 
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_canonical_rows_refuses_rows_of_the_wrong_length(spec):
+    # A short row was read as a member of the span, and a long one left a
+    # ragged basis.
+    ring = ring_from_spec(spec)
+    for rows in ([(1,)], [(1, 0), (1,)], [(1, 0, 1)], [(0, 1), (1, 0, 1)],
+                 [(1,), (1, 0, 1)], [()]):
+        with pytest.raises(DimensionMismatchError, match="in width 2"):
+            canonical_rows(ring, rows, 2)
+        with pytest.raises(DimensionMismatchError):
+            Subspace(ring, 2, rows)
+    assert canonical_rows(ring, [(0, 1), (1, 0)], 2) == ((1, 0), (0, 1))
+    assert canonical_rows(ring, [], 2) == ()
+
+
 def test_rref_canonical_and_idempotent():
     rows = [(2, 4, 2), (1, 2, 3), (3, 6, 5)]
     can = canonical_rows(Q, [Q.coerce_vector(r) for r in rows], 3)

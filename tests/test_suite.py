@@ -37,6 +37,8 @@ from conftest import (
     all_subspaces,
     klein_table,
     named_pool,
+    reference_arrow_actions,
+    reference_arrow_witness,
     reference_closed_two_sided,
     reference_ideal_space,
     reference_stalk_annihilator_space,
@@ -242,10 +244,14 @@ def test_lattice_matches_brute_force_subspaces(spec, ring_spec):
     # A two-sided ideal is in particular a left submodule.
     assert [I.space for I in enumerate_all_ideals(g, ring)] == [
         S for S in invariant if _closed_two_sided(g, ring, S) is None]
-    # The arrow-action check agrees with the convolution reference.
+    # The arrow-action check agrees with the convolution reference, and
+    # its witness with the one the interleaved actions give.
+    actions = reference_arrow_actions(g, ring)
     for S in all_subspaces(ring, g.n_arrows):
         assert (_closed_two_sided(g, ring, S) is None) \
             == (reference_closed_two_sided(g, ring, S) is None)
+        assert _closed_two_sided(g, ring, S) \
+            == reference_arrow_witness(g, actions, S)
 
 
 def test_ideal_closure_matches_convolution_reference(any_ring):
