@@ -97,6 +97,47 @@ class FiniteGroupoid:
             raise ConstructionError("malformed groupoid data: %s" % exc)
 
 
+def _associative(src, tgt, comp) -> bool:
+    """Light's test: True proves comp[(a, b)], defined where src[a] ==
+    tgt[b] with the right endpoints, associative.  The b with (ab)c =
+    a(bc) for all a, c are closed under it (Clifford & Preston, The
+    Algebraic Theory of Semigroups I, 1961, 1.2), so b runs over a greedy
+    generating set: each arrow that the closure of those picked before
+    under left multiplication by them missed."""
+    out, into = {}, {}
+    for x in range(len(src)):
+        out.setdefault(src[x], []).append(x)
+        into.setdefault(tgt[x], []).append(x)
+    picked, reached = [], set()
+    for b in range(len(src)):
+        if b in reached:
+            continue
+        bcs = [(c, comp[(b, c)]) for c in into.get(src[b], ())]
+        for a in out.get(tgt[b], ()):
+            ab = comp[(a, b)]
+            for c, bc in bcs:
+                if comp[(ab, c)] != comp[(a, bc)]:
+                    return False
+        picked.append(b)
+        reached.add(b)
+        frontier = list(reached)
+        while frontier:
+            y = frontier.pop()
+            for z in (comp[(s, y)] for s in picked if src[s] == tgt[y]):
+                if z not in reached:
+                    reached.add(z)
+                    frontier.append(z)
+    return True
+
+
+def _failing_triples(src, tgt, comp):
+    """The composable triples (a, b, c) with (ab)c != a(bc), in order."""
+    m = range(len(src))
+    return ((a, b, c) for a in m for b in m if src[a] == tgt[b]
+            for c in m if src[b] == tgt[c]
+            and comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])])
+
+
 def validate(g: FiniteGroupoid) -> list[str]:
     """All axiom violations, as human-readable strings.  Empty means valid."""
     errs = []
@@ -160,16 +201,9 @@ def validate(g: FiniteGroupoid) -> list[str]:
                 errs.append("a . inv(a) is not a unit for arrow %d" % a)
             if g.comp[(ia, a)] != g.unit_of[g.src[a]]:
                 errs.append("inv(a) . a is not a unit for arrow %d" % a)
-    for a in range(m):
-        for b in range(m):
-            if g.src[a] != g.tgt[b]:
-                continue
-            ab = g.comp[(a, b)]
-            for c in range(m):
-                if g.src[b] != g.tgt[c]:
-                    continue
-                if g.comp[(ab, c)] != g.comp[(a, g.comp[(b, c)])]:
-                    errs.append("associativity fails on (%d,%d,%d)" % (a, b, c))
+    if not _associative(g.src, g.tgt, g.comp):
+        errs += ["associativity fails on (%d,%d,%d)" % t
+                 for t in _failing_triples(g.src, g.tgt, g.comp)]
     return errs
 
 
@@ -224,12 +258,11 @@ def _group_table(table) -> tuple:
            for a in range(k)]
     errs = ["element %d has no inverse" % a
             for a in range(k) if inv[a] is None]
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    errs.append("associativity fails at (%d,%d,%d)" % (a, b, c))
-                    return errs, ident, inv
+    one = (0,) * k
+    comp = {(a, b): x for a, r in enumerate(table) for b, x in enumerate(r)}
+    if not _associative(one, one, comp):
+        errs.append("associativity fails at (%d,%d,%d)"
+                    % next(_failing_triples(one, one, comp)))
     return errs, ident, inv
 
 

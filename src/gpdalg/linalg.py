@@ -7,16 +7,19 @@ rows, so that every span element whose leading zeros reach position j is
 generated by the basis rows with pivots at or beyond j; membership can
 then be tested by straight reduction.
 
-Both forms grow the same way: rows go one at a time into a {pivot: row}
-table (`_insert`), which stays in RREF over a field and keeps the Howell
-property over Z/n, and `_table_rows` reads the canonical form off it.
-Canonical bases, joins and the closure spin all grow one such table.
+Three kernels grow the same way: rows go one at a time into a {pivot:
+row} table (`_insert`), in RREF over F_p, of primitive integer rows
+eliminated fraction-free over Q (Bareiss, Math. Comp. 22, 1968; the RREF
+read off is the same) and with the Howell property over Z/n.  Bases,
+joins, spins and escape tests all run on such tables (`_table_rows`
+reads the canonical form off), so over Q `Fraction`s are only handed out.
 
 A map between free spans is written in their bases by one product read
 at the target's pivots (`restrict`).  Over a finite ring every
 exhaustive search draws its vectors from one guarded enumerator
-(`nonzero_vectors`, one vector per line over a field, or their
-combinations of a basis, `span_vectors`), and the whole-lattice searches
+(`nonzero_vectors`, one vector per line over a field and per leading
+divisor and tail over Z/n, or their combinations of a basis,
+`span_vectors`), and the whole-lattice searches
 (`all_submodules`, ideal enumeration, maximal submodules over Z/n) read
 one lattice builder (`invariant_lattice`).  Over a prime field, the
 MeatAxe (`meataxe.py`) decides simplicity and maximal submodules.
@@ -24,8 +27,9 @@ MeatAxe (`meataxe.py`) decides simplicity and maximal submodules.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BoundExceededError,
@@ -203,9 +207,9 @@ def poly_at(poly, X: Matrix) -> Matrix:
     return P
 
 
-def _first_nonzero(row, zero):
+def _first_nonzero(row):
     for j, x in enumerate(row):
-        if x != zero:
+        if x:
             return j
     return None
 
@@ -239,6 +243,53 @@ def _reduce(ring, rows, v):
     return v
 
 
+def _int_reduce(rows, v):
+    """v <- b[p]*v - v[p]*b, cleared of content, for integer (pivot, row)
+    pairs zero at each other's pivots: zero iff v is in their Q-span."""
+    for p, b in rows:
+        c = v[p]
+        if c:
+            d = b[p]
+            g = gcd(c, d)
+            c, d = c // g, d // g
+            v = [d * x - c * y for x, y in zip(v, b)]
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+    return v
+
+
+def _elim_row(ring, v) -> list:
+    """v as the kernels hold it: a list, over Q a primitive integer row
+    on its line (times the lcm of the denominators, over the gcd)."""
+    if ring.modulus is not None:
+        return list(v)
+    pairs = [x.as_integer_ratio() for x in v]
+    den = lcm(*[d for _, d in pairs])
+    w = [n * (den // d) for n, d in pairs]
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
+
+
+def _elim_map(ring, M: Matrix):
+    """v -> M v on the kernels' vectors; over Q by M times the lcm of its
+    denominators, which sends each vector to the same line."""
+    if ring.modulus is not None:
+        return M.apply
+    nz = [[(j, x.as_integer_ratio()) for j, x in r] for r in M._nonzero_rows()]
+    den = lcm(*[d for row in nz for _, (_, d) in row])
+    rows = [[(j, n * (den // d)) for j, (n, d) in row] for row in nz]
+    return lambda v: tuple([sum([x * v[j] for j, x in row])
+                            for row in rows])
+
+
+def _in_span(ring, rows, v) -> bool:
+    """Whether `_elim_row`'s v is in the span of ``_elim_rows`` pairs."""
+    if ring.modulus is None:
+        return not any(_int_reduce(rows, v))
+    return not any(_reduce(ring, rows, list(v)))
+
+
 def _egcd(a, b):
     """g, s, t with s*a + t*b = g = gcd(a, b)."""
     old_r, r = a, b
@@ -268,12 +319,15 @@ def _unit_mult(a, n):
 
 
 def _insert(ring, table, v) -> bool:
-    """Insert the list v into the echelon table {pivot: row}; True when
-    the span grew.  The table's rows are changed or replaced in place.
+    """Insert the list v (as `_elim_row` gives it) into the echelon table
+    {pivot: row}; True when the span grew.  The table's rows are changed
+    or replaced in place.
 
-    Over a field the table is in RREF: v is reduced by it, a nonzero
-    residue is normalised at its leading column, that column is cleared
-    from the other rows, and the residue is stored as a new row.
+    Over F_p the table is in RREF: v is reduced by it, a nonzero residue
+    is normalised at its leading column, that column is cleared from the
+    other rows, and the residue is stored as a new row.  Over Q the same
+    steps run on primitive integer rows (`_int_reduce`), the residue with
+    a positive leading entry; `_table_rows` divides by the pivot entries.
 
     Over Z/n the table has the Howell property, and every pivot is a
     divisor of n.  A worklist row is reduced at its leading column when
@@ -293,7 +347,7 @@ def _insert(ring, table, v) -> bool:
         work = [v]
         while work:
             row = work.pop()
-            j = _first_nonzero(row, 0)
+            j = _first_nonzero(row)
             if j is None:
                 continue
             b, p = row[j], table.get(j)
@@ -318,8 +372,21 @@ def _insert(ring, table, v) -> bool:
                 ann = n // p[j]
                 work.append([(ann * x) % n for x in p])
         return grew
+    if ring.modulus is None:
+        v = _int_reduce(table.items(), v)
+        lead = _first_nonzero(v)
+        if lead is None:
+            return False
+        g = gcd(*v) if v[lead] > 0 else -gcd(*v)
+        if g != 1:
+            v = [x // g for x in v]
+        for p, row in table.items():
+            if row[lead]:
+                table[p] = _int_reduce(((lead, v),), row)
+        table[lead] = v
+        return True
     _reduce(ring, table.items(), v)
-    lead = _first_nonzero(v, ring.zero)
+    lead = _first_nonzero(v)
     if lead is None:
         return False
     add, mul, neg = ring.add, ring.mul, ring.neg
@@ -336,11 +403,15 @@ def _insert(ring, table, v) -> bool:
     return True
 
 
-def _table_rows(ring, table) -> tuple:
-    """The table's rows in pivot order: its RREF over a field, and over
-    Z/n its Howell form, once every entry above a pivot d is reduced
-    into [0, d) in place."""
-    cols = sorted(table)
+def _table_rows(ring, table, start=0) -> tuple:
+    """The table's rows in pivot order: its RREF over F_p, over Q once
+    each integer row is divided by its pivot entry, and over Z/n its
+    Howell form, once every entry above a pivot d is reduced into [0, d)
+    in place.  Only the rows with pivots from `start` on, cut there."""
+    cols = sorted(p for p in table if p >= start)
+    if ring.modulus is None:
+        return tuple(tuple([Fraction(x, table[p][p]) if x else ring.zero
+                            for x in table[p][start:]]) for p in cols)
     if not ring.is_field:
         n = ring.modulus
         for i, j in enumerate(cols):
@@ -350,7 +421,7 @@ def _table_rows(ring, table) -> tuple:
                 if c:
                     table[j2] = [(x - c * y) % n
                                  for x, y in zip(table[j2], row)]
-    return tuple(tuple(table[p]) for p in cols)
+    return tuple(tuple(table[p][start:]) for p in cols)
 
 
 def canonical_rows(ring, rows, width):
@@ -361,7 +432,7 @@ def canonical_rows(ring, rows, width):
         if len(r) != width:
             raise DimensionMismatchError("row of length %d in width %d"
                                          % (len(r), width))
-        _insert(ring, table, list(ring.coerce_vector(r)))
+        _insert(ring, table, _elim_row(ring, ring.coerce_vector(r)))
     return _table_rows(ring, table)
 
 
@@ -374,7 +445,7 @@ class Subspace:
         self.ring = ring
         self.ambient_dim = ambient_dim
         self.basis = canonical_rows(ring, generators, ambient_dim)
-        self.pivots = tuple(_first_nonzero(b, ring.zero) for b in self.basis)
+        self.pivots = tuple(_first_nonzero(b) for b in self.basis)
 
     @classmethod
     def _trusted(cls, ring, ambient_dim, basis):
@@ -383,7 +454,7 @@ class Subspace:
         obj.ring = ring
         obj.ambient_dim = ambient_dim
         obj.basis = tuple(tuple(r) for r in basis)
-        obj.pivots = tuple(_first_nonzero(b, ring.zero) for b in obj.basis)
+        obj.pivots = tuple(_first_nonzero(b) for b in obj.basis)
         return obj
 
     @classmethod
@@ -419,13 +490,16 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        rows = self._rows()
-        return not any(any(_reduce(self.ring, rows, list(b)))
-                       for b in other.basis)
+        R, rows = self.ring, self._elim_rows()
+        return all(_in_span(R, rows, _elim_row(R, b)) for b in other.basis)
 
     def _rows(self) -> list:
         # (pivot, row) pairs in pivot order, as `_reduce` takes them.
         return list(zip(self.pivots, self.basis))
+
+    def _elim_rows(self) -> list:
+        # The same pairs as the `_insert` tables hold them.
+        return [(p, _elim_row(self.ring, b)) for p, b in self._rows()]
 
     def has_unit_pivots(self) -> bool:
         """Whether every pivot is 1 (always over a field): a free basis."""
@@ -457,9 +531,10 @@ class Subspace:
 
     def join(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        table = {p: list(b) for p, b in self._rows()}
+        R = self.ring
+        table = {p: list(b) for p, b in self._elim_rows()}
         for b in other.basis:
-            _insert(self.ring, table, list(b))
+            _insert(R, table, _elim_row(R, b))
         return Subspace._trusted(self.ring, self.ambient_dim,
                                  _table_rows(self.ring, table))
 
@@ -497,16 +572,17 @@ def _relations(ring, vectors, width, tags=None) -> list[tuple]:
     = 0}, for v_i in R^width with tags t_i (by default e_i: the relations).
 
     In one canonical form of the rows [v_i | t_i], the rows whose left
-    block vanished span every [0 | t] of the span (over Z/n by the Howell
-    property), and their right blocks are in RREF or Howell form: the
-    canonical basis, with no second elimination.
+    block vanished, those with pivots from `width` on, span every [0 | t]
+    of the span (over Z/n by the Howell property), and their right blocks
+    are in RREF or Howell form: the canonical basis, with no second
+    elimination.  The entries are ring elements, so none is coerced.
     """
     if tags is None:
         tags = Matrix.identity(ring, len(vectors)).rows()
-    rows = [list(v) + list(t) for v, t in zip(vectors, tags)]
-    return [row[width:] for row
-            in canonical_rows(ring, rows, len(rows[0]) if rows else width)
-            if not any(row[:width])]
+    table: dict[int, list] = {}
+    for v, t in zip(vectors, tags):
+        _insert(ring, table, _elim_row(ring, tuple(v) + tuple(t)))
+    return list(_table_rows(ring, table, width))
 
 
 def mat_kernel(mat: Matrix) -> Subspace:
@@ -576,26 +652,23 @@ DEFAULT_BOUND = 1 << 20
 
 
 def nonzero_vectors(ring, dim, bound):
-    """The vectors an exhaustive search over R^dim needs, R finite: one
-    per line over a field (first nonzero entry 1), every nonzero vector
-    over Z/n.
-
-    Over a field c*v spans the line of v for every c != 0, so one vector
-    per line carries every spin and every invertibility test.  Over Z/n
-    only units rescale: in Z/4 the vector (2) spans less than (1).  The
-    one guarded exhaustive enumerator: raises BoundExceededError when the
-    state space |R|^dim exceeds `bound`.  Yields in lexicographic order.
+    """The vectors an exhaustive search over R^dim needs, R = Z/n finite:
+    those whose first nonzero entry is a proper divisor of n (1 over a
+    field: one vector per line).  Each nonzero v is a unit multiple of
+    one of them, with the same spin and invertibility; over Z/4 the
+    vector (2) spans less than (1).  The one guarded exhaustive
+    enumerator: raises BoundExceededError when the state space |R|^dim
+    exceeds `bound`.  Yields in lexicographic order.
     """
-    if ring.size ** dim > bound:
+    n = ring.size
+    if n ** dim > bound:
         raise BoundExceededError("state space %d^%d exceeds bound %d"
-                                 % (ring.size, dim, bound))
+                                 % (n, dim, bound))
     elems = list(ring.elements())
-    if not ring.is_field:
-        zero = (ring.zero,) * dim
-        return (v for v in product(elems, repeat=dim) if v != zero)
-    # Leading 1 at position i, last position first: lexicographic order.
-    return ((ring.zero,) * i + (ring.one,) + tail
-            for i in reversed(range(dim))
+    leads = [d for d in range(1, n) if n % d == 0]
+    # Leading d at position i, last position first: lexicographic order.
+    return ((ring.zero,) * i + (d,) + tail
+            for i in reversed(range(dim)) for d in leads
             for tail in product(elems, repeat=dim - 1 - i))
 
 
@@ -608,11 +681,14 @@ def span_vectors(ring, basis, bound):
 
 def first_escape(maps, space: Subspace):
     """The first (map index, basis vector) whose image leaves the span,
-    basis vector by basis vector; None when every map keeps it."""
-    R, rows = space.ring, space._rows()
-    for v in space.basis:
-        for i, M in enumerate(maps):
-            if any(_reduce(R, rows, list(M.apply(v)))):
+    basis vector by basis vector; None when every map keeps it.  Over Q
+    on integers: M v is in the span iff D M (s v) is, for the multiples
+    of `_elim_map` and `_elim_row`."""
+    R, rows = space.ring, space._elim_rows()
+    apply = [_elim_map(R, M) for M in maps]
+    for v, (_, w) in zip(space.basis, rows):
+        for i, f in enumerate(apply):
+            if not _in_span(R, rows, f(w)):
                 return i, v
     return None
 
@@ -625,19 +701,21 @@ def closure(maps, space: Subspace) -> Subspace:
     since.  The span is held as an echelon table {pivot: row}, and each
     distinct image of a popped vector is inserted once (`_insert`), the
     insertion being the membership test.  An image that grows the span
-    is pushed raw, not as its residue (over Q the residue is a dense
-    Fraction vector).  Over a field the spin stops as soon as the table
-    has `ambient_dim` rows.  The result is spanned by the vectors ever
-    pushed and holds each one's images, so it is invariant, over Z/n
-    too.
+    is pushed raw, not as its residue (over Q the vectors and maps are
+    the integer ones of `_elim_row` and `_elim_map`).  Over a field the
+    spin stops as soon as the table has `ambient_dim` rows.  The result
+    is spanned by the vectors ever pushed and holds each one's images,
+    so it is invariant, over Z/n too.
     """
     R, dim = space.ring, space.ambient_dim
-    table = {p: list(b) for p, b in space._rows()}
-    todo = list(space.basis)
+    rows = space._elim_rows()
+    table = {p: list(b) for p, b in rows}
+    todo = [b for _, b in rows]
+    apply = [_elim_map(R, M) for M in maps]
     # A Howell table can have dim rows and still be proper: (2) in Z/4.
     while todo and (len(table) < dim or not R.is_field):
         v = todo.pop()
-        for w in dict.fromkeys(M.apply(v) for M in maps):
+        for w in dict.fromkeys(f(v) for f in apply):
             if _insert(R, table, list(w)):
                 todo.append(w)
     return Subspace._trusted(R, dim, _table_rows(R, table))
@@ -649,7 +727,8 @@ def invariant_lattice(maps, ring, dim, bound) -> list[Subspace]:
 
     Every invariant subspace is the join of the cyclic closures it
     contains, so the lattice is the set of joins of subsets of the
-    closures of ``nonzero_vectors`` (which charges them against `bound`).
+    closures of ``nonzero_vectors`` (which charges them against `bound`;
+    a unit multiple of a vector has the same closure).
     Starting from {0}, each closure C not yet found is folded in by
     joining it to everything found so far; after C_1..C_k the set holds
     the join of every subset of them, so a closure already found adds

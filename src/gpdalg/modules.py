@@ -228,7 +228,7 @@ def is_isomorphic(A, B, bound: int = DEFAULT_BOUND) -> bool:
     semisimple (Maschke), so A and B are isomorphic exactly when
     dim Hom(A, B) = dim End(A) = dim End(B).  Over finite coefficient
     rings every combination of the hom basis from ``span_vectors`` is
-    tried (one per line over a field: c*T is invertible iff T is), the
+    tried (up to units: u*T is invertible iff T is), the
     coefficient vectors charged against `bound`.  Different algebras
     raise as in ``hom_space``, different matrix rings give False.
     """
@@ -399,13 +399,15 @@ def trivial_module(G: IsotropyGroup, ring: ScalarRing) -> IsotropyModule:
 
 
 def _cyclic_module(G: IsotropyGroup, gen: int, C: Matrix) -> IsotropyModule:
-    """The module of the cyclic group G = <gen> in which gen acts by C."""
-    mats = [None] * G.order
-    x, P = G.identity, Matrix.identity(C.ring, C.nrows)
-    for _ in range(G.order):
-        mats[x] = P
-        x = G.table[x][gen]
+    """The module of the cyclic group G = <gen> in which gen acts by C:
+    gen^k by C^(k mod e), the powers stopping at C^e = I or |G| of them."""
+    powers, P = [Matrix.identity(C.ring, C.nrows)], C
+    while P != powers[0] and len(powers) < G.order:
+        powers.append(P)
         P = P * C
+    mats, x = [None] * G.order, G.identity
+    for k in range(G.order):
+        mats[x], x = powers[k % len(powers)], G.table[x][gen]
     return IsotropyModule(G, C.ring, C.nrows, mats)
 
 

@@ -41,8 +41,9 @@ from gpdalg.cli import parse_generator_spec
 from gpdalg.errors import ConstructionError, NonFreeQuotientError
 from gpdalg.groupoid import generating_arrows, orbit_blocks, relabel_arrows
 from gpdalg.ideals import _arrow_actions
-from gpdalg.linalg import (_egcd, _first_nonzero, _unit_mult, closure,
-                           first_escape, invariant_lattice, nonzero_vectors)
+from gpdalg.linalg import (_egcd, _first_nonzero, _reduce, _unit_mult,
+                           closure, first_escape, invariant_lattice,
+                           nonzero_vectors)
 from gpdalg.modules import (_cyclotomic, is_invariant, matrix_invertible,
                             regular_module, rep_validate)
 from gpdalg.sheaves import SheafData, _stalk_basis
@@ -260,7 +261,7 @@ def reference_howell(n, rows, width):
         changed = False
         row = [x % n for x in row]
         while True:
-            j = _first_nonzero(row, 0)
+            j = _first_nonzero(row)
             if j is None:
                 return changed
             if j not in pivots:
@@ -935,3 +936,148 @@ def reference_span_vectors_mod(F, basis, bound):
             if c:
                 flat = [(x + c * y) % p for x, y in zip(flat, b)]
         yield tuple(flat)
+
+
+def reference_first_escape(maps, space):
+    """Slow reference for ``linalg.first_escape``: every image reduced by
+    the canonical basis with ring operations, on Fractions over Q."""
+    R, rows = space.ring, space._rows()
+    for v in space.basis:
+        for i, M in enumerate(maps):
+            if any(_reduce(R, rows, list(M.apply(v)))):
+                return i, v
+    return None
+
+
+def reference_rref_closure(maps, ring, rows, width):
+    """Slow reference for ``linalg.closure`` by batch Gauss-Jordan alone
+    (``reference_rref``): add every image of the basis until the RREF
+    stops changing."""
+    basis = reference_rref(ring, [list(r) for r in rows], width)
+    while True:
+        grown = reference_rref(ring, [list(b) for b in basis]
+                               + [list(M.apply(b)) for b in basis
+                                  for M in maps], width)
+        if grown == basis:
+            return basis
+        basis = grown
+
+
+def reference_validate(g):
+    """Slow reference for ``groupoid.validate``: the axioms checked with
+    every composable triple scanned for associativity."""
+    errs = []
+    n, m = g.n_objects, g.n_arrows
+
+    def obj_ok(u):
+        return 0 <= u < n
+
+    def arr_ok(a):
+        return 0 <= a < m
+
+    for a in range(m):
+        if not obj_ok(g.src[a]):
+            errs.append("arrow %d has out-of-range domain %d" % (a, g.src[a]))
+        if not obj_ok(g.tgt[a]):
+            errs.append("arrow %d has out-of-range range %d" % (a, g.tgt[a]))
+    if len(g.unit_of) != n:
+        errs.append("expected %d units, got %d" % (n, len(g.unit_of)))
+        return errs
+    if len(g.inv) != m:
+        errs.append("expected %d inverse entries, got %d" % (m, len(g.inv)))
+        return errs
+    for u in range(n):
+        e = g.unit_of[u]
+        if not arr_ok(e):
+            errs.append("unit of object %d is out of range: %d" % (u, e))
+        elif g.src[e] != u or g.tgt[e] != u:
+            errs.append("unit arrow %d of object %d is not a loop at it" % (e, u))
+    for a in range(m):
+        if not arr_ok(g.inv[a]):
+            errs.append("inverse of arrow %d out of range" % a)
+
+    for (a, b), c in g.comp.items():
+        if not (arr_ok(a) and arr_ok(b) and arr_ok(c)):
+            errs.append("composition entry (%d,%d)->%d out of range" % (a, b, c))
+            continue
+        if g.src[a] != g.tgt[b]:
+            errs.append("composition defined on non-composable pair (%d,%d)"
+                        % (a, b))
+        elif g.src[c] != g.src[b] or g.tgt[c] != g.tgt[a]:
+            errs.append("composite of (%d,%d) has wrong endpoints" % (a, b))
+    for a in range(m):
+        for b in range(m):
+            if g.src[a] == g.tgt[b] and (a, b) not in g.comp:
+                errs.append("missing composition for composable pair (%d,%d)"
+                            % (a, b))
+    if errs:
+        return errs
+
+    for a in range(m):
+        e_r, e_d = g.unit_of[g.tgt[a]], g.unit_of[g.src[a]]
+        if g.comp[(e_r, a)] != a:
+            errs.append("left unit law fails at arrow %d" % a)
+        if g.comp[(a, e_d)] != a:
+            errs.append("right unit law fails at arrow %d" % a)
+        ia = g.inv[a]
+        if g.src[ia] != g.tgt[a] or g.tgt[ia] != g.src[a]:
+            errs.append("inverse of arrow %d has wrong endpoints" % a)
+        else:
+            if g.comp[(a, ia)] != g.unit_of[g.tgt[a]]:
+                errs.append("a . inv(a) is not a unit for arrow %d" % a)
+            if g.comp[(ia, a)] != g.unit_of[g.src[a]]:
+                errs.append("inv(a) . a is not a unit for arrow %d" % a)
+    for a in range(m):
+        for b in range(m):
+            if g.src[a] != g.tgt[b]:
+                continue
+            ab = g.comp[(a, b)]
+            for c in range(m):
+                if g.src[b] != g.tgt[c]:
+                    continue
+                if g.comp[(ab, c)] != g.comp[(a, g.comp[(b, c)])]:
+                    errs.append("associativity fails on (%d,%d,%d)" % (a, b, c))
+    return errs
+
+
+def reference_group_table(table):
+    """Slow reference for ``groupoid._group_table``: (errors, identity,
+    inverses), associativity by a scan of every triple up to the first
+    failure."""
+    k = len(table)
+    for row in table:
+        if len(row) != k:
+            return ["table is not square"], None, None
+    for row in table:
+        for x in row:
+            if not 0 <= x < k:
+                return ["table entry %r out of range" % (x,)], None, None
+    ident = next((e for e in range(k)
+                  if all(table[e][x] == x and table[x][e] == x
+                         for x in range(k))), None)
+    if ident is None:
+        return ["no identity element"], None, None
+    inv = [next((b for b in range(k)
+                 if table[a][b] == ident and table[b][a] == ident), None)
+           for a in range(k)]
+    errs = ["element %d has no inverse" % a
+            for a in range(k) if inv[a] is None]
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    errs.append("associativity fails at (%d,%d,%d)" % (a, b, c))
+                    return errs, ident, inv
+    return errs, ident, inv
+
+
+def reference_cyclic_module(G, gen, C):
+    """Slow reference for ``modules._cyclic_module``: gen^k acts by C^k,
+    one product per element of G."""
+    mats = [None] * G.order
+    x, P = G.identity, Matrix.identity(C.ring, C.nrows)
+    for _ in range(G.order):
+        mats[x] = P
+        x = G.table[x][gen]
+        P = P * C
+    return IsotropyModule(G, C.ring, C.nrows, mats)

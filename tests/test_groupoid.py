@@ -24,11 +24,13 @@ from gpdalg import (
     validate,
 )
 from gpdalg.cli import parse_generator_spec
-from gpdalg.groupoid import generating_arrows, group_generators
+from gpdalg.groupoid import (_group_table, generating_arrows,
+                             group_generators, validate_group_table)
 from gpdalg.ideals import _arrow_actions
 
 from conftest import (cycle3, klein_table, layout_pool, named_pool,
-                      reference_arrow_actions, reference_orbits, swap2,
+                      reference_arrow_actions, reference_group_table,
+                      reference_orbits, reference_validate, swap2,
                       swap3, zg)
 
 
@@ -372,3 +374,67 @@ def test_primitive_single_builds_arrow_actions_once(monkeypatch, capsys):
                  "action:z2:1,0,2+group:z10", "--ring", "q"]) == 0
     capsys.readouterr()
     assert builds and len(builds) == len(set(builds))
+
+
+def _s3_table():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[b[x]] for x in range(3))] for b in perms]
+            for a in perms]
+
+
+def test_light_test_matches_the_triple_scan_on_tables():
+    # Valid tables, then copies with two entries swapped: the error list,
+    # the identity and the inverses are the triple scan's.
+    rng = random.Random("light/tables")
+    tables = [cyclic_table(k) for k in range(1, 13)]
+    tables += [klein_table(), _s3_table()]
+    failed = 0
+    for table in tables:
+        assert _group_table(table) == reference_group_table(table)
+        assert validate_group_table(table) == []
+        cells = [(i, j) for i in range(len(table)) for j in range(len(table))]
+        for _ in range(min(30, len(cells))):
+            t = [list(row) for row in table]
+            (a, b), (c, d) = rng.sample(cells, 2) if len(cells) > 1 \
+                else (cells[0], cells[0])
+            t[a][b], t[c][d] = t[c][d], t[a][b]
+            want = reference_group_table(t)
+            assert _group_table(t) == want
+            assert validate_group_table(t) == want[0]
+            failed += any("associativity" in e for e in want[0])
+    assert failed > 50
+
+
+def _broken_copies(g, rng, count):
+    # Copies with the composites of two composable pairs swapped: with
+    # equal endpoints the structural checks pass and the laws may fail.
+    pairs = sorted(g.comp)
+    arrows = list(zip(g.src, g.tgt))
+    for _ in range(count):
+        p, q = rng.sample(pairs, 2)
+        comp = dict(g.comp)
+        comp[p], comp[q] = comp[q], comp[p]
+        yield FiniteGroupoid(g.n_objects, arrows, g.unit_of, comp, g.inv)
+
+
+def test_light_test_matches_the_triple_scan_on_groupoids():
+    rng = random.Random("light/groupoids")
+    pool = named_pool() + layout_pool()
+    pool += [(spec, parse_generator_spec(spec))
+             for spec in ("group:z12", "pair:4", "group:z3+pair:2")]
+    failed = 0
+    for name, g in list(pool):
+        for seed in range(2):
+            perm = list(range(g.n_arrows))
+            random.Random("%s/%d" % (name, seed)).shuffle(perm)
+            pool.append((name + "/relabelled", relabel_arrows(g, perm)))
+    for name, g in pool:
+        assert validate(g) == reference_validate(g) == [], name
+        if len(g.comp) < 2:
+            continue
+        for h in _broken_copies(g, rng, 12):
+            want = reference_validate(h)
+            assert validate(h) == want, name
+            failed += any("associativity" in e for e in want)
+    assert failed > 50

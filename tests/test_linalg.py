@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from gpdalg import (
 from gpdalg.linalg import (
     _unit_mult,
     closure,
+    first_escape,
     invariant_lattice,
     nonzero_vectors,
     restrict,
@@ -34,12 +36,14 @@ from conftest import (
     brute_span,
     reference_apply,
     reference_closure,
+    reference_first_escape,
     reference_howell,
     reference_invariant_lattice,
     reference_left_kernel,
     reference_mat_kernel,
     reference_matmul,
     reference_rref,
+    reference_rref_closure,
     reference_span_vectors_mod,
     reference_span_vectors_ring_ops,
     reference_subspace_intersect,
@@ -179,6 +183,82 @@ def test_rref_matches_reference(spec):
                 T = Subspace(ring, width, rows[cut:])
                 assert S.join(T).basis == want
                 assert S.join(T).pivots == Subspace(ring, width, rows).pivots
+
+
+# Denominators 1 or a prime up to 10^6 + 3 and numerators up to 10^12:
+# the integer kernel's rows grow far past the other Q tests' entries.
+BIG_PRIMES = (1, 2, 3, 7, 101, 65537, 999983, 1000003)
+
+
+def _big_rational(rng, density):
+    if rng.random() >= density:
+        return 0
+    return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.choice(BIG_PRIMES))
+
+
+def _big_rows(rng, nrows, width, density):
+    # Random rows, then some zero rows and repeats, shuffled.
+    rows = [tuple(_big_rational(rng, density) for _ in range(width))
+            for _ in range(nrows)]
+    rows += [(0,) * width] * rng.randrange(2)
+    rows += rng.sample(rows, rng.randrange(min(len(rows), 3) + 1))
+    rng.shuffle(rows)
+    return rows
+
+
+def _rref_of(rows, width):
+    return reference_rref(Q, [list(Q.coerce_vector(r)) for r in rows], width)
+
+
+def test_q_kernel_matches_reference_on_large_entries():
+    rng = random.Random("big-q")
+    for width in range(13):
+        for nrows in (0, 1, 2, width // 2, width, width + 2):
+            for density in (0.3, 1):
+                rows = _big_rows(rng, nrows, width, density)
+                want = _rref_of(rows, width)
+                got = canonical_rows(Q, rows, width)
+                assert got == want, (width, rows)
+                assert all(type(x) is Fraction for r in got for x in r)
+                cut = rng.randrange(len(rows) + 1)
+                S = Subspace(Q, width, rows[:cut])
+                T = Subspace(Q, width, rows[cut:])
+                assert S.join(T).basis == want
+                assert S.contains_subspace(T) \
+                    == (_rref_of(S.basis + T.basis, width) == S.basis)
+                assert T.contains_subspace(S) \
+                    == (_rref_of(S.basis + T.basis, width) == T.basis)
+                for v in rows[:3] + _big_rows(rng, 2, width, density):
+                    assert S.contains(v) \
+                        == (_rref_of(S.basis + (v,), width) == S.basis)
+
+
+def test_q_spin_and_escape_match_reference_on_large_entries():
+    # Sparse maps with large entries (one upper triangular), next to the
+    # cyclic shift; the witness must be the Fraction loop's.
+    rng = random.Random("big-q-spin")
+    for width in range(1, 9):
+        shift = Matrix(Q, width, width, [int(i == (j + 1) % width)
+                                         for i in range(width)
+                                         for j in range(width)])
+        for density in (0.1, 0.3):
+            for _ in range(3):
+                M = Matrix(Q, width, width,
+                           [_big_rational(rng, density) if j >= i else 0
+                            for i in range(width) for j in range(width)])
+                N = Matrix(Q, width, width,
+                           [_big_rational(rng, density)
+                            for _ in range(width * width)])
+                for maps in ([M], [M, N], [N, shift], [M, M, shift]):
+                    rows = _big_rows(rng, rng.randrange(3), width, density)
+                    space = Subspace(Q, width, rows)
+                    assert first_escape(maps, space) \
+                        == reference_first_escape(maps, space)
+                    spun = closure(maps, space)
+                    assert spun.basis \
+                        == reference_rref_closure(maps, Q, rows, width)
+                    assert first_escape(maps, spun) is None
+                    assert reference_first_escape(maps, spun) is None
 
 
 @pytest.mark.parametrize("spec", ("zn:4", "zn:6", "zn:8", "zn:9"))
@@ -528,10 +608,17 @@ def test_nonzero_vectors_bound():
                    for v, w in itertools.permutations(vecs, 2)
                    for c in (1, 2))
     assert len(list(nonzero_vectors(F5, 3, 125))) == 31
-    # Over Z/n only units rescale, so every nonzero vector is yielded.
+    # Over Z/n the first nonzero entry is a proper divisor of n, and
+    # every nonzero vector is a unit multiple of one of them.
     zn = list(nonzero_vectors(Z4, 2, 16))
-    assert len(zn) == 15 == len(set(zn))
-    assert set(zn) == set(itertools.product(range(4), repeat=2)) - {(0, 0)}
+    assert len(zn) == 10 == len(set(zn))
+    assert zn == sorted(zn)
+    assert set(zn) == {v for v in itertools.product(range(4), repeat=2)
+                       if v != (0, 0) and next(x for x in v if x) in (1, 2)}
+    for v in itertools.product(range(4), repeat=2):
+        if v != (0, 0):
+            assert any(tuple(u * x % 4 for x in w) == v
+                       for w in zn for u in (1, 3))
     with pytest.raises(BoundExceededError,
                        match=r"state space 3\^2 exceeds bound 8"):
         nonzero_vectors(F3, 2, 8)

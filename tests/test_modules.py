@@ -72,6 +72,7 @@ from conftest import (
     reference_regular_module,
     reference_rep_quotient,
     reference_rep_submodule,
+    reference_cyclic_module,
     reference_rep_validate,
     reference_sheaf_validate,
     swap3,
@@ -854,3 +855,22 @@ def test_restrict_keeps_the_error_order(spec):
                 seen.add(type(got).__name__)
     assert {"Rep", "ConstructionError"} <= seen
     assert ("NonFreeQuotientError" in seen) == (not ring.is_field)
+
+
+def test_cyclic_modules_match_the_repeated_products():
+    # The powers of C stop at its order; every element still gets C^k.
+    for k in range(1, 31):
+        G = isotropy(zg(k), 0)
+        gen = G.generator_if_cyclic()
+        want = sorted((reference_cyclic_module(
+            G, gen, modules._companion(Q, modules._cyclotomic(d)))
+            for d in range(1, k + 1) if k % d == 0),
+            key=lambda N: N.sort_key())
+        got = simple_modules_group(G, Q)
+        assert [(N.dim, N.mats) for N in got] \
+            == [(N.dim, N.mats) for N in want], k
+        if k % 2 == 0:
+            for ring in (Q, F2, F3, Z4):
+                minus = Matrix(ring, 1, 1, [-1])
+                assert sign_module(G, ring).mats \
+                    == reference_cyclic_module(G, gen, minus).mats
