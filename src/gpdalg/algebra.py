@@ -153,9 +153,10 @@ def right_mult_matrix(g: FiniteGroupoid, ring: ScalarRing, a: int) -> Matrix:
 
 def _mult_matrix(g: FiniteGroupoid, ring: ScalarRing, places) -> Matrix:
     """The 0/1 matrix with a 1 at each (composite, b) of `places`, b over
-    the arrows composable with the multiplier; built in the ring."""
+    the arrows composable with the multiplier, built in the ring: the
+    composite fixes b, so each row holds at most one pair."""
     m = g.n_arrows
-    ent = [ring.zero] * (m * m)
+    nz = [()] * m
     for c, b in places:
-        ent[c * m + b] = ring.one
-    return Matrix._trusted(ring, m, m, ent)
+        nz[c] = ((b, ring.one),)
+    return Matrix._sparse(ring, m, m, nz)

@@ -14,15 +14,17 @@ read off is the same) and with the Howell property over Z/n.  Bases,
 joins, spins and escape tests all run on such tables (`_table_rows`
 reads the canonical form off), so over Q `Fraction`s are only handed out.
 
-A map between free spans is written in their bases by one product read
-at the target's pivots (`restrict`).  Over a finite ring every
-exhaustive search draws its vectors from one guarded enumerator
-(`nonzero_vectors`, one vector per line over a field and per leading
-divisor and tail over Z/n, or their combinations of a basis,
-`span_vectors`), and the whole-lattice searches
-(`all_submodules`, ideal enumeration, maximal submodules over Z/n) read
-one lattice builder (`invariant_lattice`).  Over a prime field, the
-MeatAxe (`meataxe.py`) decides simplicity and maximal submodules.
+A `Matrix` is held by its nonzero entries only, row by row, so products,
+sums, equality and hashing cost O(nnz), not O(rows * cols).  A map
+between free spans is written in their bases by one product of the
+target's pivot rows (`restrict`).  Over a finite ring every exhaustive
+search draws its vectors from one guarded enumerator (`nonzero_vectors`,
+one vector per line over a field and per leading divisor and tail over
+Z/n, or their combinations of a basis, `span_vectors`), and the
+whole-lattice searches (`all_submodules`, ideal enumeration, maximal
+submodules over Z/n) read one lattice builder (`invariant_lattice`).
+Over a prime field, the MeatAxe (`meataxe.py`) decides simplicity and
+maximal submodules.
 """
 
 from __future__ import annotations
@@ -42,38 +44,42 @@ from .rings import ScalarRing
 
 
 class Matrix:
-    """Dense matrix over a ScalarRing, entries stored row-major.
+    """Matrix over a ScalarRing held by its nonzero entries: per row, the
+    (column, entry) pairs of its nonzeros in column order (`_nz`), and
+    nothing else.
 
-    Each row's nonzero (column, entry) pairs are memoised in `_nz` on
-    first use (`_nonzero_rows`, the one place that finds zeros), for
-    `apply`, both factors of a product and the right operand of a sum;
-    `entries` stays the one representation, and equality and hashing
-    ignore the memo.
+    Every builder drops zeros, so the pairs are canonical and equality
+    and hashing read (ring, shape, pairs).  Products (row by row,
+    Gustavson, ACM TOMS 4, 1978), sums and transposes touch only the
+    nonzeros they reach and drop the entries that cancel.  `entries`,
+    `row`, `rows`, `col`, `at` and `to_lists` are dense reads of the
+    pairs, `ring.zero` in the gaps.
     """
 
-    __slots__ = ("ring", "nrows", "ncols", "entries", "_nz")
+    __slots__ = ("ring", "nrows", "ncols", "_nz")
 
     def __init__(self, ring: ScalarRing, nrows: int, ncols: int, entries):
-        entries = tuple(ring.coerce(x) for x in entries)
+        entries = [ring.coerce(x) for x in entries]
         if len(entries) != nrows * ncols:
             raise DimensionMismatchError(
                 "expected %d entries, got %d" % (nrows * ncols, len(entries)))
-        self.ring = ring
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = entries
-        self._nz = None
+        self.ring, self.nrows, self.ncols = ring, nrows, ncols
+        self._nz = _dense_nz(entries, nrows, ncols)
+
+    @classmethod
+    def _sparse(cls, ring, nrows, ncols, nz):
+        # Caller promises nrows rows of (column, entry) pairs in column
+        # order, each entry nonzero and already in `ring`.
+        obj = cls.__new__(cls)
+        obj.ring, obj.nrows, obj.ncols = ring, nrows, ncols
+        obj._nz = tuple(nz)
+        return obj
 
     @classmethod
     def _trusted(cls, ring, nrows, ncols, entries):
         # Caller promises nrows * ncols entries, each already in `ring`.
-        obj = cls.__new__(cls)
-        obj.ring = ring
-        obj.nrows = nrows
-        obj.ncols = ncols
-        obj.entries = tuple(entries)
-        obj._nz = None
-        return obj
+        return cls._sparse(ring, nrows, ncols,
+                           _dense_nz(entries, nrows, ncols))
 
     @classmethod
     def from_rows(cls, ring, rows):
@@ -89,39 +95,38 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls._trusted(ring, n, n, [ring.one if i == j else ring.zero
-                                         for i in range(n) for j in range(n)])
+        return cls._sparse(ring, n, n, [((i, ring.one),) for i in range(n)])
 
     @classmethod
     def zeros(cls, ring, nrows, ncols):
-        return cls._trusted(ring, nrows, ncols, [ring.zero] * (nrows * ncols))
+        return cls._sparse(ring, nrows, ncols, ((),) * nrows)
 
     def at(self, i, j):
-        return self.entries[i * self.ncols + j]
+        return dict(self._nz[i]).get(j, self.ring.zero)
 
     def row(self, i) -> tuple:
-        return self.entries[i * self.ncols:(i + 1) * self.ncols]
+        out = [self.ring.zero] * self.ncols
+        for j, x in self._nz[i]:
+            out[j] = x
+        return tuple(out)
 
     def rows(self) -> list[tuple]:
         return [self.row(i) for i in range(self.nrows)]
 
+    @property
+    def entries(self) -> tuple:
+        return tuple(x for i in range(self.nrows) for x in self.row(i))
+
     def col(self, j) -> tuple:
-        return tuple(self.entries[i * self.ncols + j] for i in range(self.nrows))
+        return tuple(self.at(i, j) for i in range(self.nrows))
 
     def transpose(self):
-        c = self.ncols
-        return Matrix._trusted(self.ring, c, self.nrows,
-                               [x for j in range(c)
-                                for x in self.entries[j::c]])
-
-    def _nonzero_rows(self) -> list:
-        """Per row, the (column, entry) pairs of its nonzero entries."""
-        if self._nz is None:
-            c = self.ncols
-            self._nz = [[(j, x) for j, x
-                         in enumerate(self.entries[i * c:(i + 1) * c]) if x]
-                        for i in range(self.nrows)]
-        return self._nz
+        cols = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self._nz):
+            for j, x in row:
+                cols[j].append((i, x))
+        return Matrix._sparse(self.ring, self.ncols, self.nrows,
+                              map(tuple, cols))
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector, over each row's nonzero entries."""
@@ -131,7 +136,7 @@ class Matrix:
         R = self.ring
         add, mul, zero = R.add, R.mul, R.zero
         out = []
-        for row in self._nonzero_rows():
+        for row in self._nz:
             acc = zero
             for j, x in row:
                 acc = add(acc, mul(x, vec[j]))
@@ -147,21 +152,23 @@ class Matrix:
             raise DimensionMismatchError("shapes %dx%d and %dx%d"
                                          % (self.nrows, self.ncols,
                                             other.nrows, other.ncols))
-        # Row i, then k, then column j, over the nonzero entries of both
-        # factors: a block-monomial product costs O(dim^2), not O(dim^3).
-        # Exact, since the dropped terms are zero.
+        # Row i of the product sums a * (row k of other) over the pairs
+        # (k, a) of row i: only the columns reached get an entry.
         R = self.ring
         add, mul = R.add, R.mul
-        c = other.ncols
-        sparse_rows = other._nonzero_rows()
+        rows = other._nz
         out = []
-        for row in self._nonzero_rows():
-            acc = [R.zero] * c
+        for row in self._nz:
+            if not row:
+                out.append(row)
+                continue
+            acc = {}
             for k, a in row:
-                for j, b in sparse_rows[k]:
-                    acc[j] = add(acc[j], mul(a, b))
-            out.extend(acc)
-        return Matrix._trusted(R, self.nrows, c, out)
+                for j, b in rows[k]:
+                    x = mul(a, b)
+                    acc[j] = add(acc[j], x) if j in acc else x
+            out.append(_pairs(acc))
+        return Matrix._sparse(R, self.nrows, other.ncols, out)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -170,23 +177,25 @@ class Matrix:
             raise RingMismatchError("matrix sum over different rings")
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatchError("matrix sum shape mismatch")
-        R, c = self.ring, self.ncols
-        out = list(self.entries)
-        for i, row in enumerate(other._nonzero_rows()):
-            for j, x in row:
-                out[i * c + j] = R.add(out[i * c + j], x)
-        return Matrix._trusted(R, self.nrows, c, out)
+        add = self.ring.add
+        out = []
+        for mine, theirs in zip(self._nz, other._nz):
+            acc = dict(mine)
+            for j, x in theirs:
+                acc[j] = add(acc[j], x) if j in acc else x
+            out.append(_pairs(acc))
+        return Matrix._sparse(self.ring, self.nrows, self.ncols, out)
 
     def is_zero(self) -> bool:
-        return not any(self._nonzero_rows())
+        return not any(self._nz)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.ring == other.ring \
             and self.nrows == other.nrows and self.ncols == other.ncols \
-            and self.entries == other.entries
+            and self._nz == other._nz
 
     def __hash__(self):
-        return hash((self.ring, self.nrows, self.ncols, self.entries))
+        return hash((self.ring, self.nrows, self.ncols, self._nz))
 
     def __repr__(self):
         return "Matrix(%d x %d over %s)" % (self.nrows, self.ncols,
@@ -196,14 +205,25 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.nrows)]
 
 
+def _dense_nz(entries, nrows, ncols) -> tuple:
+    """Each row's nonzero (column, entry) pairs of row-major entries."""
+    return tuple(tuple([(j, x) for j, x
+                        in enumerate(entries[i * ncols:(i + 1) * ncols]) if x])
+                 for i in range(nrows))
+
+
+def _pairs(acc) -> tuple:
+    """The nonzero items of a {column: entry} dict, in column order."""
+    return tuple([p for p in sorted(acc.items()) if p[1]])
+
+
 def poly_at(poly, X: Matrix) -> Matrix:
     """The integer polynomial (low-first coefficients) at X, by Horner."""
     R, d = X.ring, X.nrows
     P = Matrix.zeros(R, d, d)
     for c in map(R.coerce, reversed(poly)):
-        P = P * X + Matrix._trusted(R, d, d, [c if i == j else R.zero
-                                              for i in range(d)
-                                              for j in range(d)])
+        P = P * X + Matrix._sparse(R, d, d, [((i, c),) for i in range(d)]
+                                   if c else ((),) * d)
     return P
 
 
@@ -276,7 +296,7 @@ def _elim_map(ring, M: Matrix):
     denominators, which sends each vector to the same line."""
     if ring.modulus is not None:
         return M.apply
-    nz = [[(j, x.as_integer_ratio()) for j, x in r] for r in M._nonzero_rows()]
+    nz = [[(j, x.as_integer_ratio()) for j, x in r] for r in M._nz]
     den = lcm(*[d for row in nz for _, (_, d) in row])
     rows = [[(j, n * (den // d)) for j, (n, d) in row] for row in nz]
     return lambda v: tuple([sum([x * v[j] for j, x in row])
@@ -523,11 +543,12 @@ class Subspace:
         """The matrix of ``reduce`` for unit pivots: x - sum_r x[p_r] b_r,
         as reducing by row r leaves the other pivots' entries alone."""
         R, n = self.ring, self.ambient_dim
-        ent = list(Matrix.identity(R, n).entries)
+        acc = [{i: R.one} for i in range(n)]
         for p, b in self._rows():
             for i, x in enumerate(b):
-                ent[i * n + p] = R.sub(ent[i * n + p], x)
-        return Matrix._trusted(R, n, n, ent)
+                if x:
+                    acc[i][p] = R.sub(acc[i].get(p, R.zero), x)
+        return Matrix._sparse(R, n, n, map(_pairs, acc))
 
     def join(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -588,7 +609,7 @@ def _relations(ring, vectors, width, tags=None) -> list[tuple]:
 def mat_kernel(mat: Matrix) -> Subspace:
     """Kernel {x : mat @ x = 0}: the relations among the columns."""
     R = mat.ring
-    cols = [mat.col(j) for j in range(mat.ncols)]
+    cols = mat.transpose().rows()
     return Subspace._trusted(R, mat.ncols, _relations(R, cols, mat.nrows))
 
 
@@ -621,7 +642,7 @@ def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
         raise DimensionMismatchError("target lives in R^%d, map lands in R^%d"
                                      % (target.ambient_dim, mat.nrows))
     k = mat.ncols
-    vectors = [mat.col(j) for j in range(k)]
+    vectors = mat.transpose().rows()
     vectors.extend(tuple(R.neg(x) for x in t) for t in target.basis)
     tags = [e[:k] for e in Matrix.identity(R, len(vectors)).rows()]
     return Subspace._trusted(R, k, _relations(R, vectors, mat.nrows, tags))
@@ -629,8 +650,9 @@ def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
 
 def _columns(ring, vectors, width) -> Matrix:
     """The vectors of R^width as the columns of a matrix."""
-    return Matrix._trusted(ring, len(vectors), width,
-                           [x for v in vectors for x in v]).transpose()
+    return Matrix._sparse(ring, len(vectors), width, [
+        tuple([(i, x) for i, x in enumerate(v) if x]) for v in vectors
+    ]).transpose()
 
 
 def restrict(M: Matrix, source: Subspace, target: Subspace) -> Matrix:
@@ -643,8 +665,8 @@ def restrict(M: Matrix, source: Subspace, target: Subspace) -> Matrix:
         raise NonFreeQuotientError("basis has non-unit pivots")
     if M.nrows != target.ambient_dim:
         raise DimensionMismatchError("map and target dimensions differ")
-    rows = Matrix._trusted(M.ring, target.num_rows, M.ncols,
-                           [x for p in target.pivots for x in M.row(p)])
+    rows = Matrix._sparse(M.ring, target.num_rows, M.ncols,
+                          [M._nz[p] for p in target.pivots])
     return rows * _columns(source.ring, source.basis, source.ambient_dim)
 
 

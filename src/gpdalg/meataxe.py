@@ -229,10 +229,10 @@ def charpoly(M: Matrix) -> list[int]:
 
 
 def _is_scalar(M: Matrix) -> bool:
-    """Whether M = c*1, read off the memoised nonzero rows."""
-    c = M.entries[0]
-    return all(row == ([(i, c)] if c else [])
-               for i, row in enumerate(M._nonzero_rows()))
+    """Whether M = c*1, read off the nonzero pairs of each row."""
+    c = M.at(0, 0)
+    return all(row == (((i, c),) if c else ())
+               for i, row in enumerate(M._nz))
 
 
 def _words(maps):

@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_BOUND,
     Matrix,
     Subspace,
+    _pairs,
     canonical_rows,
     closure,
     first_escape,
@@ -151,9 +152,10 @@ def module_annihilator_space(rho: Rep) -> Subspace:
     its entries, lifted through the residue field when the matrices live
     there: the annihilator as a subspace over the ambient ring,
     unchecked."""
-    MR = rho.matrix_ring
-    flat = [x for M in rho.mats for x in M.entries]
-    kern = left_kernel(Matrix._trusted(MR, len(rho.mats), rho.dim ** 2, flat))
+    MR, d = rho.matrix_ring, rho.dim
+    flat = [tuple([(i * d + j, x) for i, row in enumerate(M._nz)
+                   for j, x in row]) for M in rho.mats]
+    kern = left_kernel(Matrix._sparse(MR, len(rho.mats), d * d, flat))
     if MR == rho.ring:
         return kern
     return _residue_lift_space(rho.ring, MR, kern)
@@ -200,25 +202,22 @@ def _intertwiners(A, B) -> Subspace:
     entries of column j of M1 and row i of M2."""
     MR = A.matrix_ring
     d1, d2 = A.dim, B.dim
-    nunk = d2 * d1
     rows = []
     for M1, M2 in zip(A.action_mats(), B.action_mats()):
-        cols1 = M1.transpose()._nonzero_rows()
-        rows2 = M2._nonzero_rows()
+        cols1 = M1.transpose()._nz
+        rows2 = M2._nz
         for i in range(d2):
             for j in range(d1):
-                row = [MR.zero] * nunk
-                for k, x in cols1[j]:
-                    row[i * d1 + k] = x
+                row = {i * d1 + k: x for k, x in cols1[j]}
                 for k, x in rows2[i]:
                     t = k * d1 + j
-                    row[t] = MR.sub(row[t], x)
+                    row[t] = MR.sub(row.get(t, MR.zero), x)
                 # The unit of a group acts as 1 on both sides: no condition.
-                if any(row):
+                row = _pairs(row)
+                if row:
                     rows.append(row)
-    # With no condition, the kernel of the 0 x nunk system is everything.
-    return mat_kernel(Matrix._trusted(MR, len(rows), nunk,
-                                      [x for r in rows for x in r]))
+    # With no condition, the kernel of the 0-row system is everything.
+    return mat_kernel(Matrix._sparse(MR, len(rows), d2 * d1, rows))
 
 
 def is_isomorphic(A, B, bound: int = DEFAULT_BOUND) -> bool:

@@ -80,11 +80,12 @@ def sheaf_validate(S: SheafData) -> list[str]:
 
 
 def _stalk_basis(rho: Rep, u: int) -> Subspace:
-    """Canonical basis of the image of the unit idempotent at u."""
-    P = rho.mats[rho.groupoid.unit_of[u]]
-    rows = [P.col(j) for j in range(P.ncols)]
-    basis = canonical_rows(rho.matrix_ring, rows, P.nrows)
-    space = Subspace._trusted(rho.matrix_ring, P.nrows, basis)
+    """Canonical basis of the image of the unit idempotent at u: the span
+    of its nonzero columns."""
+    P = rho.mats[rho.groupoid.unit_of[u]].transpose()
+    rows = [P.row(j) for j, col in enumerate(P._nz) if col]
+    basis = canonical_rows(rho.matrix_ring, rows, P.ncols)
+    space = Subspace._trusted(rho.matrix_ring, P.ncols, basis)
     if not space.has_unit_pivots():
         raise NonFreeQuotientError(
             "stalk at object %d is not free over %s"
@@ -146,7 +147,7 @@ def simple_stalk(rho: Rep,
         F = MR.residue_field() if MR.kind == "modular" else MR
         if F.modulus != MR.modulus:
             return None
-        maps = [Matrix._trusted(F, N.dim, N.dim, M.entries)
+        maps = [Matrix._sparse(F, N.dim, N.dim, M._nz)
                 for M in N.action_mats()]
         return N if proper_submodule(maps, F, N.dim, bound) is None \
             else None
@@ -179,12 +180,10 @@ def gamma_c(S: SheafData) -> Rep:
     mats = []
     for a in range(g.n_arrows):
         v, w = g.src[a], g.tgt[a]
-        ent = [MR.zero] * (total * total)
-        for i, row in enumerate(S.arrow_mats[a]._nonzero_rows()):
-            at = (offsets[w] + i) * total + offsets[v]
-            for j, x in row:
-                ent[at + j] = x
-        mats.append(Matrix._trusted(MR, total, total, ent))
+        nz = [()] * total
+        for i, row in enumerate(S.arrow_mats[a]._nz):
+            nz[offsets[w] + i] = tuple([(offsets[v] + j, x) for j, x in row])
+        mats.append(Matrix._sparse(MR, total, total, nz))
     return Rep(g, S.ring, total, mats, matrix_ring=MR)
 
 
@@ -195,9 +194,9 @@ def disintegration_iso(rho: Rep) -> Matrix:
     sections = gamma_c(S)
     g, MR = rho.groupoid, rho.matrix_ring
     # Stalk coordinates of unit_u m are its entries at the pivots.
-    rows = [rho.mats[g.unit_of[u]].row(p) for u in range(g.n_objects)
+    rows = [rho.mats[g.unit_of[u]]._nz[p] for u in range(g.n_objects)
             for p in S.stalk_bases[u].pivots]
-    T = Matrix._trusted(MR, len(rows), rho.dim, [x for r in rows for x in r])
+    T = Matrix._sparse(MR, len(rows), rho.dim, rows)
     if T.nrows != rho.dim:
         raise ConstructionError("stalk dimensions sum to %d, module has %d"
                                 % (T.nrows, rho.dim))

@@ -201,6 +201,70 @@ def reference_matmul(A, B):
     return Matrix(R, A.nrows, B.ncols, out)
 
 
+class Dense:
+    """A matrix as the old dense ``Matrix`` held it: `entries` row-major,
+    zeros included.  The ``reference_*`` helpers below are that class's
+    bodies, zeros found by scanning the entries."""
+
+    __slots__ = ("ring", "nrows", "ncols", "entries")
+
+    def __init__(self, ring, nrows, ncols, entries):
+        self.ring, self.nrows, self.ncols = ring, nrows, ncols
+        self.entries = tuple(ring.coerce(x) for x in entries)
+
+    def row(self, i):
+        return self.entries[i * self.ncols:(i + 1) * self.ncols]
+
+    def rows(self):
+        return [self.row(i) for i in range(self.nrows)]
+
+    def col(self, j):
+        return tuple(self.entries[i * self.ncols + j]
+                     for i in range(self.nrows))
+
+    def to_lists(self):
+        return [list(self.row(i)) for i in range(self.nrows)]
+
+
+def reference_nonzero_rows(D):
+    """Per row, the (column, entry) pairs of its nonzero entries, found by
+    testing every entry."""
+    return [[(j, x) for j, x in enumerate(D.row(i)) if x]
+            for i in range(D.nrows)]
+
+
+def reference_rowwise_matmul(A, B):
+    """The old ``Matrix.__mul__``: row i, then k, then column j over the
+    nonzero entries of both factors, into a dense accumulator row."""
+    R, c = A.ring, B.ncols
+    sparse_rows = reference_nonzero_rows(B)
+    out = []
+    for row in reference_nonzero_rows(A):
+        acc = [R.zero] * c
+        for k, a in row:
+            for j, b in sparse_rows[k]:
+                acc[j] = R.add(acc[j], R.mul(a, b))
+        out.extend(acc)
+    return Dense(R, A.nrows, c, out)
+
+
+def reference_matadd(A, B):
+    """The old ``Matrix.__add__``: A's entries plus B's nonzero entries."""
+    R, c = A.ring, A.ncols
+    out = list(A.entries)
+    for i, row in enumerate(reference_nonzero_rows(B)):
+        for j, x in row:
+            out[i * c + j] = R.add(out[i * c + j], x)
+    return Dense(R, A.nrows, c, out)
+
+
+def reference_transpose(D):
+    """The old ``Matrix.transpose``: column j is the stride-c slice at j."""
+    c = D.ncols
+    return Dense(D.ring, c, D.nrows,
+                 [x for j in range(c) for x in D.entries[j::c]])
+
+
 def reference_left_mult_matrix(g, ring, a):
     """Matrix of f -> e_a * f on the arrow basis."""
     m = g.n_arrows

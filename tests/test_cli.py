@@ -593,6 +593,52 @@ def test_large_stalk_jobs_keep_their_bytes(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("compute stalks --gen pair:8 --ring q",
+     "8c509ef0ce9fa289f0a352870f36998845be90f61661b16b570337e093856835"),
+    ("compute stalks --gen pair:10 --ring fp:2",
+     "5456e800e421a32c6328544e83dbeacdc66d18691d98a9323258999b9d71d687"),
+    ("compute stalks --gen group:z3+pair:3 --ring zn:4",
+     "9bac9a6c1f3fa64c4fbf8e61f9df0a266b3508e074c2e8e785582ec62603535e"),
+])
+def test_sparse_stalk_jobs_keep_their_bytes(argv, digest, capsys):
+    # The digests were recorded with every matrix held dense, all m^2
+    # entries stored, compared and hashed.
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_disintegrate_jobs_read_no_dense_module_matrix(monkeypatch, capsys):
+    # compute stalks keeps the regular module's m x m matrices as nonzero
+    # pairs from the products to the restriction: none of them is read
+    # dense (entries, rows, col or to_lists), only the small stalk
+    # matrices of the output are.  The benchmark's five jobs.
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    shapes = []
+
+    def counted(read):
+        def wrapper(self, *args):
+            shapes.append((self.nrows, self.ncols))
+            return read(self, *args)
+        return wrapper
+
+    M = gpdalg.Matrix
+    monkeypatch.setattr(M, "entries", property(counted(M.entries.fget)))
+    for name in ("rows", "col", "to_lists"):
+        monkeypatch.setattr(M, name, counted(getattr(M, name)))
+    for verb, what, spec, ring, extra in workloads.WORKLOADS["disintegrate"]:
+        m = parse_generator_spec(spec).n_arrows
+        shapes.clear()
+        assert run(capsys, verb, what, "--gen", spec, "--ring", ring,
+                   *extra)[0] == 0
+        assert shapes and all(r * c < m * m for r, c in shapes), spec
+
+
 @pytest.mark.parametrize("argv,code,digest", [
     ("verify primitive-single --gen pair:3 --ring q", 0,
      "125d46b00d2bc81c65d2a620385f4fb0d6104b32e272373937bcb3dc3973ad77"),

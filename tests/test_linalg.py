@@ -32,6 +32,7 @@ from gpdalg.linalg import (
 
 from conftest import (
     RING_SPECS,
+    Dense,
     all_subspaces,
     brute_span,
     reference_apply,
@@ -41,13 +42,17 @@ from conftest import (
     reference_invariant_lattice,
     reference_left_kernel,
     reference_mat_kernel,
+    reference_matadd,
     reference_matmul,
+    reference_nonzero_rows,
+    reference_rowwise_matmul,
     reference_rref,
     reference_rref_closure,
     reference_span_vectors_mod,
     reference_span_vectors_ring_ops,
     reference_subspace_intersect,
     reference_subspace_preimage,
+    reference_transpose,
 )
 
 Q = ring_from_spec("q")
@@ -120,11 +125,78 @@ def test_matmul_matches_reference(spec):
                         == [type(x) for x in want.entries]
 
 
+def _check_against_dense(M, D):
+    # Every dense read of the sparse rows, type included, and the rows
+    # themselves, against the old dense matrix.
+    assert (M.ring, M.nrows, M.ncols) == (D.ring, D.nrows, D.ncols)
+    assert M.entries == D.entries
+    assert [type(x) for x in M.entries] == [type(x) for x in D.entries]
+    assert M.rows() == D.rows()
+    assert [M.col(j) for j in range(M.ncols)] \
+        == [D.col(j) for j in range(D.ncols)]
+    assert M.to_lists() == D.to_lists()
+    assert M._nz == tuple(map(tuple, reference_nonzero_rows(D)))
+    rebuilt = Matrix(D.ring, D.nrows, D.ncols, D.entries)
+    assert M == rebuilt and hash(M) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_sparse_rows_match_the_dense_matrix(spec):
+    ring = ring_from_spec(spec)
+    rng = random.Random("sparse/" + spec)
+    elems = list(range(-2, 3))
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1),
+              (3, 3, 3), (2, 5, 4), (5, 1, 3), (6, 6, 6)]
+
+    def pair(n, k, density):
+        flat = [rng.choice(elems) if rng.random() < density else 0
+                for _ in range(n * k)]
+        return Matrix(ring, n, k, flat), Dense(ring, n, k, flat)
+
+    for density in (0, 0.2, 0.6, 1):
+        for n, k, c in shapes:
+            for _ in range(3):
+                A, DA = pair(n, k, density)
+                B, DB = pair(k, c, density)
+                C, DC = pair(n, k, density)
+                _check_against_dense(A, DA)
+                _check_against_dense(A * B, reference_rowwise_matmul(DA, DB))
+                _check_against_dense(A + C, reference_matadd(DA, DC))
+                _check_against_dense(A.transpose(), reference_transpose(DA))
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_cancelling_entries_leave_no_pair(spec):
+    # 1 + (-1) over Q, 1 + (p - 1) over F_p and Z/4, and 2 * 2 over Z/4:
+    # the result keeps no zero pair, so it equals (and hashes like) the
+    # matrix written with explicit zeros.
+    ring = ring_from_spec(spec)
+    one, minus = ring.one, ring.neg(ring.one)
+    row = Matrix(ring, 1, 2, [1, 1])
+    col = Matrix(ring, 2, 1, [one, minus])
+    assert (row * col)._nz == ((),)
+    assert (row * col).is_zero()
+    A = Matrix(ring, 2, 2, [1, 0, 3, 1])
+    B = Matrix(ring, 2, 2, [minus, 0, 0, 2])
+    S = A + B
+    assert S == Matrix(ring, 2, 2, [0, 0, 3, 3])
+    assert hash(S) == hash(Matrix(ring, 2, 2, [0, 0, 3, 3]))
+    assert S._nz[0] == ()
+    explicit = Matrix(ring, 2, 3, [0, 1, 0, 0, 0, 0])
+    sparse = Matrix._sparse(ring, 2, 3, [((1, one),), ()])
+    assert explicit == sparse and hash(explicit) == hash(sparse)
+    assert explicit._nz == sparse._nz
+    if ring.modulus == 4:
+        two = Matrix(ring, 1, 1, [2])
+        assert (two * two)._nz == ((),)
+        assert two * two == Matrix.zeros(ring, 1, 1)
+
+
 @pytest.mark.parametrize("spec", RING_SPECS)
 def test_apply_matches_reference(spec):
-    # The nonzero pairs are memoised per matrix: apply before and after
-    # the matrix serves as a right factor, and on the fresh matrices that
-    # products and transposes return.
+    # apply reads the stored nonzero pairs: before and after the matrix
+    # serves as a right factor, and on the fresh matrices that products
+    # and transposes return.
     ring = ring_from_spec(spec)
     rng = random.Random("apply/" + spec)
 

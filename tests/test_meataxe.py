@@ -276,8 +276,8 @@ def test_scalar_maps_split_off_a_line():
 
 @pytest.mark.parametrize("spec", FIELDS)
 def test_is_scalar_matches_the_dense_test(spec):
-    # _is_scalar reads the memoised nonzero rows; the reference scans
-    # every entry.
+    # _is_scalar reads the stored nonzero pairs; the reference scans
+    # every dense entry.
     F = ring_from_spec(spec)
     rng = random.Random("scalar/" + spec)
     mats = []
