@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .algebra import AlgebraElement
 from .errors import BoundExceededError, ConstructionError, GpdalgError
@@ -383,9 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# One parser per process: each build costs ~1 ms and leaves cyclic garbage.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "bound", 1) < 1:
             raise ConstructionError("--bound must be at least 1, got %d"

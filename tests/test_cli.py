@@ -549,6 +549,35 @@ def test_product_layout_jobs_keep_their_bytes(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _outcomes(capsys, calls):
+    got = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        got.append((code, out.out, out.err))
+    return got
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # main parses with one parser per process; a sequence of calls through
+    # it prints what the same calls print with a fresh parser each.
+    assert gpdalg.cli._parser() is gpdalg.cli._parser()
+    calls = [["compute", "stalks", "--bound", "x"], ["--help"],
+             ["compute", "stalks", "--gen", "pair:2", "--ring", "fp:3"],
+             ["verify", "primitive-ideals", "--gen", "group:z3",
+              "--format", "text"],
+             ["compute", "stalks", "--gen", "pair:2", "--bound", "0"],
+             ["verify", "--help"], ["compute"],
+             ["compute", "orbits", "--gen", "group:z2+pair:2"]]
+    shared = _outcomes(capsys, calls)
+    monkeypatch.setattr(gpdalg.cli, "_parser", gpdalg.cli.build_parser)
+    assert shared == _outcomes(capsys, calls)
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2, 0, 2, 0]
+
+
 def test_benchmark_jobs_build_no_coercing_matrix(monkeypatch, capsys):
     # Inside the library every matrix is built from entries already in
     # the ring (Matrix._trusted); only callers from outside it use the
