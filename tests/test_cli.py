@@ -519,7 +519,8 @@ def test_simple_module_jobs_keep_their_bytes(argv, digest, capsys):
     # The digests were recorded with the composition-series walk of
     # simple_modules_group run to the bottom of the series, and with the
     # annihilator of each induced module checked to be a two-sided ideal
-    # before the primitive-ideal verdict compared it.
+    # before the primitive-ideal verdict compared it.  Their order is the
+    # dense row-major sort_key, also with sparse matrices (z12/fp:5).
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -580,8 +581,8 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
 
 def test_benchmark_jobs_build_no_coercing_matrix(monkeypatch, capsys):
     # Inside the library every matrix is built from entries already in
-    # the ring (Matrix._trusted); only callers from outside it use the
-    # coercing constructors.  All the benchmark's jobs, on --gen inputs.
+    # the ring (Matrix._sparse or Matrix._trusted); only callers from
+    # outside it use the coercing constructors.  All the benchmark's jobs, on --gen inputs.
     sys.path.insert(0, PERFBENCH)
     try:
         import workloads
@@ -611,18 +612,6 @@ def test_benchmark_jobs_build_no_coercing_matrix(monkeypatch, capsys):
      "9d0014f8a2b50b267cea3055ee0d0a75ee881983791a84a2e7e5cded294929f5"),
     ("compute stalks --gen pair:8 --ring zn:4",
      "fb70b1a01fecd49227267b506e9416873f11fec2b87def11766d0e1bd2f2a3a6"),
-])
-def test_large_stalk_jobs_keep_their_bytes(argv, digest, capsys):
-    # Larger than the benchmark's pair:4 and pair:5, so the products and
-    # sums that skip zeros on both sides are checked on 100x100 and 64x64
-    # matrices; the digests were recorded with the dense left factor and
-    # the entrywise sum.
-    code, out, err = run(capsys, *argv.split())
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("argv,digest", [
     ("compute stalks --gen pair:8 --ring q",
      "8c509ef0ce9fa289f0a352870f36998845be90f61661b16b570337e093856835"),
     ("compute stalks --gen pair:10 --ring fp:2",
@@ -630,9 +619,12 @@ def test_large_stalk_jobs_keep_their_bytes(argv, digest, capsys):
     ("compute stalks --gen group:z3+pair:3 --ring zn:4",
      "9bac9a6c1f3fa64c4fbf8e61f9df0a266b3508e074c2e8e785582ec62603535e"),
 ])
-def test_sparse_stalk_jobs_keep_their_bytes(argv, digest, capsys):
-    # The digests were recorded with every matrix held dense, all m^2
-    # entries stored, compared and hashed.
+def test_large_stalk_jobs_keep_their_bytes(argv, digest, capsys):
+    # Larger than the benchmark's pair:4 and pair:5, so the products and
+    # sums that skip zeros on both sides are checked on 100x100 and 64x64
+    # matrices; the first two digests were recorded with the dense left
+    # factor and the entrywise sum, the last three with every matrix held
+    # dense (all m^2 entries stored, compared and hashed).
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
