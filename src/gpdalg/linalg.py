@@ -7,10 +7,11 @@ rows, so that every span element whose leading zeros reach position j is
 generated by the basis rows with pivots at or beyond j; membership can
 then be tested by straight reduction.
 
-Three kernels grow the same way: rows go one at a time into a {pivot:
-row} table (`_insert`), in RREF over F_p, of primitive integer rows
-eliminated fraction-free over Q (Bareiss, Math. Comp. 22, 1968; the RREF
-read off is the same) and with the Howell property over Z/n.  Bases,
+Two kernels grow the same way: rows go one at a time into a {pivot:
+row} table (`_insert`) of plain ints, primitive integer rows eliminated
+fraction-free over Q (Bareiss, Math. Comp. 22, 1968; the RREF read off
+is the same) and residues mod n with the Howell property over every
+finite ring, F_p as Z/p, where the Howell form is the RREF.  Bases,
 joins, spins and escape tests all run on such tables (`_table_rows`
 reads the canonical form off), so over Q `Fraction`s are only handed out.
 
@@ -235,15 +236,11 @@ def _first_nonzero(row):
 
 
 def _reduce(ring, rows, v):
-    """Reduce the list v in place by echelon rows, given as (pivot, row)
-    pairs in pivot order, and return it: zero iff v lies in their span.
-
-    Rows whose pivot entry of v is zero and zero row entries are skipped.
-    Over a field the rows are in RREF, so every pivot entry of v is read
-    once, whatever the order.  Over Z/n each pivot entry of v is reduced
-    modulo the pivot, which is exact on members when the rows have the
-    Howell property.
-    """
+    """``Subspace.reduce``: the list v reduced in place by canonical
+    (pivot, row) pairs in pivot order, zero iff v lies in their span.
+    Each pivot entry of v is read once (over a field, RREF) or reduced
+    modulo the pivot (over Z/n, exact on members by the Howell property);
+    zero pivot entries of v and zero row entries are skipped."""
     field = ring.is_field
     add, mul, neg = ring.add, ring.mul, ring.neg
     width = len(v)
@@ -303,11 +300,12 @@ def _elim_map(ring, M: Matrix):
                             for row in rows])
 
 
-def _in_span(ring, rows, v) -> bool:
-    """Whether `_elim_row`'s v is in the span of ``_elim_rows`` pairs."""
+def _in_span(ring, table, v) -> bool:
+    """Whether `_elim_row`'s v is in the span of an `_insert` table or of
+    a canonical basis as one: iff a copy of v is reduced to zero."""
     if ring.modulus is None:
-        return not any(_int_reduce(rows, v))
-    return not any(_reduce(ring, rows, list(v)))
+        return not any(_int_reduce(table.items(), v))
+    return _lead(ring.modulus, table, list(v)) is None
 
 
 def _egcd(a, b):
@@ -338,61 +336,50 @@ def _unit_mult(a, n):
     raise AssertionError("no unit multiplier for %d mod %d" % (a, n))
 
 
+def _lead(n, table, row):
+    """The finite kernel's reduction step: while the leading entry of the
+    fresh list `row` is a multiple of the pivot of the table's row there,
+    subtract that multiple in place, mod n, writing only the pivot row's
+    nonzeros.  The column where it stops, or None once the row is zero:
+    over a Howell table, iff the row is in the span."""
+    w = len(row)
+    j = 0
+    while j < w:
+        c = row[j]
+        if c:
+            p = table.get(j)
+            if p is None or c % p[j]:
+                return j
+            c //= p[j]
+            for k in range(j, w):
+                y = p[k]
+                if y:
+                    row[k] = (row[k] - c * y) % n
+        j += 1
+    return None
+
+
 def _insert(ring, table, v) -> bool:
-    """Insert the list v (as `_elim_row` gives it) into the echelon table
-    {pivot: row}; True when the span grew.  The table's rows are changed
-    or replaced in place.
+    """Insert the fresh list v (as `_elim_row` gives it) into the echelon
+    table {pivot: row}; True when the span grew.  The table's rows, and
+    v, are changed or replaced in place.
 
-    Over F_p the table is in RREF: v is reduced by it, a nonzero residue
-    is normalised at its leading column, that column is cleared from the
-    other rows, and the residue is stored as a new row.  Over Q the same
-    steps run on primitive integer rows (`_int_reduce`), the residue with
-    a positive leading entry; `_table_rows` divides by the pivot entries.
+    Over Q the table holds primitive integer rows, each zero at the
+    others' pivots: v is reduced (`_int_reduce`), a nonzero residue gets
+    a positive leading entry, clears its column from the other rows and
+    is stored; `_table_rows` divides by the pivot entries.
 
-    Over Z/n the table has the Howell property, and every pivot is a
-    divisor of n.  A worklist row is reduced at its leading column when
-    it is a multiple of the pivot there, stored (times a unit) when the
-    column is free, and otherwise merged with the pivot row by a
-    unimodular gcd step (Storjohann & Mulders, ESA 1998): the gcd row
-    takes the slot and the remainder, zero at that column, goes back on
-    the worklist.  Each stored row with pivot d != 1 pushes its
-    annihilator multiple (n/d)*row, so the Howell property holds again
-    on return.  A member of the span is reduced to zero without changing
-    the table.  Every change to the table fills a free column or shrinks
-    a pivot to a proper divisor, so the worklist runs dry.
-    """
-    if not ring.is_field:
-        n = ring.modulus
-        grew = False
-        work = [v]
-        while work:
-            row = work.pop()
-            j = _first_nonzero(row)
-            if j is None:
-                continue
-            b, p = row[j], table.get(j)
-            if p is not None and b % p[j] == 0:
-                c = b // p[j]
-                work.append([(x - c * y) % n for x, y in zip(row, p)])
-                continue
-            if p is None:
-                u = _unit_mult(b, n)
-                p = [(u * x) % n for x in row]
-            else:
-                # [p; rem] is a unimodular image of [old p; row]; the gcd
-                # g divides the old pivot, hence n.
-                a = p[j]
-                g, s, t = _egcd(a, b)
-                work.append([((a // g) * y - (b // g) * x) % n
-                             for x, y in zip(p, row)])
-                p = [(s * x + t * y) % n for x, y in zip(p, row)]
-            table[j] = p
-            grew = True
-            if p[j] != 1:
-                ann = n // p[j]
-                work.append([(ann * x) % n for x in p])
-        return grew
-    if ring.modulus is None:
+    Over Z/n, F_p as Z/p, the table has the Howell property and every
+    pivot divides n.  A worklist row is reduced (`_lead`), stored times
+    a unit at a free leading column, and otherwise merged with the pivot
+    row by a unimodular gcd step (Storjohann & Mulders, ESA 1998): the
+    gcd row takes the slot and the remainder goes back on the worklist.
+    A stored row with pivot d != 1 pushes (n/d)*row, so the Howell
+    property holds again on return (over F_p every pivot is 1).  Members
+    leave the table unchanged; every change fills a free column or
+    shrinks a pivot to a proper divisor, so the worklist runs dry."""
+    n = ring.modulus
+    if n is None:
         v = _int_reduce(table.items(), v)
         lead = _first_nonzero(v)
         if lead is None:
@@ -405,42 +392,53 @@ def _insert(ring, table, v) -> bool:
                 table[p] = _int_reduce(((lead, v),), row)
         table[lead] = v
         return True
-    _reduce(ring, table.items(), v)
-    lead = _first_nonzero(v)
-    if lead is None:
-        return False
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    inv = ring.inv(v[lead])
-    v = [mul(inv, x) if x else x for x in v]
-    pairs = [(j, v[j]) for j in range(lead, len(v)) if v[j]]
-    for row in table.values():
-        c = row[lead]
-        if c:
-            c = neg(c)
-            for j, x in pairs:
-                row[j] = add(row[j], mul(c, x))
-    table[lead] = v
-    return True
+    grew = False
+    work = [v]
+    while work:
+        row = work.pop()
+        j = _lead(n, table, row)
+        if j is None:
+            continue
+        b, p = row[j], table.get(j)
+        if p is None:
+            u = _unit_mult(b, n) if b != 1 else 1
+            p = [(u * x) % n for x in row] if u != 1 else row
+        else:
+            # [p; rem] is a unimodular image of [old p; row]; the gcd
+            # g divides the old pivot, hence n.
+            a = p[j]
+            g, s, t = _egcd(a, b)
+            work.append([((a // g) * y - (b // g) * x) % n
+                         for x, y in zip(p, row)])
+            p = [(s * x + t * y) % n for x, y in zip(p, row)]
+        table[j] = p
+        grew = True
+        if p[j] != 1:
+            ann = n // p[j]
+            work.append([(ann * x) % n for x in p])
+    return grew
 
 
 def _table_rows(ring, table, start=0) -> tuple:
-    """The table's rows in pivot order: its RREF over F_p, over Q once
-    each integer row is divided by its pivot entry, and over Z/n its
-    Howell form, once every entry above a pivot d is reduced into [0, d)
-    in place.  Only the rows with pivots from `start` on, cut there."""
+    """The table's rows in pivot order, only those with pivots from
+    `start` on, cut there: over Q each integer row divided by its pivot
+    entry, over a finite ring the Howell form once every entry above a
+    pivot d is reduced into [0, d) in place, by the pivot row's nonzeros
+    (over F_p, d = 1: the RREF)."""
     cols = sorted(p for p in table if p >= start)
-    if ring.modulus is None:
+    n = ring.modulus
+    if n is None:
         return tuple(tuple([Fraction(x, table[p][p]) if x else ring.zero
                             for x in table[p][start:]]) for p in cols)
-    if not ring.is_field:
-        n = ring.modulus
-        for i, j in enumerate(cols):
-            row, d = table[j], table[j][j]
-            for j2 in cols[:i]:
-                c = table[j2][j] // d
-                if c:
-                    table[j2] = [(x - c * y) % n
-                                 for x, y in zip(table[j2], row)]
+    for i, j in enumerate(cols):
+        d = table[j][j]
+        nz = [(k, y) for k, y in enumerate(table[j]) if y]
+        for j2 in cols[:i]:
+            other = table[j2]
+            c = other[j] // d
+            if c:
+                for k, y in nz:
+                    other[k] = (other[k] - c * y) % n
     return tuple(tuple(table[p][start:]) for p in cols)
 
 
@@ -459,22 +457,22 @@ def canonical_rows(ring, rows, width):
 class Subspace:
     """Submodule of R^ambient_dim held by its canonical row basis."""
 
-    __slots__ = ("ring", "ambient_dim", "basis", "pivots")
+    __slots__ = ("ring", "ambient_dim", "basis", "pivots", "_cols")
 
     def __init__(self, ring, ambient_dim, generators):
-        self.ring = ring
-        self.ambient_dim = ambient_dim
+        self.ring, self.ambient_dim = ring, ambient_dim
         self.basis = canonical_rows(ring, generators, ambient_dim)
         self.pivots = tuple(_first_nonzero(b) for b in self.basis)
+        self._cols = None
 
     @classmethod
     def _trusted(cls, ring, ambient_dim, basis):
         # Caller promises `basis` is already canonical.
         obj = cls.__new__(cls)
-        obj.ring = ring
-        obj.ambient_dim = ambient_dim
+        obj.ring, obj.ambient_dim = ring, ambient_dim
         obj.basis = tuple(tuple(r) for r in basis)
         obj.pivots = tuple(_first_nonzero(b) for b in obj.basis)
+        obj._cols = None
         return obj
 
     @classmethod
@@ -510,8 +508,8 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        R, rows = self.ring, self._elim_rows()
-        return all(_in_span(R, rows, _elim_row(R, b)) for b in other.basis)
+        R, table = self.ring, dict(self._elim_rows())
+        return all(_in_span(R, table, _elim_row(R, b)) for b in other.basis)
 
     def _rows(self) -> list:
         # (pivot, row) pairs in pivot order, as `_reduce` takes them.
@@ -520,6 +518,12 @@ class Subspace:
     def _elim_rows(self) -> list:
         # The same pairs as the `_insert` tables hold them.
         return [(p, _elim_row(self.ring, b)) for p, b in self._rows()]
+
+    def _basis_columns(self) -> Matrix:
+        # The basis rows as the columns of a matrix, built on first use.
+        if self._cols is None:
+            self._cols = _columns(self.ring, self.basis, self.ambient_dim)
+        return self._cols
 
     def has_unit_pivots(self) -> bool:
         """Whether every pivot is 1 (always over a field): a free basis."""
@@ -660,14 +664,14 @@ def restrict(M: Matrix, source: Subspace, target: Subspace) -> Matrix:
     needs unit pivots; M must send `source` into `target`, unchecked.  A
     member's coordinates are its entries at the pivots (``coordinates``),
     so this is the rows ``target.pivots`` of M times source's basis as
-    columns."""
+    columns, built once per source (``Subspace._basis_columns``)."""
     if not target.has_unit_pivots():
         raise NonFreeQuotientError("basis has non-unit pivots")
     if M.nrows != target.ambient_dim:
         raise DimensionMismatchError("map and target dimensions differ")
     rows = Matrix._sparse(M.ring, target.num_rows, M.ncols,
                           [M._nz[p] for p in target.pivots])
-    return rows * _columns(source.ring, source.basis, source.ambient_dim)
+    return rows * source._basis_columns()
 
 
 DEFAULT_BOUND = 1 << 20
@@ -707,10 +711,11 @@ def first_escape(maps, space: Subspace):
     on integers: M v is in the span iff D M (s v) is, for the multiples
     of `_elim_map` and `_elim_row`."""
     R, rows = space.ring, space._elim_rows()
+    table = dict(rows)
     apply = [_elim_map(R, M) for M in maps]
     for v, (_, w) in zip(space.basis, rows):
         for i, f in enumerate(apply):
-            if not _in_span(R, rows, f(w)):
+            if not _in_span(R, table, f(w)):
                 return i, v
     return None
 

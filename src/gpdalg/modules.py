@@ -256,11 +256,6 @@ def all_submodules(module, bound: int = DEFAULT_BOUND) -> list[Subspace]:
     return invariant_lattice(module.action_mats(), MR, module.dim, bound)
 
 
-def _over_finite_field(module) -> bool:
-    MR = module.matrix_ring
-    return MR.is_field and MR.size is not None
-
-
 def composition_factors(module, bound: int = DEFAULT_BOUND) -> list[Rep]:
     """One simple module per isomorphism class of composition factor, in
     the order found (finite fields only).  The MeatAxe
@@ -268,7 +263,7 @@ def composition_factors(module, bound: int = DEFAULT_BOUND) -> list[Rep]:
     quotient until every piece is simple; by Schur's lemma two simples
     are isomorphic iff they have equal dimension and a nonzero map."""
     F = module.matrix_ring
-    if not _over_finite_field(module):
+    if F.kind != "prime_field":
         raise UnsupportedRingError("composition factors need a finite "
                                    "field, not %s" % F.spec_string())
     found: list[Rep] = []
@@ -324,7 +319,7 @@ def maximal_submodules(module, bound: int = DEFAULT_BOUND) -> list[Subspace]:
     Over a finite field these are the kernels of the nonzero maps onto
     the composition factors; over Z/n they are read off the submodule
     lattice."""
-    if _over_finite_field(module):
+    if module.matrix_ring.kind == "prime_field":
         found = set()
         for S in composition_factors(module, bound):
             found |= _kernels(module, S, bound)
@@ -498,7 +493,7 @@ def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
         sims.sort(key=lambda N: N.sort_key())
         return sims
 
-    if not ring.is_field or ring.size is None:
+    if ring.kind != "prime_field":
         raise UnsupportedRingError("unsupported coefficient ring %s"
                                    % ring.spec_string())
     reg = regular_module(G, ring)

@@ -193,7 +193,7 @@ def primitive_ideal_oracle(g: FiniteGroupoid, ring: ScalarRing,
     by the MeatAxe.  Every simple module is a quotient of the algebra, so
     these are the annihilators of all simple modules.  Independent of the
     induction machinery."""
-    if not ring.is_field or ring.size is None:
+    if ring.kind != "prime_field":
         raise UnsupportedRingError("the oracle needs a finite field")
     return _distinct_sorted(annihilator(S) for S in
                             composition_factors(regular_rep(g, ring), bound))
@@ -214,7 +214,7 @@ def verify_primitive_ideals(
         prims = _distinct_sorted(J for _, _, J in found)
         witnesses = {"primitive_ideals": [_basis_strs(J.space)
                                           for J in prims]}
-        if ring.is_field and ring.size is not None:
+        if ring.kind == "prime_field":
             oracle = primitive_ideal_oracle(g, ring, bound=bound)
             witnesses["oracle_ideals"] = [_basis_strs(J.space)
                                           for J in oracle]

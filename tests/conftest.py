@@ -379,6 +379,78 @@ def reference_howell(n, rows, width):
     return tuple(tuple(pivots[j]) for j in cols)
 
 
+def reference_insert(ring, table, v):
+    """Slow reference for the finite branch of ``linalg._insert``: the
+    two kernels it replaced, verbatim but for the names.  Over F_p the
+    table is kept in RREF by ring operations (v reduced by `_reduce`,
+    normalised at its leading column, that column cleared from the other
+    rows); over Z/n it keeps the Howell property, each worklist step
+    building the whole next row.  True when the span grew."""
+    if ring.kind == "modular":
+        n = ring.modulus
+        grew = False
+        work = [v]
+        while work:
+            row = work.pop()
+            j = _first_nonzero(row)
+            if j is None:
+                continue
+            b, p = row[j], table.get(j)
+            if p is not None and b % p[j] == 0:
+                c = b // p[j]
+                work.append([(x - c * y) % n for x, y in zip(row, p)])
+                continue
+            if p is None:
+                u = _unit_mult(b, n)
+                p = [(u * x) % n for x in row]
+            else:
+                a = p[j]
+                g, s, t = _egcd(a, b)
+                work.append([((a // g) * y - (b // g) * x) % n
+                             for x, y in zip(p, row)])
+                p = [(s * x + t * y) % n for x, y in zip(p, row)]
+            table[j] = p
+            grew = True
+            if p[j] != 1:
+                ann = n // p[j]
+                work.append([(ann * x) % n for x in p])
+        return grew
+    _reduce(ring, table.items(), v)
+    lead = _first_nonzero(v)
+    if lead is None:
+        return False
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    inv = ring.inv(v[lead])
+    v = [mul(inv, x) if x else x for x in v]
+    pairs = [(j, v[j]) for j in range(lead, len(v)) if v[j]]
+    for row in table.values():
+        c = row[lead]
+        if c:
+            c = neg(c)
+            for j, x in pairs:
+                row[j] = add(row[j], mul(c, x))
+    table[lead] = v
+    return True
+
+
+def reference_table_rows(ring, table):
+    """Slow reference for ``linalg._table_rows`` on a `reference_insert`
+    table: the RREF as it stands over F_p; over Z/n the Howell form once
+    each entry above a pivot d is reduced into [0, d), whole rows at a
+    time."""
+    cols = sorted(table)
+    if ring.kind == "modular":
+        n = ring.modulus
+        for i, j in enumerate(cols):
+            row, d = table[j], table[j][j]
+            for j2 in cols[:i]:
+                c = table[j2][j] // d
+                if c:
+                    table[j2] = [(x - c * y) % n
+                                 for x, y in zip(table[j2], row)]
+    return tuple(tuple(table[p]) for p in cols)
+
+
 def reference_apply(M, vec):
     """Slow reference for ``Matrix.apply``: every entry of each row,
     zeros included."""

@@ -514,6 +514,10 @@ def test_search_jobs_keep_their_bytes(argv, digest, capsys):
      "242d269f8667f113c8b88f8ed69469d20f6337058c07a99721d1a02fb9087ed0"),
     ("verify primitive-ideals --gen pair:5 --ring fp:2",
      "b9134d87ff24ccce20552b1d095ee66c4907a0712d65cfa39094b180108b8532"),
+    ("compute simple-modules --gen group:z10 --ring fp:11",
+     "71a858ea3d0bcbe9749446565aba464c7f36f0fa10174ba0cc5b4ee683612a8f"),
+    ("verify primitive-ideals --gen group:z12 --ring fp:7",
+     "817bb7e7091e1eaecf4c41070fa199da765073ed688766e0593014d7bd55f731"),
 ])
 def test_simple_module_jobs_keep_their_bytes(argv, digest, capsys):
     # The digests were recorded with the composition-series walk of
@@ -521,6 +525,8 @@ def test_simple_module_jobs_keep_their_bytes(argv, digest, capsys):
     # annihilator of each induced module checked to be a two-sided ideal
     # before the primitive-ideal verdict compared it.  Their order is the
     # dense row-major sort_key, also with sparse matrices (z12/fp:5).
+    # The fp:11 and fp:7 digests were recorded with an RREF kernel of its
+    # own for F_p, before F_p ran through the Howell table as Z/p.
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -618,13 +624,16 @@ def test_benchmark_jobs_build_no_coercing_matrix(monkeypatch, capsys):
      "5456e800e421a32c6328544e83dbeacdc66d18691d98a9323258999b9d71d687"),
     ("compute stalks --gen group:z3+pair:3 --ring zn:4",
      "9bac9a6c1f3fa64c4fbf8e61f9df0a266b3508e074c2e8e785582ec62603535e"),
+    ("compute stalks --gen pair:6 --ring fp:7",
+     "c34e35e1bf4ad2dca667dded18cb1434a8c95fdb2b55e310f43378511e3214ee"),
 ])
 def test_large_stalk_jobs_keep_their_bytes(argv, digest, capsys):
     # Larger than the benchmark's pair:4 and pair:5, so the products and
     # sums that skip zeros on both sides are checked on 100x100 and 64x64
     # matrices; the first two digests were recorded with the dense left
-    # factor and the entrywise sum, the last three with every matrix held
-    # dense (all m^2 entries stored, compared and hashed).
+    # factor and the entrywise sum, the next three with every matrix held
+    # dense (all m^2 entries stored, compared and hashed), and pair:6/fp:7
+    # with an RREF kernel of its own for F_p.
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest

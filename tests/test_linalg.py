@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gpdalg import rings
 from gpdalg import (
     BoundExceededError,
     DimensionMismatchError,
@@ -21,6 +22,11 @@ from gpdalg import (
 )
 
 from gpdalg.linalg import (
+    _first_nonzero,
+    _in_span,
+    _insert,
+    _reduce,
+    _table_rows,
     _unit_mult,
     closure,
     first_escape,
@@ -39,6 +45,7 @@ from conftest import (
     reference_closure,
     reference_first_escape,
     reference_howell,
+    reference_insert,
     reference_invariant_lattice,
     reference_left_kernel,
     reference_mat_kernel,
@@ -52,6 +59,7 @@ from conftest import (
     reference_span_vectors_ring_ops,
     reference_subspace_intersect,
     reference_subspace_preimage,
+    reference_table_rows,
     reference_transpose,
 )
 
@@ -358,12 +366,15 @@ def _howell_spin(n, maps, rows, width):
         basis = grown
 
 
-@pytest.mark.parametrize("n", (2, 4, 6, 8, 9, 12, 16, 27, 36, 64))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 27, 36, 64))
 def test_howell_table_matches_reference(n):
     # Random spans with zero and repeated rows, rows that share a leading
     # entry, and leading entries at one column that do not divide each
     # other; entries are biased to non-units, so most spans are not free.
+    # For n prime the Howell form is the RREF over F_n, which is what
+    # lets F_p run through the Howell table.
     ring = ring_from_spec("zn:%d" % n)
+    field = ring_from_spec("fp:%d" % n) if n in (2, 3, 5, 7) else None
     rng = random.Random("howell/%d" % n)
     divisors = [d for d in range(1, n) if n % d == 0]
     clashes = [(x, y) for x in range(1, n) for y in range(1, n)
@@ -389,6 +400,10 @@ def test_howell_table_matches_reference(n):
                 rng.shuffle(rows)
                 want = reference_howell(n, rows, width)
                 assert canonical_rows(ring, rows, width) == want, rows
+                if field is not None:
+                    assert reference_rref(field, [list(r) for r in rows],
+                                          width) == want, rows
+                    assert canonical_rows(field, rows, width) == want, rows
                 cut = rng.randrange(len(rows) + 1)
                 S = Subspace(ring, width, rows[:cut])
                 T = Subspace(ring, width, rows[cut:])
@@ -399,9 +414,89 @@ def test_howell_table_matches_reference(n):
                     == _howell_spin(n, maps, rows[:cut], width), rows
 
 
-@pytest.mark.parametrize("spec", RING_SPECS + ("zn:8",))
+FINITE_KERNEL_SPECS = ("fp:2", "fp:3", "fp:5", "fp:7", "zn:4", "zn:8",
+                       "zn:12")
+
+
+@pytest.mark.parametrize("spec", FINITE_KERNEL_SPECS)
+def test_finite_kernel_matches_the_replaced_kernels(spec):
+    # Rows go one at a time into a table of the one finite kernel and
+    # into one of the kernel it replaced (an RREF table by ring
+    # operations over F_p, the whole-row Howell worklist over Z/n): the
+    # spans grow together, the read-offs agree after every insertion,
+    # and membership in the table agrees with reduction by the form.
+    ring = ring_from_spec(spec)
+    n = ring.modulus
+    rng = random.Random("finite-kernel/" + spec)
+    divisors = [d for d in range(1, n) if n % d == 0]
+
+    def entry(density):
+        if rng.random() >= density:
+            return 0
+        return rng.choice(divisors) * rng.randrange(1, n) % n
+
+    for width in range(8):
+        for density in (0.3, 0.7):
+            for k in (1, 3, 6, 9):
+                rows = [[entry(density) for _ in range(width)]
+                        for _ in range(k)]
+                rows += [[0] * width] + rows[:2]
+                rng.shuffle(rows)
+                table, ref = {}, {}
+                for r in rows:
+                    assert _insert(ring, table, list(r)) \
+                        == reference_insert(ring, ref, list(r)), rows
+                    got = _table_rows(ring, {p: list(b)
+                                             for p, b in table.items()})
+                    want = reference_table_rows(ring, {
+                        p: list(b) for p, b in ref.items()})
+                    assert got == want, rows
+                    pairs = [(_first_nonzero(b), b) for b in want]
+                    for v in rows[:3] + [[entry(density)
+                                          for _ in range(width)]]:
+                        assert _in_span(ring, table, v) \
+                            == (not any(_reduce(ring, pairs, list(v)))), \
+                            (rows, v)
+                assert want == reference_howell(n, rows, width)
+
+
+def test_kernels_call_no_ring_arithmetic(monkeypatch):
+    # The elimination runs on plain ints reduced mod n: no ring method
+    # is called by the canonical forms, joins, containment, kernels and
+    # intersections over F_p and Z/n.
+    calls = []
+    inputs = []
+    for spec in ("fp:7", "zn:12"):
+        ring = ring_from_spec(spec)
+        rng = random.Random("no-ring-ops/" + spec)
+        for n, k in ((3, 4), (5, 5), (6, 3)):
+            A = _random_matrix(rng, ring, n, k, 0.6)
+            B = _random_matrix(rng, ring, 2, k, 0.6)
+            inputs.append((ring, A, B))
+    for cls, name in ((rings._FiniteRing, "add"), (rings._FiniteRing, "mul"),
+                      (rings._FiniteRing, "neg"), (rings._FiniteRing, "inv"),
+                      (rings.ScalarRing, "sub")):
+        def counted(self, *args, _f=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _f(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    for ring, A, B in inputs:
+        k = A.ncols
+        S, T = Subspace(ring, k, A.rows()), Subspace(ring, k, B.rows())
+        J = S.join(T)
+        assert J.contains_subspace(S) and J.contains_subspace(T)
+        S.contains_subspace(T)
+        mat_kernel(A)
+        left_kernel(A)
+        subspace_intersect(S, T)
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", RING_SPECS + ("zn:8", "fp:7"))
 def test_closure_matches_reference(spec):
-    # zn:8 seeds with non-unit entries give spans that are not free.
+    # zn:8 seeds with non-unit entries give spans that are not free; fp:7
+    # normalises by inverses other than 1 and -1.  The escape test of
+    # each seed span and of its closure runs next to the spin.
     ring = ring_from_spec(spec)
     rng = random.Random("closure/" + spec)
     for dim in range(1, 6):
@@ -415,8 +510,12 @@ def test_closure_matches_reference(spec):
                                    for _ in range(dim))
                              for _ in range(nseeds)]
                     space = Subspace(ring, dim, seeds)
-                    assert closure(maps, space) \
-                        == reference_closure(maps, space), (dim, seeds)
+                    spun = closure(maps, space)
+                    assert spun == reference_closure(maps, space), \
+                        (dim, seeds)
+                    assert first_escape(maps, space) \
+                        == reference_first_escape(maps, space)
+                    assert first_escape(maps, spun) is None
     # Seed spaces of several rows, and spins that fill R^dim early: the
     # cyclic shift spins e_0 to everything, next to a random second map.
     for dim in range(1, 7):
@@ -434,12 +533,14 @@ def test_closure_matches_reference(spec):
                     space = Subspace(ring, dim, seeds)
                     assert closure(maps, space) \
                         == reference_closure(maps, space), (dim, seeds)
+                    assert first_escape(maps, space) \
+                        == reference_first_escape(maps, space)
             e0 = Subspace(ring, dim, [[1] + [0] * (dim - 1)])
             assert closure([other, shift], e0) == Subspace.full(ring, dim)
 
 
-@pytest.mark.parametrize("spec", ("q", "fp:2", "fp:3", "fp:5", "zn:4",
-                                  "zn:6", "zn:8", "zn:9", "zn:12"))
+@pytest.mark.parametrize("spec", ("q", "fp:2", "fp:3", "fp:5", "fp:7",
+                                  "zn:4", "zn:6", "zn:8", "zn:9", "zn:12"))
 def test_kernels_match_reference(spec):
     # The four kernels share one relation solver; the references are the
     # transpose-and-kernel routes it replaced.
@@ -463,7 +564,7 @@ def test_kernels_match_reference(spec):
                         == reference_subspace_intersect(rows, other)
 
 
-@pytest.mark.parametrize("spec", RING_SPECS)
+@pytest.mark.parametrize("spec", RING_SPECS + ("fp:7",))
 def test_kernels_return_canonical_relation_rows(spec):
     # mat_kernel and left_kernel hand the relation rows of one canonical
     # form straight to Subspace._trusted; they must be the canonical basis
