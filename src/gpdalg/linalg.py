@@ -12,8 +12,10 @@ row} table (`_insert`) of plain ints, primitive integer rows eliminated
 fraction-free over Q (Bareiss, Math. Comp. 22, 1968; the RREF read off
 is the same) and residues mod n with the Howell property over every
 finite ring, F_p as Z/p, where the Howell form is the RREF.  Bases,
-joins, spins and escape tests all run on such tables (`_table_rows`
-reads the canonical form off), so over Q `Fraction`s are only handed out.
+joins, spins, membership and escape tests and normal forms all run on
+such tables (`_table_rows` reads the canonical form off), so no
+`Subspace` question calls ring arithmetic and over Q `Fraction`s are
+only handed out.
 
 A `Matrix` is held by its nonzero entries only, row by row, so products,
 sums, equality and hashing cost O(nnz), not O(rows * cols).  A map
@@ -235,31 +237,6 @@ def _first_nonzero(row):
     return None
 
 
-def _reduce(ring, rows, v):
-    """``Subspace.reduce``: the list v reduced in place by canonical
-    (pivot, row) pairs in pivot order, zero iff v lies in their span.
-    Each pivot entry of v is read once (over a field, RREF) or reduced
-    modulo the pivot (over Z/n, exact on members by the Howell property);
-    zero pivot entries of v and zero row entries are skipped."""
-    field = ring.is_field
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    width = len(v)
-    for p, b in rows:
-        c = v[p]
-        if not c:
-            continue
-        if not field:
-            c //= b[p]
-            if not c:
-                continue
-        c = neg(c)
-        for j in range(p, width):
-            x = b[j]
-            if x:
-                v[j] = add(v[j], mul(c, x))
-    return v
-
-
 def _int_reduce(rows, v):
     """v <- b[p]*v - v[p]*b, cleared of content, for integer (pivot, row)
     pairs zero at each other's pivots: zero iff v is in their Q-span."""
@@ -302,7 +279,9 @@ def _elim_map(ring, M: Matrix):
 
 def _in_span(ring, table, v) -> bool:
     """Whether `_elim_row`'s v is in the span of an `_insert` table or of
-    a canonical basis as one: iff a copy of v is reduced to zero."""
+    a canonical basis as one: iff a copy of v is reduced to zero.  The
+    one membership test, behind `contains`, `coordinates`,
+    `contains_subspace` and `first_escape`."""
     if ring.modulus is None:
         return not any(_int_reduce(table.items(), v))
     return _lead(ring.modulus, table, list(v)) is None
@@ -495,16 +474,30 @@ class Subspace:
     def is_full(self) -> bool:
         return self == Subspace.full(self.ring, self.ambient_dim)
 
-    def reduce(self, v) -> tuple:
-        """Normal form of v modulo this span; zero iff v is a member."""
-        v = list(self.ring.coerce_vector(v))
+    def _vector(self, v) -> tuple:
+        # v coerced into R^ambient_dim.
+        v = self.ring.coerce_vector(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector length %d in dimension %d"
                                          % (len(v), self.ambient_dim))
-        return tuple(_reduce(self.ring, self._rows(), v))
+        return v
+
+    def reduce(self, v) -> tuple:
+        """Normal form of v modulo this span; zero iff v is a member.
+
+        Read off the kernel: among the rows [0 | b] of the basis, the
+        tagged row [1 | v] is the one row with pivot 0 of their canonical
+        form, and its tail is v reduced at every pivot (the RREF and the
+        Howell form are unique)."""
+        R = self.ring
+        table = {p + 1: [0] + b for p, b in self._elim_rows()}
+        _insert(R, table, _elim_row(R, (R.one,) + self._vector(v)))
+        return _table_rows(R, table)[0][1:]
 
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        R = self.ring
+        return _in_span(R, dict(self._elim_rows()),
+                        _elim_row(R, self._vector(v)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -512,7 +505,7 @@ class Subspace:
         return all(_in_span(R, table, _elim_row(R, b)) for b in other.basis)
 
     def _rows(self) -> list:
-        # (pivot, row) pairs in pivot order, as `_reduce` takes them.
+        # (pivot, row) pairs in pivot order.
         return list(zip(self.pivots, self.basis))
 
     def _elim_rows(self) -> list:
@@ -539,9 +532,9 @@ class Subspace:
         """
         if not self.has_unit_pivots():
             raise NonFreeQuotientError("basis has non-unit pivots")
-        v = self.ring.coerce_vector(v)
-        return None if any(self.reduce(v)) \
-            else tuple(v[p] for p in self.pivots)
+        v = self._vector(v)
+        return tuple(v[p] for p in self.pivots) if self.contains(v) \
+            else None
 
     def reducer(self) -> Matrix:
         """The matrix of ``reduce`` for unit pivots: x - sum_r x[p_r] b_r,
@@ -637,8 +630,9 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
     """{x : mat @ x lies in target}: the relations among mat's columns
-    and the negated target rows, tagged by their x-part (e_j on column
-    j, 0 on the target rows)."""
+    and the target rows, tagged by their x-part (e_j on column j, 0 on
+    the target rows); the target is closed under negation, so a
+    relation's x-part needs no sign."""
     R = mat.ring
     if target.ring != R:
         raise RingMismatchError("preimage target over a different ring")
@@ -646,8 +640,7 @@ def subspace_preimage(mat: Matrix, target: Subspace) -> Subspace:
         raise DimensionMismatchError("target lives in R^%d, map lands in R^%d"
                                      % (target.ambient_dim, mat.nrows))
     k = mat.ncols
-    vectors = mat.transpose().rows()
-    vectors.extend(tuple(R.neg(x) for x in t) for t in target.basis)
+    vectors = mat.transpose().rows() + list(target.basis)
     tags = [e[:k] for e in Matrix.identity(R, len(vectors)).rows()]
     return Subspace._trusted(R, k, _relations(R, vectors, mat.nrows, tags))
 
@@ -729,18 +722,20 @@ def closure(maps, space: Subspace) -> Subspace:
     distinct image of a popped vector is inserted once (`_insert`), the
     insertion being the membership test.  An image that grows the span
     is pushed raw, not as its residue (over Q the vectors and maps are
-    the integer ones of `_elim_row` and `_elim_map`).  Over a field the
-    spin stops as soon as the table has `ambient_dim` rows.  The result
-    is spanned by the vectors ever pushed and holds each one's images,
-    so it is invariant, over Z/n too.
+    the integer ones of `_elim_row` and `_elim_map`).  The spin stops as
+    soon as the table is full: `ambient_dim` rows, each with pivot 1
+    (over Q the only full primitive table is the identity; a Howell
+    table can have `ambient_dim` rows and still be proper: (2) in Z/4).
+    The result is spanned by the vectors ever pushed and holds each
+    one's images, so it is invariant, over Z/n too.
     """
     R, dim = space.ring, space.ambient_dim
     rows = space._elim_rows()
     table = {p: list(b) for p, b in rows}
     todo = [b for _, b in rows]
     apply = [_elim_map(R, M) for M in maps]
-    # A Howell table can have dim rows and still be proper: (2) in Z/4.
-    while todo and (len(table) < dim or not R.is_field):
+    while todo and (len(table) < dim
+                    or any(row[p] != 1 for p, row in table.items())):
         v = todo.pop()
         for w in dict.fromkeys(f(v) for f in apply):
             if _insert(R, table, list(w)):

@@ -41,9 +41,8 @@ from gpdalg.cli import parse_generator_spec
 from gpdalg.errors import ConstructionError, NonFreeQuotientError
 from gpdalg.groupoid import generating_arrows, orbit_blocks, relabel_arrows
 from gpdalg.ideals import _arrow_actions
-from gpdalg.linalg import (_egcd, _first_nonzero, _reduce, _unit_mult,
-                           closure, first_escape, invariant_lattice,
-                           nonzero_vectors)
+from gpdalg.linalg import (_egcd, _first_nonzero, _unit_mult, closure,
+                           first_escape, invariant_lattice, nonzero_vectors)
 from gpdalg.modules import (_cyclotomic, is_invariant, matrix_invertible,
                             regular_module, rep_validate)
 from gpdalg.sheaves import SheafData, _stalk_basis
@@ -379,13 +378,40 @@ def reference_howell(n, rows, width):
     return tuple(tuple(pivots[j]) for j in cols)
 
 
+def reference_reduce(ring, rows, v):
+    """Slow reference for ``Subspace.reduce``, the routine it replaced
+    verbatim but for the name: the list v reduced in place by canonical
+    (pivot, row) pairs in pivot order, zero iff v lies in their span.
+    Each pivot entry of v is read once (over a field, RREF) or reduced
+    modulo the pivot (over Z/n, exact on members by the Howell property);
+    zero pivot entries of v and zero row entries are skipped."""
+    field = ring.is_field
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    width = len(v)
+    for p, b in rows:
+        c = v[p]
+        if not c:
+            continue
+        if not field:
+            c //= b[p]
+            if not c:
+                continue
+        c = neg(c)
+        for j in range(p, width):
+            x = b[j]
+            if x:
+                v[j] = add(v[j], mul(c, x))
+    return v
+
+
 def reference_insert(ring, table, v):
     """Slow reference for the finite branch of ``linalg._insert``: the
     two kernels it replaced, verbatim but for the names.  Over F_p the
-    table is kept in RREF by ring operations (v reduced by `_reduce`,
-    normalised at its leading column, that column cleared from the other
-    rows); over Z/n it keeps the Howell property, each worklist step
-    building the whole next row.  True when the span grew."""
+    table is kept in RREF by ring operations (v reduced by
+    `reference_reduce`, normalised at its leading column, that column
+    cleared from the other rows); over Z/n it keeps the Howell property,
+    each worklist step building the whole next row.  True when the span
+    grew."""
     if ring.kind == "modular":
         n = ring.modulus
         grew = False
@@ -415,7 +441,7 @@ def reference_insert(ring, table, v):
                 ann = n // p[j]
                 work.append([(ann * x) % n for x in p])
         return grew
-    _reduce(ring, table.items(), v)
+    reference_reduce(ring, table.items(), v)
     lead = _first_nonzero(v)
     if lead is None:
         return False
@@ -1080,7 +1106,7 @@ def reference_first_escape(maps, space):
     R, rows = space.ring, space._rows()
     for v in space.basis:
         for i, M in enumerate(maps):
-            if any(_reduce(R, rows, list(M.apply(v)))):
+            if any(reference_reduce(R, rows, list(M.apply(v)))):
                 return i, v
     return None
 

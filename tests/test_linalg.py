@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gpdalg import rings
+from gpdalg import linalg, rings
 from gpdalg import (
     BoundExceededError,
     DimensionMismatchError,
@@ -25,7 +25,6 @@ from gpdalg.linalg import (
     _first_nonzero,
     _in_span,
     _insert,
-    _reduce,
     _table_rows,
     _unit_mult,
     closure,
@@ -52,6 +51,7 @@ from conftest import (
     reference_matadd,
     reference_matmul,
     reference_nonzero_rows,
+    reference_reduce,
     reference_rowwise_matmul,
     reference_rref,
     reference_rref_closure,
@@ -454,16 +454,17 @@ def test_finite_kernel_matches_the_replaced_kernels(spec):
                     pairs = [(_first_nonzero(b), b) for b in want]
                     for v in rows[:3] + [[entry(density)
                                           for _ in range(width)]]:
+                        residue = reference_reduce(ring, pairs, list(v))
                         assert _in_span(ring, table, v) \
-                            == (not any(_reduce(ring, pairs, list(v)))), \
-                            (rows, v)
+                            == (not any(residue)), (rows, v)
                 assert want == reference_howell(n, rows, width)
 
 
 def test_kernels_call_no_ring_arithmetic(monkeypatch):
     # The elimination runs on plain ints reduced mod n: no ring method
-    # is called by the canonical forms, joins, containment, kernels and
-    # intersections over F_p and Z/n.
+    # is called by the canonical forms, joins, containment, normal
+    # forms, coordinates, kernels, intersections and preimages over F_p
+    # and Z/n.
     calls = []
     inputs = []
     for spec in ("fp:7", "zn:12"):
@@ -472,7 +473,8 @@ def test_kernels_call_no_ring_arithmetic(monkeypatch):
         for n, k in ((3, 4), (5, 5), (6, 3)):
             A = _random_matrix(rng, ring, n, k, 0.6)
             B = _random_matrix(rng, ring, 2, k, 0.6)
-            inputs.append((ring, A, B))
+            C = _random_matrix(rng, ring, 2, n, 0.6)
+            inputs.append((ring, A, B, C))
     for cls, name in ((rings._FiniteRing, "add"), (rings._FiniteRing, "mul"),
                       (rings._FiniteRing, "neg"), (rings._FiniteRing, "inv"),
                       (rings.ScalarRing, "sub")):
@@ -480,16 +482,79 @@ def test_kernels_call_no_ring_arithmetic(monkeypatch):
             calls.append(_name)
             return _f(self, *args)
         monkeypatch.setattr(cls, name, counted)
-    for ring, A, B in inputs:
+    for ring, A, B, C in inputs:
         k = A.ncols
         S, T = Subspace(ring, k, A.rows()), Subspace(ring, k, B.rows())
         J = S.join(T)
         assert J.contains_subspace(S) and J.contains_subspace(T)
         S.contains_subspace(T)
+        for space in (S, T, J, Subspace.full(ring, k)):
+            for v in A.rows() + B.rows():
+                space.reduce(v)
+                space.contains(v)
+                if space.has_unit_pivots():
+                    space.coordinates(v)
         mat_kernel(A)
         left_kernel(A)
         subspace_intersect(S, T)
+        subspace_preimage(A, Subspace(ring, A.nrows, C.rows()))
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", RING_SPECS + ("fp:7", "zn:12"))
+def test_subspace_reduce_matches_reference(spec):
+    # The normal form read off the kernel against the reduction by ring
+    # operations it replaced: values and entry types for members and
+    # non-members, dimension 0 included; membership and, on unit-pivot
+    # spaces, coordinates follow the same residue.
+    ring = ring_from_spec(spec)
+    rng = random.Random("reduce/" + spec)
+    for dim in range(6):
+        for k in (0, 1, 2, 4, 7):
+            for density in (0.3, 0.7):
+                G = _random_matrix(rng, ring, k, dim, density)
+                space = Subspace(ring, dim, G.rows())
+                rows = space._rows()
+                combos = [_random_matrix(rng, ring, 1, k, 0.7).row(0)
+                          for _ in range(3)]
+                vectors = [G.transpose().apply(c) for c in combos] + [
+                    _random_matrix(rng, ring, 1, dim, density).row(0)
+                    for _ in range(3)]
+                for v in vectors:
+                    got = space.reduce(v)
+                    want = tuple(reference_reduce(ring, rows, list(v)))
+                    assert got == want, (G.rows(), v)
+                    assert list(map(type, got)) == list(map(type, want))
+                    assert space.contains(v) == (not any(want))
+                    if space.has_unit_pivots():
+                        assert space.coordinates(v) == (
+                            None if any(want)
+                            else tuple(v[p] for p in space.pivots))
+                for bad in (dim + 1, dim - 1) if dim else (1,):
+                    v = (ring.one,) * bad
+                    message = "vector length %d in dimension %d" % (bad, dim)
+                    for ask in (space.reduce, space.contains):
+                        with pytest.raises(DimensionMismatchError,
+                                           match=message):
+                            ask(v)
+
+
+@pytest.mark.parametrize("spec", ("q", "fp:2", "fp:3", "zn:4", "zn:6"))
+def test_closure_stops_on_a_full_table(spec, monkeypatch):
+    # The 3-cycle spins e_0 to e_1 and e_2: the table is full, with unit
+    # pivots, after two insertions on every ring, and the spin stops
+    # there rather than inserting e_0 again.
+    ring = ring_from_spec(spec)
+    cycle = Matrix(ring, 3, 3, [0, 0, 1, 1, 0, 0, 0, 1, 0])
+    e0 = Subspace(ring, 3, [(1, 0, 0)])
+    calls = []
+
+    def counted(*args, _f=linalg._insert):
+        calls.append(args)
+        return _f(*args)
+    monkeypatch.setattr(linalg, "_insert", counted)
+    assert closure([cycle], e0) == Subspace.full(ring, 3)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("spec", RING_SPECS + ("zn:8", "fp:7"))
