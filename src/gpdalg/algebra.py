@@ -35,30 +35,27 @@ class AlgebraElement:
         if self.ring != other.ring:
             raise RingMismatchError("elements over different rings")
 
+    # The arithmetic is Python's; the constructor reduces each result.
     def __add__(self, other):
         self._check(other)
-        R = self.ring
-        return AlgebraElement(self.groupoid, R,
-                              [R.add(a, b) for a, b in
+        return AlgebraElement(self.groupoid, self.ring,
+                              [a + b for a, b in
                                zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check(other)
-        R = self.ring
-        return AlgebraElement(self.groupoid, R,
-                              [R.sub(a, b) for a, b in
+        return AlgebraElement(self.groupoid, self.ring,
+                              [a - b for a, b in
                                zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        R = self.ring
-        return AlgebraElement(self.groupoid, R,
-                              [R.neg(a) for a in self.coeffs])
+        return AlgebraElement(self.groupoid, self.ring,
+                              [-a for a in self.coeffs])
 
     def scale(self, c):
-        R = self.ring
-        c = R.coerce(c)
-        return AlgebraElement(self.groupoid, R,
-                              [R.mul(c, a) for a in self.coeffs])
+        c = self.ring.coerce(c)
+        return AlgebraElement(self.groupoid, self.ring,
+                              [c * a for a in self.coeffs])
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -128,7 +125,7 @@ def convolve(f: AlgebraElement, h: AlgebraElement) -> AlgebraElement:
         hb = h.coeffs[b]
         if hb == zero:
             continue
-        out[c] = R.add(out[c], R.mul(fa, hb))
+        out[c] += fa * hb
     return AlgebraElement(g, R, out)
 
 

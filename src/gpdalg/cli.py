@@ -193,6 +193,7 @@ def cmd_validate(args) -> int:
 
 def cmd_compute(args) -> int:
     g = _load_groupoid(args)
+    ring = ring_from_spec(args.ring)
     if args.what == "orbits":
         orb = orbits(g)
         _emit(args, _dump({"classes": [list(c) for c in orb.classes],
@@ -204,7 +205,6 @@ def cmd_compute(args) -> int:
                            "table": [list(r) for r in G.table],
                            "identity": G.identity}))
         return 0
-    ring = ring_from_spec(args.ring)
     if args.what == "induce":
         N = _resolve_module(args, g, ring)
         rho = induce(g, ring, args.object, N)

@@ -13,9 +13,10 @@ fraction-free over Q (Bareiss, Math. Comp. 22, 1968; the RREF read off
 is the same) and residues mod n with the Howell property over every
 finite ring, F_p as Z/p, where the Howell form is the RREF.  Bases,
 joins, spins, membership and escape tests and normal forms all run on
-such tables (`_table_rows` reads the canonical form off), so no
-`Subspace` question calls ring arithmetic and over Q `Fraction`s are
-only handed out.
+such tables (`_table_rows` reads the canonical form off), and over Q
+`Fraction`s are only handed out.  No `linalg` operation calls ring
+arithmetic: entries are plain numbers, combined with Python's operators
+and reduced mod n once per finished entry.
 
 A `Matrix` is held by its nonzero entries only, row by row, so products,
 sums, equality and hashing cost O(nnz), not O(rows * cols).  A map
@@ -136,15 +137,14 @@ class Matrix:
         if len(vec) != self.ncols:
             raise DimensionMismatchError("vector length %d, need %d"
                                          % (len(vec), self.ncols))
-        R = self.ring
-        add, mul, zero = R.add, R.mul, R.zero
+        zero, n = self.ring.zero, self.ring.modulus
         out = []
         for row in self._nz:
             acc = zero
             for j, x in row:
-                acc = add(acc, mul(x, vec[j]))
+                acc += x * vec[j]
             out.append(acc)
-        return tuple(out)
+        return tuple(out) if n is None else tuple([x % n for x in out])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -157,9 +157,7 @@ class Matrix:
                                             other.nrows, other.ncols))
         # Row i of the product sums a * (row k of other) over the pairs
         # (k, a) of row i: only the columns reached get an entry.
-        R = self.ring
-        add, mul = R.add, R.mul
-        rows = other._nz
+        n, rows = self.ring.modulus, other._nz
         out = []
         for row in self._nz:
             if not row:
@@ -168,10 +166,10 @@ class Matrix:
             acc = {}
             for k, a in row:
                 for j, b in rows[k]:
-                    x = mul(a, b)
-                    acc[j] = add(acc[j], x) if j in acc else x
-            out.append(_pairs(acc))
-        return Matrix._sparse(R, self.nrows, other.ncols, out)
+                    x = a * b
+                    acc[j] = acc[j] + x if j in acc else x
+            out.append(_pairs(acc, n))
+        return Matrix._sparse(self.ring, self.nrows, other.ncols, out)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -180,13 +178,13 @@ class Matrix:
             raise RingMismatchError("matrix sum over different rings")
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatchError("matrix sum shape mismatch")
-        add = self.ring.add
+        n = self.ring.modulus
         out = []
         for mine, theirs in zip(self._nz, other._nz):
             acc = dict(mine)
             for j, x in theirs:
-                acc[j] = add(acc[j], x) if j in acc else x
-            out.append(_pairs(acc))
+                acc[j] = acc[j] + x if j in acc else x
+            out.append(_pairs(acc, n))
         return Matrix._sparse(self.ring, self.nrows, self.ncols, out)
 
     def is_zero(self) -> bool:
@@ -215,9 +213,13 @@ def _dense_nz(entries, nrows, ncols) -> tuple:
                  for i in range(nrows))
 
 
-def _pairs(acc) -> tuple:
-    """The nonzero items of a {column: entry} dict, in column order."""
-    return tuple([p for p in sorted(acc.items()) if p[1]])
+def _pairs(acc, n) -> tuple:
+    """The nonzero items of a {column: entry} dict of unreduced sums, in
+    column order, each entry first reduced mod n (n None over Q, whose
+    sums are final): a sum that cancels leaves no pair."""
+    if n is None:
+        return tuple([p for p in sorted(acc.items()) if p[1]])
+    return tuple([(j, r) for j, x in sorted(acc.items()) if (r := x % n)])
 
 
 def poly_at(poly, X: Matrix) -> Matrix:
@@ -544,8 +546,8 @@ class Subspace:
         for p, b in self._rows():
             for i, x in enumerate(b):
                 if x:
-                    acc[i][p] = R.sub(acc[i].get(p, R.zero), x)
-        return Matrix._sparse(R, n, n, map(_pairs, acc))
+                    acc[i][p] = acc[i].get(p, R.zero) - x
+        return Matrix._sparse(R, n, n, [_pairs(a, R.modulus) for a in acc])
 
     def join(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

@@ -211,9 +211,9 @@ def _intertwiners(A, B) -> Subspace:
                 row = {i * d1 + k: x for k, x in cols1[j]}
                 for k, x in rows2[i]:
                     t = k * d1 + j
-                    row[t] = MR.sub(row.get(t, MR.zero), x)
+                    row[t] = row.get(t, MR.zero) - x
                 # The unit of a group acts as 1 on both sides: no condition.
-                row = _pairs(row)
+                row = _pairs(row, MR.modulus)
                 if row:
                     rows.append(row)
     # With no condition, the kernel of the 0-row system is everything.
@@ -412,7 +412,7 @@ def sign_module(G: IsotropyGroup, ring: ScalarRing) -> IsotropyModule:
         raise ConstructionError("sign module needs a cyclic group of even "
                                 "order")
     return _cyclic_module(G, gen,
-                          Matrix._trusted(ring, 1, 1, [ring.neg(ring.one)]))
+                          Matrix._trusted(ring, 1, 1, [ring.coerce(-1)]))
 
 
 def regular_module(G: IsotropyGroup, ring: ScalarRing) -> IsotropyModule:
@@ -455,7 +455,7 @@ def _companion(ring, poly) -> Matrix:
     for i in range(1, d):
         ent[i * d + (i - 1)] = ring.one
     for i in range(d):
-        ent[i * d + (d - 1)] = ring.neg(ring.coerce(poly[i]))
+        ent[i * d + (d - 1)] = ring.coerce(-poly[i])
     return Matrix._trusted(ring, d, d, ent)
 
 

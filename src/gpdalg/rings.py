@@ -1,9 +1,11 @@
 """Coefficient rings with exact arithmetic.
 
 Three kinds are supported: the rationals (``q``), prime fields (``fp:p``)
-and modular rings of integers (``zn:n``).  Elements of the rationals are
-``fractions.Fraction``; elements of the finite rings are plain ints kept
-in the canonical range [0, n).
+and modular rings of integers (``zn:n``).  Elements are plain numbers:
+``fractions.Fraction`` over the rationals, ints in the canonical range
+[0, n) over the finite rings.  A ring only coerces values into that form
+(and inverts); arithmetic is Python's, each finished value reduced once
+with ``coerce`` or ``% modulus``.
 """
 
 from __future__ import annotations
@@ -73,9 +75,6 @@ class ScalarRing:
     def spec_string(self) -> str:
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     # Finite rings yield all their elements; the rationals refuse.
     def elements(self):
         raise UnsupportedRingError("ring %s is not finite" % self.spec_string())
@@ -117,15 +116,6 @@ class RationalField(ScalarRing):
                 pass
         raise ConstructionError("cannot coerce %r into the rationals" % (x,))
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -159,15 +149,6 @@ class _FiniteRing(ScalarRing):
         if not isinstance(x, int) or isinstance(x, bool):
             raise ConstructionError("cannot coerce %r mod %d" % (x, self.modulus))
         return x % self.modulus
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
 
     def inv(self, a):
         return pow(a, -1, self.modulus)

@@ -143,7 +143,7 @@ def brute_span(ring, gens, dim):
         v = frontier.pop()
         for g in gens:
             for c in ring.elements():
-                w = tuple(ring.add(v[i], ring.mul(c, g[i]))
+                w = tuple(ring.coerce(v[i] + c * g[i])
                           for i in range(dim))
                 if w not in seen:
                     seen.add(w)
@@ -195,7 +195,7 @@ def reference_matmul(A, B):
         for c in cols:
             acc = R.zero
             for a, b in zip(row, c):
-                acc = R.add(acc, R.mul(a, b))
+                acc = R.coerce(acc + a * b)
             out.append(acc)
     return Matrix(R, A.nrows, B.ncols, out)
 
@@ -242,7 +242,7 @@ def reference_rowwise_matmul(A, B):
         acc = [R.zero] * c
         for k, a in row:
             for j, b in sparse_rows[k]:
-                acc[j] = R.add(acc[j], R.mul(a, b))
+                acc[j] = R.coerce(acc[j] + a * b)
         out.extend(acc)
     return Dense(R, A.nrows, c, out)
 
@@ -253,7 +253,7 @@ def reference_matadd(A, B):
     out = list(A.entries)
     for i, row in enumerate(reference_nonzero_rows(B)):
         for j, x in row:
-            out[i * c + j] = R.add(out[i * c + j], x)
+            out[i * c + j] = R.coerce(out[i * c + j] + x)
     return Dense(R, A.nrows, c, out)
 
 
@@ -301,11 +301,11 @@ def reference_rref(ring, work, width):
             continue
         work[r], work[src] = work[src], work[r]
         inv = ring.inv(work[r][col])
-        work[r] = [ring.mul(inv, x) for x in work[r]]
+        work[r] = [ring.coerce(inv * x) for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][col] != ring.zero:
                 c = work[i][col]
-                work[i] = [ring.sub(x, ring.mul(c, y))
+                work[i] = [ring.coerce(x - c * y)
                            for x, y in zip(work[i], work[r])]
         pivots.append(col)
         r += 1
@@ -386,7 +386,9 @@ def reference_reduce(ring, rows, v):
     modulo the pivot (over Z/n, exact on members by the Howell property);
     zero pivot entries of v and zero row entries are skipped."""
     field = ring.is_field
-    add, mul, neg = ring.add, ring.mul, ring.neg
+    add = lambda a, b: ring.coerce(a + b)
+    mul = lambda a, b: ring.coerce(a * b)
+    neg = lambda a: ring.coerce(-a)
     width = len(v)
     for p, b in rows:
         c = v[p]
@@ -445,7 +447,9 @@ def reference_insert(ring, table, v):
     lead = _first_nonzero(v)
     if lead is None:
         return False
-    add, mul, neg = ring.add, ring.mul, ring.neg
+    add = lambda a, b: ring.coerce(a + b)
+    mul = lambda a, b: ring.coerce(a * b)
+    neg = lambda a: ring.coerce(-a)
     inv = ring.inv(v[lead])
     v = [mul(inv, x) if x else x for x in v]
     pairs = [(j, v[j]) for j in range(lead, len(v)) if v[j]]
@@ -485,9 +489,20 @@ def reference_apply(M, vec):
     for i in range(M.nrows):
         acc = R.zero
         for j in range(M.ncols):
-            acc = R.add(acc, R.mul(M.at(i, j), vec[j]))
+            acc = R.coerce(acc + M.at(i, j) * vec[j])
         out.append(acc)
     return tuple(out)
+
+
+def reference_convolve(f, h):
+    """Slow reference for ``convolve``: the sum of f(a) h(b) over every
+    composable pair (a, b) of ``g.comp``, zeros included, each partial
+    sum coerced."""
+    g, R = f.groupoid, f.ring
+    out = [R.zero] * g.n_arrows
+    for (a, b), c in g.comp.items():
+        out[c] = R.coerce(out[c] + f.coeffs[a] * h.coeffs[b])
+    return out
 
 
 def reference_rep_validate(rho):
@@ -721,9 +736,9 @@ def reference_hom_space(A, B):
             for j in range(d1):
                 row = [MR.zero] * nunk
                 for k in range(d1):
-                    row[i * d1 + k] = MR.add(row[i * d1 + k], M1.at(k, j))
+                    row[i * d1 + k] = MR.coerce(row[i * d1 + k] + M1.at(k, j))
                 for k in range(d2):
-                    row[k * d1 + j] = MR.sub(row[k * d1 + j], M2.at(i, k))
+                    row[k * d1 + j] = MR.coerce(row[k * d1 + j] - M2.at(i, k))
                 rows.append(tuple(row))
     if not rows:
         return Subspace.full(MR, nunk)
@@ -766,7 +781,7 @@ def reference_subspace_intersect(a, b):
         v = [R.zero] * a.ambient_dim
         for c, row in zip(coeffs[:na], a.basis):
             for j in range(a.ambient_dim):
-                v[j] = R.add(v[j], R.mul(c, row[j]))
+                v[j] = R.coerce(v[j] + c * row[j])
         gens.append(tuple(v))
     return Subspace(R, a.ambient_dim, gens)
 
@@ -782,7 +797,7 @@ def reference_subspace_preimage(mat, target):
     rows = []
     for i in range(mat.nrows):
         row = list(mat.row(i))
-        row.extend(R.neg(target.basis[t][i]) for t in range(s))
+        row.extend(R.coerce(-target.basis[t][i]) for t in range(s))
         rows.append(row)
     kern = reference_mat_kernel(Matrix.from_rows(R, rows))
     gens = [c[:k] for c in kern.basis]
@@ -1083,7 +1098,7 @@ def reference_span_vectors_ring_ops(MR, basis, bound):
             if c == MR.zero:
                 continue
             for t in range(size):
-                flat[t] = MR.add(flat[t], MR.mul(c, b[t]))
+                flat[t] = MR.coerce(flat[t] + c * b[t])
         yield tuple(flat)
 
 

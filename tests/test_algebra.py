@@ -23,7 +23,8 @@ from gpdalg import (
 from gpdalg.ideals import _arrow_actions
 from gpdalg.modules import regular_rep
 
-from conftest import (named_pool, reference_left_mult_matrix,
+from conftest import (named_pool, reference_convolve,
+                      reference_left_mult_matrix,
                       reference_right_mult_matrix, swap3, zg)
 
 Q = ring_from_spec("q")
@@ -180,3 +181,41 @@ def test_convolve_function_form():
     g = zg(4)
     t = basis_element(g, F2, 1)
     assert convolve(t, t) == basis_element(g, F2, 2)
+
+
+def _check_coeffs(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
+
+
+@pytest.mark.parametrize("spec", ("q", "fp:7", "zn:12"))
+def test_arithmetic_matches_dense_reference(spec):
+    # Each operation against its coefficients computed one coerced entry
+    # at a time: values, hashes and entry types, zero divisors included
+    # (3 * 4 and 4 + 8 vanish in Z/12).
+    ring = ring_from_spec(spec)
+    rng = random.Random("arithmetic/" + spec)
+    co = ring.coerce
+    scalars = [0, 1, -1, 3, 4, 6, "2/3"] if ring.size is None \
+        else [0, 1, -1, 3, 4, 6]
+    for g in (zg(3), zg(4), pair_groupoid(2), swap3()):
+        n = g.n_arrows
+        pool = [rand_elt(g, ring, rng) for _ in range(4)]
+        pool += [AlgebraElement(g, ring, [3] * n),
+                 AlgebraElement(g, ring, [4] * n),
+                 AlgebraElement(g, ring, [8] * n)]
+        for f in pool:
+            c = rng.choice(scalars)
+            for got, want in ((-f, [co(-a) for a in f.coeffs]),
+                              (f.scale(c), [co(co(c) * a) for a in f.coeffs]),
+                              (c * f, [co(co(c) * a) for a in f.coeffs])):
+                _check_coeffs(got, AlgebraElement(g, ring, want))
+            for h in pool:
+                pairs = list(zip(f.coeffs, h.coeffs))
+                for got, want in (
+                        (f + h, [co(a + b) for a, b in pairs]),
+                        (f - h, [co(a - b) for a, b in pairs]),
+                        (f * h, reference_convolve(f, h)),
+                        (convolve(f, h), reference_convolve(f, h))):
+                    _check_coeffs(got, AlgebraElement(g, ring, want))
+

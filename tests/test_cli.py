@@ -162,6 +162,14 @@ def test_bad_ring_spec_exits_2(capsys):
     code, _, _ = run(capsys, "compute", "primitive-ideals", "--gen",
                      "group:z2", "--ring", "fp:6")
     assert code == 2
+    # The verbs that never use the ring parse it all the same.
+    for argv, message in (
+            (["compute", "orbits", "--gen", "pair:2", "--ring", "fp:4"],
+             "error: 4 is not prime\n"),
+            (["compute", "isotropy", "--gen", "pair:2", "--ring", "bogus"],
+             "error: unknown ring spec 'bogus'\n")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message), argv
 
 
 def test_compute_orbits_frozen(capsys):

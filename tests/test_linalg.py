@@ -7,6 +7,7 @@ import pytest
 
 from gpdalg import linalg, rings
 from gpdalg import (
+    AlgebraElement,
     BoundExceededError,
     DimensionMismatchError,
     Matrix,
@@ -14,8 +15,12 @@ from gpdalg import (
     RingMismatchError,
     Subspace,
     canonical_rows,
+    convolve,
+    hom_space,
     left_kernel,
     mat_kernel,
+    pair_groupoid,
+    regular_rep,
     ring_from_spec,
     subspace_intersect,
     subspace_preimage,
@@ -69,6 +74,8 @@ F3 = ring_from_spec("fp:3")
 F5 = ring_from_spec("fp:5")
 Z4 = ring_from_spec("zn:4")
 Z6 = ring_from_spec("zn:6")
+F7 = ring_from_spec("fp:7")
+Z12 = ring_from_spec("zn:12")
 
 
 def test_matrix_ops():
@@ -106,7 +113,7 @@ def _random_matrix(rng, ring, nrows, ncols, density):
                   [entry() for _ in range(nrows * ncols)])
 
 
-@pytest.mark.parametrize("spec", RING_SPECS)
+@pytest.mark.parametrize("spec", RING_SPECS + ("fp:7", "zn:12"))
 def test_matmul_matches_reference(spec):
     ring = ring_from_spec(spec)
     rng = random.Random(spec)
@@ -121,12 +128,12 @@ def test_matmul_matches_reference(spec):
                 for got, want in (
                         (A * B, reference_matmul(A, B)),
                         (A + C, Matrix(ring, n, k,
-                                       [ring.add(x, y) for x, y
+                                       [ring.coerce(x + y) for x, y
                                         in zip(A.entries, C.entries)])),
                         (A.transpose(), Matrix(ring, k, n,
                                                [A.at(i, j) for j in range(k)
                                                 for i in range(n)]))):
-                    assert got == want
+                    assert got == want and hash(got) == hash(want)
                     # Entry for entry, type included: the product, sum and
                     # transpose skip the coercion that the reference runs.
                     assert [type(x) for x in got.entries] \
@@ -179,7 +186,7 @@ def test_cancelling_entries_leave_no_pair(spec):
     # the result keeps no zero pair, so it equals (and hashes like) the
     # matrix written with explicit zeros.
     ring = ring_from_spec(spec)
-    one, minus = ring.one, ring.neg(ring.one)
+    one, minus = ring.one, ring.coerce(-1)
     row = Matrix(ring, 1, 2, [1, 1])
     col = Matrix(ring, 2, 1, [one, minus])
     assert (row * col)._nz == ((),)
@@ -200,7 +207,7 @@ def test_cancelling_entries_leave_no_pair(spec):
         assert two * two == Matrix.zeros(ring, 1, 1)
 
 
-@pytest.mark.parametrize("spec", RING_SPECS)
+@pytest.mark.parametrize("spec", RING_SPECS + ("fp:7", "zn:12"))
 def test_apply_matches_reference(spec):
     # apply reads the stored nonzero pairs: before and after the matrix
     # serves as a right factor, and on the fresh matrices that products
@@ -242,7 +249,7 @@ def test_rref_matches_reference(spec):
         for b in basis:
             c = ring.coerce(rng.randrange(-3, 4) if ring.size is None
                             else rng.randrange(ring.size))
-            row = [ring.add(x, ring.mul(c, y)) for x, y in zip(row, b)]
+            row = [ring.coerce(x + c * y) for x, y in zip(row, b)]
         return tuple(row)
 
     for width in range(7):
@@ -461,10 +468,15 @@ def test_finite_kernel_matches_the_replaced_kernels(spec):
 
 
 def test_kernels_call_no_ring_arithmetic(monkeypatch):
-    # The elimination runs on plain ints reduced mod n: no ring method
-    # is called by the canonical forms, joins, containment, normal
-    # forms, coordinates, kernels, intersections and preimages over F_p
-    # and Z/n.
+    # Scalars are plain numbers: no ring defines arithmetic, and nothing
+    # over F_p and Z/n inverts through the ring either: the canonical
+    # forms, joins, containment, normal forms, coordinates, kernels,
+    # intersections and preimages, matrix products, sums and `apply`,
+    # `reducer`, hom spaces and algebra arithmetic.
+    for cls in vars(rings).values():
+        if isinstance(cls, type) and issubclass(cls, rings.ScalarRing):
+            for name in ("add", "neg", "mul", "sub"):
+                assert not hasattr(cls, name), (cls, name)
     calls = []
     inputs = []
     for spec in ("fp:7", "zn:12"):
@@ -475,13 +487,19 @@ def test_kernels_call_no_ring_arithmetic(monkeypatch):
             B = _random_matrix(rng, ring, 2, k, 0.6)
             C = _random_matrix(rng, ring, 2, n, 0.6)
             inputs.append((ring, A, B, C))
-    for cls, name in ((rings._FiniteRing, "add"), (rings._FiniteRing, "mul"),
-                      (rings._FiniteRing, "neg"), (rings._FiniteRing, "inv"),
-                      (rings.ScalarRing, "sub")):
-        def counted(self, *args, _f=getattr(cls, name), _name=name):
-            calls.append(_name)
-            return _f(self, *args)
-        monkeypatch.setattr(cls, name, counted)
+    g = pair_groupoid(2)
+    algebra = []
+    for spec in ("fp:7", "zn:12"):
+        ring = ring_from_spec(spec)
+        rng = random.Random("no-ring-ops/algebra/" + spec)
+        f, h = (AlgebraElement(g, ring, [rng.randrange(12) for _ in range(4)])
+                for _ in range(2))
+        algebra.append((regular_rep(g, ring), f, h))
+
+    def counted(self, *args, _f=rings._FiniteRing.inv):
+        calls.append("inv")
+        return _f(self, *args)
+    monkeypatch.setattr(rings._FiniteRing, "inv", counted)
     for ring, A, B, C in inputs:
         k = A.ncols
         S, T = Subspace(ring, k, A.rows()), Subspace(ring, k, B.rows())
@@ -494,10 +512,16 @@ def test_kernels_call_no_ring_arithmetic(monkeypatch):
                 space.contains(v)
                 if space.has_unit_pivots():
                     space.coordinates(v)
+                    space.reducer().apply(v)
         mat_kernel(A)
         left_kernel(A)
         subspace_intersect(S, T)
         subspace_preimage(A, Subspace(ring, A.nrows, C.rows()))
+        (C * A + C * A).apply(A.row(0))
+        A.transpose() * A + Matrix.identity(ring, k)
+    for reg, f, h in algebra:
+        hom_space(reg, reg)
+        f + h, f - h, -f, f.scale(5), 3 * h, convolve(f, h)
     assert calls == []
 
 
@@ -769,7 +793,7 @@ def test_canonical_form_is_generator_independent():
             shuffled = list(gens)
             rng.shuffle(shuffled)
             # throw in redundant combinations of the originals
-            extra = tuple(ring.add(gens[0][i], gens[-1][i])
+            extra = tuple(ring.coerce(gens[0][i] + gens[-1][i])
                           for i in range(dim))
             T = Subspace(ring, dim, shuffled + [extra])
             assert S.basis == T.basis
@@ -804,8 +828,8 @@ def test_left_kernel():
     L = left_kernel(A)
     for v in L.basis:
         prod = tuple(
-            F3.add(F3.mul(v[0], A.at(0, j)),
-                   F3.add(F3.mul(v[1], A.at(1, j)), F3.mul(v[2], A.at(2, j))))
+            F3.coerce(v[0] * A.at(0, j)
+                      + v[1] * A.at(1, j) + v[2] * A.at(2, j))
             for j in range(2))
         assert prod == (0, 0)
     assert L.num_rows == 2
@@ -842,7 +866,7 @@ def test_nonzero_vectors_bound():
     assert len(vecs) == 4 == len(set(vecs))
     assert (0, 0) not in vecs
     assert vecs == sorted(vecs)
-    assert not any(tuple(F3.mul(c, x) for x in v) == w
+    assert not any(tuple(F3.coerce(c * x) for x in v) == w
                    for v, w in itertools.permutations(vecs, 2)
                    for c in (1, 2))
     assert len(list(nonzero_vectors(F5, 3, 125))) == 31
@@ -947,12 +971,40 @@ def test_restrict_reads_coordinates_at_the_pivots(spec):
 
 
 def test_reducer_is_the_matrix_of_reduce():
-    for ring in (Q, F3, Z4):
+    for ring in (Q, F3, Z4, F7, Z12):
         space = Subspace(ring, 3, [(1, 0, 2), (0, 0, 1)]) \
-            if ring != Z4 else Subspace(ring, 3, [(1, 3, 2)])
+            if ring.is_field else Subspace(ring, 3, [(1, 3, 2)])
         P = space.reducer()
+        # Held canonically: no zero pair, every entry reduced.
+        dense = Matrix(ring, 3, 3, P.entries)
+        assert P == dense and hash(P) == hash(dense)
         for v in itertools.product(range(3), repeat=3):
-            assert P.apply(ring.coerce_vector(v)) == space.reduce(v)
+            got, want = P.apply(ring.coerce_vector(v)), space.reduce(v)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_zero_divisor_products_and_sums_leave_no_pair():
+    # Over Z/12, 3 * 4, 6 * 2 and 4 + 8 are 0 only once reduced: their
+    # pairs go, and the results equal (and hash like) the matrices
+    # written with those zeros.
+    A = Matrix(Z12, 1, 3, [3, 6, 1])
+    B = Matrix(Z12, 3, 3, [4, 0, 1, 0, 2, 0, 0, 0, 5])
+    AB = A * B
+    assert AB._nz == (((2, 8),),)
+    assert AB == Matrix(Z12, 1, 3, [0, 0, 8])
+    assert hash(AB) == hash(Matrix(Z12, 1, 3, [0, 0, 8]))
+    assert B.transpose().apply(A.row(0)) == (0, 0, 8)
+    S = Matrix(Z12, 1, 3, [4, 1, 0]) + Matrix(Z12, 1, 3, [8, 2, 0])
+    assert S._nz == (((1, 3),),)
+    assert S == Matrix(Z12, 1, 3, [0, 3, 0])
+    assert hash(S) == hash(Matrix(Z12, 1, 3, [0, 3, 0]))
+    three, four = Matrix(Z12, 1, 1, [3]), Matrix(Z12, 1, 1, [4])
+    assert (three * four)._nz == ((),)
+    assert three * four == Matrix.zeros(Z12, 1, 1)
+    assert three.apply((4,)) == (0,)
+    assert linalg._pairs({0: 12, 1: 13, 2: 24, 3: -1}, 12) \
+        == ((1, 1), (3, 11))
 
 
 def test_contains_subspace_checks_compatibility():

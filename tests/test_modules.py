@@ -111,7 +111,7 @@ def corruptions(mats, ring):
     for a, M in enumerate(mats):
         for pos, x in enumerate(M.entries):
             entries = list(M.entries)
-            entries[pos] = ring.add(x, ring.one)
+            entries[pos] = ring.coerce(x + 1)
             bad = list(mats)
             bad[a] = Matrix(ring, M.nrows, M.ncols, entries)
             yield (a, pos), bad
@@ -225,7 +225,7 @@ def test_rep_validate_agrees_with_group_module_axioms(spec):
             for a, M in enumerate(N.mats):
                 for pos, x in enumerate(M.entries):
                     entries = list(M.entries)
-                    entries[pos] = MR.add(x, MR.one)
+                    entries[pos] = MR.coerce(x + 1)
                     mats = list(N.mats)
                     mats[a] = Matrix(MR, M.nrows, M.ncols, entries)
                     bad = IsotropyModule(G, N.ring, N.dim, mats,
@@ -403,7 +403,7 @@ def _base_change(N):
            for i in range(d)]
     P = Matrix.identity(R, d) + Matrix.from_rows(R, off)
     P_inv = Matrix.identity(R, d) + Matrix.from_rows(
-        R, [[R.neg(x) for x in row] for row in off])
+        R, [[R.coerce(-x) for x in row] for row in off])
     return IsotropyModule(N.group, N.ring, d, [P * M * P_inv for M in N.mats],
                           matrix_ring=N.matrix_ring)
 
@@ -656,7 +656,13 @@ def test_swap3_ideal_structure():
     assert len(enumerate_all_ideals(g, F3)) == 8
 
 
-@pytest.mark.parametrize("spec", RING_SPECS)
+def _assert_same_space(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert [[type(x) for x in r] for r in got.basis] \
+        == [[type(x) for x in r] for r in want.basis]
+
+
+@pytest.mark.parametrize("spec", RING_SPECS + ("fp:7", "zn:12"))
 def test_hom_space_matches_all_arrows_reference(spec):
     ring = ring_from_spec(spec)
     for g in (pair_groupoid(2), swap3(),
@@ -669,17 +675,17 @@ def test_hom_space_matches_all_arrows_reference(spec):
                      induce(g, ring, u, regular_module(G, ring))]
         for A in reps:
             for B in reps:
-                assert hom_space(A, B) == reference_hom_space(A, B)
+                _assert_same_space(hom_space(A, B), reference_hom_space(A, B))
     G = iso_group(group_groupoid(klein_table()))
     mods = [trivial_module(G, ring), regular_module(G, ring)]
     if ring.is_field and ring.size is not None:
         mods += simple_modules_group(G, ring)
     for A in mods:
         for B in mods:
-            assert hom_space(A, B) == reference_hom_space(A, B)
+            _assert_same_space(hom_space(A, B), reference_hom_space(A, B))
 
 
-@pytest.mark.parametrize("spec", RING_SPECS)
+@pytest.mark.parametrize("spec", RING_SPECS + ("fp:7", "zn:12"))
 def test_hom_space_with_a_zero_module(spec):
     # With no intertwining condition, the kernel of the 0 x k system is
     # all of R^k: k = 0 next to a zero module, and k = 4 between sums of

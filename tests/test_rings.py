@@ -30,15 +30,15 @@ def test_rational_arithmetic():
     R = RationalField()
     a = R.coerce(Fraction(1, 3))
     b = R.coerce(2)
-    assert R.mul(a, b) == Fraction(2, 3)
-    assert R.add(a, R.neg(a)) == R.zero
+    assert R.coerce(a * b) == Fraction(2, 3)
+    assert R.coerce(a + -a) == R.zero
     assert R.inv(Fraction(3, 7)) == Fraction(7, 3)
 
 
 def test_prime_field_inverses():
     F = PrimeField(5)
     for a in range(1, 5):
-        assert F.mul(a, F.inv(a)) == F.one
+        assert F.coerce(a * F.inv(a)) == F.one
     assert F.coerce(-1) == 4
     assert F.coerce(Fraction(1, 2)) == 3
     with pytest.raises(ConstructionError):
@@ -47,8 +47,8 @@ def test_prime_field_inverses():
 
 def test_integers_mod_basics():
     R = IntegersMod(6)
-    assert R.add(4, 5) == 3
-    assert R.mul(4, 5) == 2
+    assert R.coerce(4 + 5) == 3
+    assert R.coerce(4 * 5) == 2
     assert R.coerce(-1) == 5
     assert sorted(R.elements()) == [0, 1, 2, 3, 4, 5]
     assert R.size == 6
