@@ -98,6 +98,7 @@ from .sheaves import (
     SheafData,
     sheaf_validate,
     sheaf_of,
+    regular_sheaf,
     stalk_isotropy_module,
     gamma_c,
     disintegration_iso,
@@ -143,7 +144,8 @@ __all__ = [
     "regular_module", "simple_modules_group",
     "induce",
     "induced_annihilator_from_space", "induced_annihilator_direct",
-    "SheafData", "sheaf_validate", "sheaf_of", "stalk_isotropy_module",
+    "SheafData", "sheaf_validate", "sheaf_of", "regular_sheaf",
+    "stalk_isotropy_module",
     "gamma_c", "disintegration_iso",
     "VerificationReport", "stalk_annihilator_space",
     "verify_ideal_is_intersection", "verify_primitive_single_inducer",

@@ -35,14 +35,13 @@ from .ideals import enumerate_all_ideals, ideal_from_generators
 from .induction import induce, induced_annihilator_direct
 from .modules import (
     DEFAULT_BOUND,
-    regular_rep,
     regular_module,
     sign_module,
     simple_modules_group,
     trivial_module,
 )
 from .rings import ring_from_spec
-from .sheaves import sheaf_of
+from .sheaves import regular_sheaf
 from .suite import (
     enumerate_primitive_ideals,
     verify_ideal_is_intersection,
@@ -216,7 +215,7 @@ def cmd_compute(args) -> int:
         _emit(args, _dump(J.to_json_dict()))
         return 0
     if args.what == "stalks":
-        S = sheaf_of(regular_rep(g, ring))
+        S = regular_sheaf(g, ring)
         _emit(args, _dump(S.to_json_dict()))
         return 0
     if args.what == "simple-modules":

@@ -89,7 +89,13 @@ class FiniteGroupoid:
             return x
         try:
             arrows = [(n(a["d"]), n(a["r"])) for a in data["arrows"]]
-            comp = {(n(a), n(b)): n(c) for a, b, c in data["comp"]}
+            comp = {}
+            for a, b, c in data["comp"]:
+                key = (n(a), n(b))
+                if key in comp:  # the last entry would silently win
+                    raise ValueError("duplicate composition entry (%d,%d)"
+                                     % key)
+                comp[key] = n(c)
             return cls(n(data["objects"]), arrows,
                        [n(u) for u in data["units"]], comp,
                        [n(i) for i in data["inv"]])

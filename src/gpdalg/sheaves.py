@@ -109,6 +109,32 @@ def sheaf_of(rho: Rep) -> SheafData:
                      stalk_bases=tuple(bases))
 
 
+def regular_sheaf(g: FiniteGroupoid, ring: ScalarRing) -> SheafData:
+    """``sheaf_of(regular_rep(g, ring))`` read off the composition table.
+
+    rho(e_u) sends e_b to e_b when r(b) = u and to 0 otherwise, so its
+    nonzero columns are the unit vectors e_b, r(b) = u, already
+    canonical: the stalk at u is free on the arrows into u, ascending.
+    L_a for a: v -> w sends e_b to e_ab, so row b' of the stalk matrix
+    (b' into w) holds a single 1, in the column of a^-1 b' among the
+    arrows into v.  The regular module of a groupoid that passes
+    ``validate`` is a module (associativity and the unit laws), so
+    nothing is validated again."""
+    into = [[] for _ in range(g.n_objects)]
+    pos = []
+    for b in range(g.n_arrows):
+        pos.append(len(into[g.tgt[b]]))
+        into[g.tgt[b]].append(b)
+    comp, one = g.comp, ring.one
+    mats = []
+    for a in range(g.n_arrows):
+        ia, rows = g.inv[a], into[g.tgt[a]]
+        mats.append(Matrix._sparse(
+            ring, len(rows), len(into[g.src[a]]),
+            [((pos[comp[(ia, b)]], one),) for b in rows]))
+    return SheafData(g, ring, ring, [len(r) for r in into], mats)
+
+
 def stalk_isotropy_module(S: SheafData, u: int) -> IsotropyModule:
     """The stalk at u as a module over the isotropy group."""
     G = isotropy(S.groupoid, u)

@@ -148,6 +148,23 @@ def test_non_integer_groupoid_fields_exit_2(tmp_path, capsys, field, value):
             and err.count("\n") == 1, argv
 
 
+def test_duplicate_composition_entry_exits_2(tmp_path, capsys):
+    # Z/2 with a second, conflicting entry for (1,1): read into a dict,
+    # the last entry won and the table came out a valid group.
+    data = {"objects": 1, "arrows": [{"d": 0, "r": 0}, {"d": 0, "r": 0}],
+            "units": [0],
+            "comp": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 0]],
+            "inv": [0, 1]}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate", "--in", str(path)],
+                 ["compute", "stalks", "--in", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == ("error: malformed groupoid data: duplicate "
+                       "composition entry (1,1)\n"), argv
+
+
 @pytest.mark.parametrize("spec", ["q", "fp:3", "zn:4"])
 def test_boolean_coefficients_exit_2(capsys, spec):
     code, out, err = run(capsys, "verify", "ideal-intersection", "--gen",
@@ -634,30 +651,53 @@ def test_benchmark_jobs_build_no_coercing_matrix(monkeypatch, capsys):
      "9bac9a6c1f3fa64c4fbf8e61f9df0a266b3508e074c2e8e785582ec62603535e"),
     ("compute stalks --gen pair:6 --ring fp:7",
      "c34e35e1bf4ad2dca667dded18cb1434a8c95fdb2b55e310f43378511e3214ee"),
+    ("compute stalks --gen pair:15 --ring q",
+     "7d298ee8cf856d41e5f9f2f0759899b2fd4e3933f348353a529646c67aafcf4d"),
+    ("compute stalks --gen pair:15 --ring fp:2",
+     "fc642436c0bfb14e96188114942e6df38867a73c6b8ee041eafc12adea663b1e"),
+    ("compute stalks --gen pair:20 --ring fp:2",
+     "0ef4d603273ab0e21307be848aab46a1a101b8197404c70e1ecbbfcff1aecdda"),
 ])
 def test_large_stalk_jobs_keep_their_bytes(argv, digest, capsys):
-    # Larger than the benchmark's pair:4 and pair:5, so the products and
-    # sums that skip zeros on both sides are checked on 100x100 and 64x64
-    # matrices; the first two digests were recorded with the dense left
-    # factor and the entrywise sum, the next three with every matrix held
-    # dense (all m^2 entries stored, compared and hashed), and pair:6/fp:7
-    # with an RREF kernel of its own for F_p.
+    # Larger than the benchmark's pair:4 and pair:5.  compute stalks now
+    # reads the regular sheaf off the composition table (regular_sheaf);
+    # every digest was recorded on the general route, sheaf_of of the
+    # m x m regular module: the first two with the dense left factor and
+    # the entrywise sum, the next three with every matrix held dense,
+    # pair:6/fp:7 with an RREF kernel of its own for F_p, and the last
+    # three with sparse products.
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_disintegrate_jobs_read_no_dense_module_matrix(monkeypatch, capsys):
-    # compute stalks keeps the regular module's m x m matrices as nonzero
-    # pairs from the products to the restriction: none of them is read
-    # dense (entries, rows, col or to_lists), only the small stalk
-    # matrices of the output are.  The benchmark's five jobs.
+    # compute stalks writes each stalk matrix from the composition table
+    # and builds no m x m matrix of the regular module: nothing of size
+    # m^2 is read dense (entries, rows, col or to_lists), only the small
+    # stalk matrices of the output are, and neither the module, its
+    # validation, the stalk bases nor the restriction is computed.  The
+    # benchmark's five jobs.
     sys.path.insert(0, PERFBENCH)
     try:
         import workloads
     finally:
         sys.path.remove(PERFBENCH)
-    shapes = []
+    shapes, general = [], []
+
+    def logged(name, f):
+        def wrapper(*args, **kwargs):
+            general.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in ("rep_validate", "regular_rep", "restrict",
+                 "canonical_rows"):
+        for mod in (gpdalg.cli, gpdalg.sheaves, gpdalg.modules,
+                    gpdalg.linalg):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name,
+                                    logged(name, getattr(mod, name)))
 
     def counted(read):
         def wrapper(self, *args):
@@ -675,6 +715,7 @@ def test_disintegrate_jobs_read_no_dense_module_matrix(monkeypatch, capsys):
         assert run(capsys, verb, what, "--gen", spec, "--ring", ring,
                    *extra)[0] == 0
         assert shapes and all(r * c < m * m for r, c in shapes), spec
+    assert general == []
 
 
 @pytest.mark.parametrize("argv,code,digest", [

@@ -11,6 +11,7 @@ from gpdalg import (
     AlgebraElement,
     BoundExceededError,
     ConstructionError,
+    FiniteGroupoid,
     Matrix,
     NonFreeQuotientError,
     Rep,
@@ -32,6 +33,8 @@ from gpdalg import (
     quotient_algebra_rep,
     regular_rep,
     regular_module,
+    regular_sheaf,
+    relabel_arrows,
     rep_validate,
     ring_from_spec,
     sheaf_of,
@@ -43,7 +46,9 @@ from gpdalg import (
     verify_primitive_single_inducer,
 )
 
-from conftest import (block_sum, named_pool, reference_is_simple,
+from gpdalg.cli import parse_generator_spec
+
+from conftest import (RING_SPECS, block_sum, named_pool, reference_is_simple,
                       reference_sheaf_of, swap3, zg)
 
 Q = ring_from_spec("q")
@@ -334,3 +339,36 @@ def test_sheaf_of_keeps_its_errors():
                 f(rho)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("spec", RING_SPECS + ("fp:7", "zn:12"))
+def test_regular_sheaf_matches_sheaf_of_the_regular_rep(spec):
+    # The closed form against the general route on pair, group and action
+    # groupoids, disjoint unions and the groupoid with no objects, each
+    # also under a seeded relabelling.  pair:8 and pair:10 keep sheaf_of's
+    # sparse products of m x m matrices covered.
+    ring = ring_from_spec(spec)
+    rng = random.Random(spec)
+    specs = ["pair:%d" % n for n in (1, 2, 3, 4, 5, 8, 10)] \
+        + ["group:z%d" % n for n in range(1, 7)] \
+        + ["action:z4:1,2,3,0", "action:z2:1,0,2", "action:z6:1,2,0,4,5,3",
+           "group:z3+pair:3", "pair:2+group:z2+action:z2:1,0"]
+    pool = [(s, parse_generator_spec(s)) for s in specs] \
+        + [("empty", FiniteGroupoid(0, [], [], {}, []))]
+    for name, g in pool:
+        perm = list(range(g.n_arrows))
+        rng.shuffle(perm)
+        for h in (g, relabel_arrows(g, perm)):
+            fast, slow = regular_sheaf(h, ring), sheaf_of(regular_rep(h, ring))
+            assert fast.stalk_dims == slow.stalk_dims, name
+            assert fast.arrow_mats == slow.arrow_mats, name
+            assert [hash(M) for M in fast.arrow_mats] \
+                == [hash(M) for M in slow.arrow_mats], name
+            assert fast.to_json_dict() == slow.to_json_dict(), name
+            assert sheaf_validate(fast) == [], name
+            m = h.n_arrows
+            for u, space in enumerate(slow.stalk_bases):
+                assert space.basis == tuple(
+                    tuple(ring.one if j == b else ring.zero
+                          for j in range(m))
+                    for b in h.arrows_into(u)), (name, u)
