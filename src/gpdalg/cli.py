@@ -44,6 +44,7 @@ from .rings import ring_from_spec
 from .sheaves import regular_sheaf
 from .suite import (
     enumerate_primitive_ideals,
+    isotropy_simples,
     verify_ideal_is_intersection,
     verify_primitive_single_inducer,
     verify_primitive_ideals,
@@ -299,14 +300,10 @@ def cmd_verify(args) -> int:
             reports.append(verify_ideal_is_intersection(g, ring, I,
                                                         instance=name))
     elif args.check == "primitive-single":
-        for u in orbits(g).representatives:
-            G = isotropy(g, u)
-            sims = simple_modules_group(G, ring, bound=args.bound)
-            for i, N in enumerate(sims):
-                rho = induce(g, ring, u, N)
-                reports.append(verify_primitive_single_inducer(
-                    g, ring, rho, instance="%s@%d#%d" % (name, u, i),
-                    bound=args.bound))
+        for u, i, N in isotropy_simples(g, ring, args.bound):
+            reports.append(verify_primitive_single_inducer(
+                g, ring, induce(g, ring, u, N),
+                instance="%s@%d#%d" % (name, u, i), bound=args.bound))
     elif args.check == "primitive-ideals":
         reports.append(verify_primitive_ideals(
             g, ring, instance=name, bound=args.bound))

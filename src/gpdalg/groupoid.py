@@ -12,7 +12,7 @@ from .errors import ConstructionError, NotABisectionError
 
 class FiniteGroupoid:
     __slots__ = ("n_objects", "src", "tgt", "unit_of", "comp", "inv",
-                 "_by_src_tgt", "memo")
+                 "_into", "_from", "memo")
 
     def __init__(self, n_objects, arrows, units, comp, inv):
         self.n_objects = n_objects
@@ -21,10 +21,13 @@ class FiniteGroupoid:
         self.unit_of = tuple(units)
         self.comp = dict(comp)
         self.inv = tuple(inv)
-        by = {}
-        for a in range(len(self.src)):
-            by.setdefault((self.src[a], self.tgt[a]), []).append(a)
-        self._by_src_tgt = by
+        # Arrows by raw endpoint, ascending: unvalidated data is indexed too.
+        into, out = {}, {}
+        for a, (d, r) in enumerate(zip(self.src, self.tgt)):
+            into.setdefault(r, []).append(a)
+            out.setdefault(d, []).append(a)
+        self._into = {u: tuple(x) for u, x in into.items()}
+        self._from = {u: tuple(x) for u, x in out.items()}
         self.memo = {}  # tables derived on first use; not part of the value
 
     @property
@@ -45,16 +48,16 @@ class FiniteGroupoid:
 
     def arrows_from_to(self, v: int, w: int) -> tuple:
         """Arrows with domain v and range w, ascending ids."""
-        return tuple(self._by_src_tgt.get((v, w), ()))
+        return tuple(a for a in self.arrows_from(v) if self.tgt[a] == w)
 
     def loops_at(self, u: int) -> tuple:
         return self.arrows_from_to(u, u)
 
     def arrows_into(self, u: int) -> tuple:
-        return tuple(a for a in range(self.n_arrows) if self.tgt[a] == u)
+        return self._into.get(u, ())
 
     def arrows_from(self, u: int) -> tuple:
-        return tuple(a for a in range(self.n_arrows) if self.src[a] == u)
+        return self._from.get(u, ())
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroupoid) \
@@ -103,23 +106,20 @@ class FiniteGroupoid:
             raise ConstructionError("malformed groupoid data: %s" % exc)
 
 
-def _associative(src, tgt, comp) -> bool:
-    """Light's test: True proves comp[(a, b)], defined where src[a] ==
-    tgt[b] with the right endpoints, associative.  The b with (ab)c =
-    a(bc) for all a, c are closed under it (Clifford & Preston, The
-    Algebraic Theory of Semigroups I, 1961, 1.2), so b runs over a greedy
+def _associative(g: FiniteGroupoid) -> bool:
+    """Light's test: True proves g.comp, defined on the composable pairs
+    with the right endpoints, associative.  The b with (ab)c = a(bc) for
+    all a, c are closed under it (Clifford & Preston, The Algebraic
+    Theory of Semigroups I, 1961, 1.2), so b runs over a greedy
     generating set: each arrow that the closure of those picked before
     under left multiplication by them missed."""
-    out, into = {}, {}
-    for x in range(len(src)):
-        out.setdefault(src[x], []).append(x)
-        into.setdefault(tgt[x], []).append(x)
+    comp = g.comp
     picked, reached = [], set()
-    for b in range(len(src)):
+    for b in range(g.n_arrows):
         if b in reached:
             continue
-        bcs = [(c, comp[(b, c)]) for c in into.get(src[b], ())]
-        for a in out.get(tgt[b], ()):
+        bcs = [(c, comp[(b, c)]) for c in g.arrows_into(g.src[b])]
+        for a in g.arrows_from(g.tgt[b]):
             ab = comp[(a, b)]
             for c, bc in bcs:
                 if comp[(ab, c)] != comp[(a, bc)]:
@@ -129,19 +129,20 @@ def _associative(src, tgt, comp) -> bool:
         frontier = list(reached)
         while frontier:
             y = frontier.pop()
-            for z in (comp[(s, y)] for s in picked if src[s] == tgt[y]):
+            for z in (comp[(s, y)] for s in picked if g.src[s] == g.tgt[y]):
                 if z not in reached:
                     reached.add(z)
                     frontier.append(z)
     return True
 
 
-def _failing_triples(src, tgt, comp):
+def _failing_triples(g: FiniteGroupoid):
     """The composable triples (a, b, c) with (ab)c != a(bc), in order."""
-    m = range(len(src))
-    return ((a, b, c) for a in m for b in m if src[a] == tgt[b]
-            for c in m if src[b] == tgt[c]
-            and comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])])
+    comp = g.comp
+    return ((a, b, c) for a in range(g.n_arrows)
+            for b in g.arrows_into(g.src[a])
+            for c in g.arrows_into(g.src[b])
+            if comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])])
 
 
 def validate(g: FiniteGroupoid) -> list[str]:
@@ -186,8 +187,8 @@ def validate(g: FiniteGroupoid) -> list[str]:
         elif g.src[c] != g.src[b] or g.tgt[c] != g.tgt[a]:
             errs.append("composite of (%d,%d) has wrong endpoints" % (a, b))
     for a in range(m):
-        for b in range(m):
-            if g.src[a] == g.tgt[b] and (a, b) not in g.comp:
+        for b in g.arrows_into(g.src[a]):
+            if (a, b) not in g.comp:
                 errs.append("missing composition for composable pair (%d,%d)"
                             % (a, b))
     if errs:
@@ -207,9 +208,9 @@ def validate(g: FiniteGroupoid) -> list[str]:
                 errs.append("a . inv(a) is not a unit for arrow %d" % a)
             if g.comp[(ia, a)] != g.unit_of[g.src[a]]:
                 errs.append("inv(a) . a is not a unit for arrow %d" % a)
-    if not _associative(g.src, g.tgt, g.comp):
+    if not _associative(g):
         errs += ["associativity fails on (%d,%d,%d)" % t
-                 for t in _failing_triples(g.src, g.tgt, g.comp)]
+                 for t in _failing_triples(g)]
     return errs
 
 
@@ -264,12 +265,18 @@ def _group_table(table) -> tuple:
            for a in range(k)]
     errs = ["element %d has no inverse" % a
             for a in range(k) if inv[a] is None]
-    one = (0,) * k
-    comp = {(a, b): x for a, r in enumerate(table) for b, x in enumerate(r)}
-    if not _associative(one, one, comp):
+    g = _table_groupoid(table, ident, inv)
+    if not _associative(g):
         errs.append("associativity fails at (%d,%d,%d)"
-                    % next(_failing_triples(one, one, comp)))
+                    % next(_failing_triples(g)))
     return errs, ident, inv
+
+
+def _table_groupoid(table, identity, inv) -> FiniteGroupoid:
+    """The one-object groupoid of a multiplication table, arrow i being
+    element i, built unchecked."""
+    comp = {(a, b): x for a, r in enumerate(table) for b, x in enumerate(r)}
+    return FiniteGroupoid(1, [(0, 0)] * len(table), [identity], comp, inv)
 
 
 def cyclic_table(k: int) -> list[list[int]]:
@@ -365,16 +372,14 @@ def orbits(g: FiniteGroupoid) -> OrbitPartition:
     are sorted, indexed by their smallest member."""
     key = "orbits"
     if key not in g.memo:
-        reach = [set() for _ in range(g.n_objects)]
-        for a in range(g.n_arrows):
-            reach[g.src[a]].add(g.tgt[a])
         orbit_of = [None] * g.n_objects
         classes = []
         for u in range(g.n_objects):
             if orbit_of[u] is None:
-                for v in reach[u]:
+                cls = sorted({g.tgt[a] for a in g.arrows_from(u)})
+                for v in cls:
                     orbit_of[v] = len(classes)
-                classes.append(sorted(reach[u]))
+                classes.append(cls)
         g.memo[key] = OrbitPartition(orbit_of, classes)
     return g.memo[key]
 
@@ -385,8 +390,7 @@ class IsotropyGroup:
     ``groupoid`` is the group as a one-object groupoid, arrow i being
     element i, built unchecked: ``isotropy`` reads a valid table."""
 
-    __slots__ = ("base", "arrow_ids", "table", "inv", "identity", "index_of",
-                 "groupoid")
+    __slots__ = ("base", "arrow_ids", "table", "inv", "identity", "groupoid")
 
     def __init__(self, base, arrow_ids, table, inv, identity):
         self.base = base
@@ -394,11 +398,7 @@ class IsotropyGroup:
         self.table = tuple(tuple(r) for r in table)
         self.inv = tuple(inv)
         self.identity = identity
-        self.index_of = {a: i for i, a in enumerate(self.arrow_ids)}
-        k = len(self.table)
-        comp = {(a, b): self.table[a][b] for a in range(k) for b in range(k)}
-        self.groupoid = FiniteGroupoid(1, [(0, 0)] * k, [identity], comp,
-                                       self.inv)
+        self.groupoid = _table_groupoid(self.table, identity, self.inv)
 
     @property
     def order(self) -> int:

@@ -685,6 +685,8 @@ def nonzero_vectors(ring, dim, bound):
     if n ** dim > bound:
         raise BoundExceededError("state space %d^%d exceeds bound %d"
                                  % (n, dim, bound))
+    if dim == 0:  # R^0 has no nonzero vector; do not list R
+        return iter(())
     elems = list(ring.elements())
     leads = [d for d in range(1, n) if n % d == 0]
     # Leading d at position i, last position first: lexicographic order.

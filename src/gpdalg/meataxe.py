@@ -31,8 +31,6 @@ zeros ([] is zero).
 
 from __future__ import annotations
 
-from itertools import product
-
 from .linalg import (
     Matrix,
     Subspace,
@@ -157,14 +155,15 @@ def _equal_degree(g, i, p):
     In F_p[x]/(g) = F_q x ... x F_q, q = p^i, a probe a splits g unless
     every component agrees on a^((q-1)/2) = 1 (p odd) or on the trace
     a + a^2 + ... + a^(2^(i-1)) (p = 2).  The probes run through every
-    monic polynomial of degree below deg g in a fixed order, and by the
-    Chinese remainder theorem one of them splits g."""
+    monic polynomial of degree below deg g in a fixed order, read off the
+    base-p digits of a counter, and by the Chinese remainder theorem one
+    of them splits g."""
     n = len(g) - 1
     if n == i:
         return [g]
     for k in range(1, n):
-        for tail in product(range(p), repeat=k):
-            a = list(tail) + [1]
+        for c in range(p ** k):
+            a = [c // p ** j % p for j in reversed(range(k))] + [1]
             if p == 2:
                 b = t = _divmod(a, g, p)[1]
                 for _ in range(i - 1):

@@ -120,19 +120,17 @@ def regular_sheaf(g: FiniteGroupoid, ring: ScalarRing) -> SheafData:
     arrows into v.  The regular module of a groupoid that passes
     ``validate`` is a module (associativity and the unit laws), so
     nothing is validated again."""
-    into = [[] for _ in range(g.n_objects)]
-    pos = []
-    for b in range(g.n_arrows):
-        pos.append(len(into[g.tgt[b]]))
-        into[g.tgt[b]].append(b)
+    dims = [len(g.arrows_into(u)) for u in range(g.n_objects)]
+    pos = {b: i for u in range(g.n_objects)
+           for i, b in enumerate(g.arrows_into(u))}
     comp, one = g.comp, ring.one
     mats = []
     for a in range(g.n_arrows):
-        ia, rows = g.inv[a], into[g.tgt[a]]
+        ia, rows = g.inv[a], g.arrows_into(g.tgt[a])
         mats.append(Matrix._sparse(
-            ring, len(rows), len(into[g.src[a]]),
+            ring, len(rows), dims[g.src[a]],
             [((pos[comp[(ia, b)]], one),) for b in rows]))
-    return SheafData(g, ring, ring, [len(r) for r in into], mats)
+    return SheafData(g, ring, ring, dims, mats)
 
 
 def stalk_isotropy_module(S: SheafData, u: int) -> IsotropyModule:

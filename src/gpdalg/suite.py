@@ -65,6 +65,11 @@ class VerificationReport:
             self.check, self.instance, self.ring, self.verdict)
 
 
+def _report(check, instance, ring, t0, verdict, **fields):
+    return VerificationReport(check, instance, ring.spec_string(), verdict,
+                              wall_time=time.perf_counter() - t0, **fields)
+
+
 def _basis_strs(space: Subspace) -> list:
     return [[str(x) for x in row] for row in space.basis]
 
@@ -117,10 +122,8 @@ def verify_ideal_is_intersection(
                                  for u in orb.representatives},
         "constant_on_orbits": orbitwise_constant,
     }
-    return VerificationReport("ideal-intersection", instance,
-                              ring.spec_string(), verdict,
-                              witnesses=witnesses,
-                              wall_time=time.perf_counter() - t0)
+    return _report("ideal-intersection", instance, ring, t0, verdict,
+                   witnesses=witnesses)
 
 
 def verify_primitive_single_inducer(
@@ -137,17 +140,12 @@ def verify_primitive_single_inducer(
     they are equal, and the verdict is ``refuted`` when they are not."""
     t0 = time.perf_counter()
     try:
-        N = simple_stalk(rho, bound=bound)
+        N, reason = simple_stalk(rho, bound=bound), "module is not simple"
     except (BoundExceededError, UnsupportedRingError) as exc:
-        return VerificationReport("primitive-single", instance,
-                                  ring.spec_string(), "skipped",
-                                  reason="simplicity check: %s" % exc,
-                                  wall_time=time.perf_counter() - t0)
+        N, reason = None, "simplicity check: %s" % exc
     if N is None:
-        return VerificationReport("primitive-single", instance,
-                                  ring.spec_string(), "skipped",
-                                  reason="module is not simple",
-                                  wall_time=time.perf_counter() - t0)
+        return _report("primitive-single", instance, ring, t0, "skipped",
+                       reason=reason)
     ann = module_annihilator_space(rho)
     u = N.group.base
     J = induced_annihilator_direct(g, ring, u, N)
@@ -160,18 +158,17 @@ def verify_primitive_single_inducer(
         "induced_annihilator": _basis_strs(J.space),
         "stalk_is_simple": True,
     }
-    return VerificationReport("primitive-single", instance,
-                              ring.spec_string(), verdict,
-                              witnesses=witnesses,
-                              wall_time=time.perf_counter() - t0)
+    return _report("primitive-single", instance, ring, t0, verdict,
+                   witnesses=witnesses)
 
 
-def _induced_simples(g: FiniteGroupoid, ring: ScalarRing, bound: int):
-    """(u, N, induced annihilator) for each simple isotropy module N at
-    each orbit representative u."""
+def isotropy_simples(g: FiniteGroupoid, ring: ScalarRing, bound: int):
+    """(u, i, N) for the i-th simple isotropy module N, as
+    ``simple_modules_group`` lists them, at each orbit representative u."""
     for u in orbits(g).representatives:
-        for N in simple_modules_group(isotropy(g, u), ring, bound=bound):
-            yield u, N, induced_annihilator_direct(g, ring, u, N)
+        for i, N in enumerate(simple_modules_group(isotropy(g, u), ring,
+                                                   bound=bound)):
+            yield u, i, N
 
 
 def _distinct_sorted(ideals) -> list[Ideal]:
@@ -183,7 +180,8 @@ def enumerate_primitive_ideals(g: FiniteGroupoid, ring: ScalarRing,
                                bound: int = DEFAULT_BOUND) -> list[Ideal]:
     """Annihilators induced from the simple isotropy modules of one
     representative per orbit, deduplicated and sorted."""
-    return _distinct_sorted(J for _, _, J in _induced_simples(g, ring, bound))
+    return _distinct_sorted(induced_annihilator_direct(g, ring, u, N)
+                            for u, _, N in isotropy_simples(g, ring, bound))
 
 
 def primitive_ideal_oracle(g: FiniteGroupoid, ring: ScalarRing,
@@ -210,7 +208,8 @@ def verify_primitive_ideals(
     as in ``verify_primitive_single_inducer``."""
     t0 = time.perf_counter()
     try:
-        found = list(_induced_simples(g, ring, bound))
+        found = [(u, N, induced_annihilator_direct(g, ring, u, N))
+                 for u, _, N in isotropy_simples(g, ring, bound)]
         prims = _distinct_sorted(J for _, _, J in found)
         witnesses = {"primitive_ideals": [_basis_strs(J.space)
                                           for J in prims]}
@@ -228,12 +227,7 @@ def verify_primitive_ideals(
                 if module_annihilator_space(rho) != J.space:
                     ok = False
     except BoundExceededError as exc:
-        return VerificationReport("primitive-ideals", instance,
-                                  ring.spec_string(), "skipped",
-                                  reason=str(exc),
-                                  wall_time=time.perf_counter() - t0)
-    verdict = "verified" if ok else "refuted"
-    return VerificationReport("primitive-ideals", instance,
-                              ring.spec_string(), verdict,
-                              witnesses=witnesses,
-                              wall_time=time.perf_counter() - t0)
+        return _report("primitive-ideals", instance, ring, t0, "skipped",
+                       reason=str(exc))
+    return _report("primitive-ideals", instance, ring, t0,
+                   "verified" if ok else "refuted", witnesses=witnesses)

@@ -831,7 +831,7 @@ def reference_stalk_annihilator_space(g, ring, I, u):
 def _reference_conjugate_index(g, G, T, a):
     v, w = g.src[a], g.tgt[a]
     loop = g.comp[(g.inv[T[w]], g.comp[(a, T[v])])]
-    return G.index_of[loop]
+    return G.arrow_ids.index(loop)
 
 
 def reference_induce(g, ring, u, N, T):
@@ -1215,6 +1215,41 @@ def reference_validate(g):
                 if g.comp[(ab, c)] != g.comp[(a, g.comp[(b, c)])]:
                     errs.append("associativity fails on (%d,%d,%d)" % (a, b, c))
     return errs
+
+
+def reference_arrows_into(g, u):
+    """Slow reference for ``FiniteGroupoid.arrows_into``: every arrow
+    scanned, whatever u is."""
+    return tuple(a for a in range(g.n_arrows) if g.tgt[a] == u)
+
+
+def reference_arrows_from(g, u):
+    """Slow reference for ``FiniteGroupoid.arrows_from``."""
+    return tuple(a for a in range(g.n_arrows) if g.src[a] == u)
+
+
+def reference_arrows_from_to(g, v, w):
+    """Slow reference for ``FiniteGroupoid.arrows_from_to``."""
+    return tuple(a for a in range(g.n_arrows)
+                 if g.src[a] == v and g.tgt[a] == w)
+
+
+def reference_missing_pairs(g):
+    """Slow reference for the missing-composition check of
+    ``groupoid.validate``: every pair (a, b) of arrows scanned, in order,
+    for src[a] == tgt[b] with no composite."""
+    m = g.n_arrows
+    return [(a, b) for a in range(m) for b in range(m)
+            if g.src[a] == g.tgt[b] and (a, b) not in g.comp]
+
+
+def reference_failing_triples(src, tgt, comp):
+    """Slow reference for ``groupoid._failing_triples``: every triple of
+    arrows scanned, in order, for composable ones with (ab)c != a(bc)."""
+    m = range(len(src))
+    return ((a, b, c) for a in m for b in m if src[a] == tgt[b]
+            for c in m if src[b] == tgt[c]
+            and comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])])
 
 
 def reference_group_table(table):

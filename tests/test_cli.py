@@ -814,6 +814,17 @@ def test_big_prime_modulus_is_refused_not_factored(capsys):
     assert "3317044064679887385961981" in err
 
 
+@pytest.mark.parametrize("p", [10 ** 9 + 7, 2 ** 61 - 1])
+def test_large_prime_fields_exit_3_on_the_search_bound(p, capsys):
+    # Norton's test splits F_p[Z2] without listing F_p; the bound then
+    # trips in the search of Hom(F_p[Z2], S), dim S = 1.
+    code, out, err = run(capsys, "verify", "primitive-ideals", "--gen",
+                         "group:z2", "--ring", "fp:%d" % p)
+    assert code == 3
+    assert json.loads(out)["reason"] \
+        == "state space %d^1 exceeds bound 1048576" % p
+
+
 def test_report_flags_belong_to_verify(capsys):
     # --seed, --format and --timings shape verify's reports; compute
     # prints no report, so it rejects them.

@@ -24,14 +24,17 @@ from gpdalg import (
     validate,
 )
 from gpdalg.cli import parse_generator_spec
-from gpdalg.groupoid import (_group_table, generating_arrows,
+from gpdalg.groupoid import (_associative, _failing_triples, _group_table,
+                             _table_groupoid, generating_arrows,
                              group_generators, validate_group_table)
 from gpdalg.ideals import _arrow_actions
 
 from conftest import (cycle3, klein_table, layout_pool, named_pool,
-                      reference_arrow_actions, reference_group_table,
-                      reference_orbits, reference_validate, swap2,
-                      swap3, zg)
+                      reference_arrow_actions, reference_arrows_from,
+                      reference_arrows_from_to, reference_arrows_into,
+                      reference_failing_triples, reference_group_table,
+                      reference_missing_pairs, reference_orbits,
+                      reference_validate, swap2, swap3, zg)
 
 
 def test_pool_validates():
@@ -438,3 +441,89 @@ def test_light_test_matches_the_triple_scan_on_groupoids():
             assert validate(h) == want, name
             failed += any("associativity" in e for e in want)
     assert failed > 50
+
+
+def _swapped_table(table, rng):
+    t = [list(row) for row in table]
+    cells = [(i, j) for i in range(len(t)) for j in range(len(t))]
+    (a, b), (c, d) = rng.sample(cells, 2)
+    t[a][b], t[c][d] = t[c][d], t[a][b]
+    return t
+
+
+def _corrupted(g, rng):
+    # Swapped and deleted composites, then one arrow's domain or range
+    # moved to -1 or past the last object.
+    arrows = list(zip(g.src, g.tgt))
+    pairs = sorted(g.comp)
+    if len(pairs) >= 2:
+        comp = dict(g.comp)
+        p, q = rng.sample(pairs, 2)
+        comp[p], comp[q] = comp[q], comp[p]
+        yield FiniteGroupoid(g.n_objects, arrows, g.unit_of, comp, g.inv)
+        comp = dict(g.comp)
+        for key in rng.sample(pairs, 2):
+            del comp[key]
+        yield FiniteGroupoid(g.n_objects, arrows, g.unit_of, comp, g.inv)
+    for end in (-1, g.n_objects + 1):
+        bent = list(arrows)
+        a = rng.randrange(len(bent))
+        bent[a] = (end, bent[a][1]) if rng.random() < 0.5 \
+            else (bent[a][0], end)
+        yield FiniteGroupoid(g.n_objects, bent, g.unit_of, g.comp, g.inv)
+
+
+def _composites_well_placed(h):
+    # validate reaches the group laws: endpoints in range, and comp
+    # defined exactly on the composable pairs with the right endpoints.
+    return all(0 <= x < h.n_objects for x in h.src + h.tgt) \
+        and not reference_missing_pairs(h) \
+        and all(h.src[a] == h.tgt[b] and h.src[c] == h.src[b]
+                and h.tgt[c] == h.tgt[a] for (a, b), c in h.comp.items())
+
+
+def test_arrow_index_matches_the_scans():
+    # The endpoint index against the scans it replaced, on the pool
+    # relabelled by seed, corrupted copies of it, and disjoint unions
+    # with one-object groupoids of tables that are not associative.
+    rng = random.Random("index")
+    base = named_pool() + layout_pool()
+    base += [(spec, parse_generator_spec(spec))
+             for spec in ("pair:4", "group:z3+pair:2", "action:z2:1,0,2")]
+    pool = list(base)
+    for name, g in base:
+        for seed in range(2):
+            perm = list(range(g.n_arrows))
+            random.Random("%s/%d" % (name, seed)).shuffle(perm)
+            pool.append((name + "/relabelled", relabel_arrows(g, perm)))
+    for name, g in list(pool):
+        pool += [(name + "/corrupted", h) for h in _corrupted(g, rng)]
+    for table in (cyclic_table(4), cyclic_table(6), klein_table()):
+        _, ident, inv = _group_table(table)
+        for _ in range(6):
+            t = _swapped_table(table, rng)
+            assert validate_group_table(t) == reference_group_table(t)[0]
+            bad = _table_groupoid(t, ident, inv)
+            pool += [("table+pair:2", disjoint_union(bad, pair_groupoid(2))),
+                     ("swap2+table", disjoint_union(swap2(), bad))]
+    seen = {"missing": 0, "out-of-range": 0, "associativity": 0}
+    for name, h in pool:
+        ends = set(h.src) | set(h.tgt) | set(range(h.n_objects)) | {-2}
+        for v in ends:
+            assert h.arrows_into(v) == reference_arrows_into(h, v), name
+            assert h.arrows_from(v) == reference_arrows_from(h, v), name
+            for w in ends:
+                assert h.arrows_from_to(v, w) \
+                    == reference_arrows_from_to(h, v, w), name
+        errs = validate(h)
+        assert errs == reference_validate(h), name
+        assert [e for e in errs if e.startswith("missing")] \
+            == ["missing composition for composable pair (%d,%d)" % ab
+                for ab in reference_missing_pairs(h)], name
+        if _composites_well_placed(h):
+            want = list(reference_failing_triples(h.src, h.tgt, h.comp))
+            assert list(_failing_triples(h)) == want, name
+            assert _associative(h) == (want == []), name
+        for kind in seen:
+            seen[kind] += any(kind in e for e in errs)
+    assert min(seen.values()) >= 10, seen

@@ -889,6 +889,21 @@ def test_nonzero_vectors_bound():
         nonzero_vectors(F3, 6, 100)
 
 
+def test_nonzero_vectors_list_no_ring_at_dimension_zero(monkeypatch):
+    # R^0 has no nonzero vector, so R is never listed; bound 0 still
+    # trips on its one state.
+    R = ring_from_spec("zn:%d" % 10 ** 7)
+
+    def refuse():
+        raise AssertionError("the ring was listed")
+
+    monkeypatch.setattr(R, "elements", refuse)
+    assert list(nonzero_vectors(R, 0, 1)) == []
+    with pytest.raises(BoundExceededError,
+                       match=r"state space 10000000\^0 exceeds bound 0"):
+        nonzero_vectors(R, 0, 0)
+
+
 def test_coordinates_need_unit_pivots():
     free = Subspace(Z4, 2, [(1, 3)])
     assert free.coordinates((3, 1)) == (3,)

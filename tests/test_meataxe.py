@@ -330,6 +330,15 @@ def test_irreducible_factors_match_trial_division(p):
         assert len({tuple(h) for h in factors}) == len(factors)
 
 
+def test_large_primes_are_probed_without_listing_the_field():
+    # 2^61 - 1: the probes of the equal-degree split are read off a
+    # counter, so F_p is never listed and the first probe, x, splits.
+    p = 2 ** 61 - 1
+    assert irreducible_factors([p - 1, 0, 1], p) == [[1, 1], [p - 1, 1]]
+    F = ring_from_spec("fp:%d" % p)
+    assert not is_simple(regular_rep(zg(2), F))
+
+
 def _det(rows, p):
     n = len(rows)
     total = 0

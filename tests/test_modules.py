@@ -273,6 +273,14 @@ def test_sign_module_needs_even_cyclic():
         sign_module(iso_group(group_groupoid(klein_table())), Q)
 
 
+def test_isomorphism_over_a_large_prime_field_with_zero_hom():
+    # Hom(trivial, sign) = 0 over F_p, p odd: no vector of F_p^0 is
+    # searched, so F_p is never listed.
+    G = iso_group(zg(2))
+    F = ring_from_spec("fp:%d" % (2 ** 61 - 1))
+    assert not is_isomorphic(trivial_module(G, F), sign_module(G, F))
+
+
 def test_annihilator_of_sign_and_trivial():
     G = iso_group(zg(2))
     # t acts by -1, so a + bt dies exactly when a = b
