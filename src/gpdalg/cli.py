@@ -224,7 +224,7 @@ def cmd_compute(args) -> int:
         sims = simple_modules_group(G, ring, bound=args.bound)
         _emit(args, _dump([{"dim": N.dim,
                             "matrix_ring": N.matrix_ring.spec_string(),
-                            "matrices": [[str(x) for x in M.entries]
+                            "matrices": [M.entry_strings()
                                          for M in N.mats]}
                            for N in sims]))
         return 0

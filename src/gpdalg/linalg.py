@@ -13,10 +13,13 @@ fraction-free over Q (Bareiss, Math. Comp. 22, 1968; the RREF read off
 is the same) and residues mod n with the Howell property over every
 finite ring, F_p as Z/p, where the Howell form is the RREF.  Bases,
 joins, spins, membership and escape tests and normal forms all run on
-such tables (`_table_rows` reads the canonical form off), and over Q
-`Fraction`s are only handed out.  No `linalg` operation calls ring
-arithmetic: entries are plain numbers, combined with Python's operators
-and reduced mod n once per finished entry.
+such tables (`_table_rows` reads the canonical form off).  No `linalg`
+operation calls ring arithmetic: entries are plain numbers, combined
+with Python's operators and reduced mod n once per finished entry.
+Over Q every entry handed out is in the rings' normal form, an `int`
+when integral and a `Fraction` only otherwise: each finished sum is
+normalised once (`_pairs`, `apply`), and `_table_rows` divides by the
+pivot entry exactly where it can.
 
 A `Matrix` is held by its nonzero entries only, row by row, so products,
 sums, equality and hashing cost O(nnz), not O(rows * cols).  A map
@@ -57,7 +60,8 @@ class Matrix:
     Gustavson, ACM TOMS 4, 1978), sums and transposes touch only the
     nonzeros they reach and drop the entries that cancel.  `entries`,
     `row`, `rows`, `col`, `at` and `to_lists` are dense reads of the
-    pairs, `ring.zero` in the gaps.
+    pairs, `ring.zero` in the gaps; `entry_strings` writes the output
+    layer's strings from the pairs.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "_nz")
@@ -144,7 +148,10 @@ class Matrix:
             for j, x in row:
                 acc += x * vec[j]
             out.append(acc)
-        return tuple(out) if n is None else tuple([x % n for x in out])
+        if n is None:
+            return tuple([x if type(x) is int or x.denominator != 1
+                          else x.numerator for x in out])
+        return tuple([x % n for x in out])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -205,6 +212,21 @@ class Matrix:
     def to_lists(self):
         return [list(self.row(i)) for i in range(self.nrows)]
 
+    def entry_strings(self) -> list:
+        """``[str(x) for x in self.entries]``, read off the pairs: one
+        `str` per distinct value, and one shared "0" in the gaps."""
+        out = ["0"] * (self.nrows * self.ncols)
+        names = {}
+        at = 0
+        for row in self._nz:
+            for j, x in row:
+                s = names.get(x)
+                if s is None:
+                    s = names[x] = str(x)
+                out[at + j] = s
+            at += self.ncols
+        return out
+
 
 def _dense_nz(entries, nrows, ncols) -> tuple:
     """Each row's nonzero (column, entry) pairs of row-major entries."""
@@ -215,10 +237,12 @@ def _dense_nz(entries, nrows, ncols) -> tuple:
 
 def _pairs(acc, n) -> tuple:
     """The nonzero items of a {column: entry} dict of unreduced sums, in
-    column order, each entry first reduced mod n (n None over Q, whose
-    sums are final): a sum that cancels leaves no pair."""
+    column order, each entry first reduced mod n (n None over Q, where
+    an integral sum becomes an int): a sum that cancels leaves no pair."""
     if n is None:
-        return tuple([p for p in sorted(acc.items()) if p[1]])
+        return tuple([(j, x if type(x) is int or x.denominator != 1
+                       else x.numerator)
+                      for j, x in sorted(acc.items()) if x])
     return tuple([(j, r) for j, x in sorted(acc.items()) if (r := x % n)])
 
 
@@ -257,24 +281,34 @@ def _int_reduce(rows, v):
 
 def _elim_row(ring, v) -> list:
     """v as the kernels hold it: a list, over Q a primitive integer row
-    on its line (times the lcm of the denominators, over the gcd)."""
+    on its line (times the lcm of the denominators, over the gcd).  The
+    ints of the normal form are their own numerators: only the other
+    entries are split, and a row of ints is scaled by nothing."""
     if ring.modulus is not None:
         return list(v)
-    pairs = [x.as_integer_ratio() for x in v]
-    den = lcm(*[d for _, d in pairs])
-    w = [n * (den // d) for n, d in pairs]
+    w = list(v)
+    dens = [x.denominator for x in w if type(x) is not int]
+    if dens:
+        den = lcm(*dens)
+        w = [x * den if type(x) is int
+             else x.numerator * (den // x.denominator) for x in w]
     g = gcd(*w)
     return [x // g for x in w] if g > 1 else w
 
 
 def _elim_map(ring, M: Matrix):
-    """v -> M v on the kernels' vectors; over Q by M times the lcm of its
-    denominators, which sends each vector to the same line."""
+    """v -> M v on the kernels' vectors; over Q by M times the lcm of the
+    denominators of its non-int entries, which sends each vector to the
+    same line."""
     if ring.modulus is not None:
         return M.apply
-    nz = [[(j, x.as_integer_ratio()) for j, x in r] for r in M._nz]
-    den = lcm(*[d for row in nz for _, (_, d) in row])
-    rows = [[(j, n * (den // d)) for j, (n, d) in row] for row in nz]
+    rows = M._nz
+    dens = [x.denominator for r in rows for _, x in r if type(x) is not int]
+    if dens:
+        den = lcm(*dens)
+        rows = [[(j, x * den if type(x) is int
+                  else x.numerator * (den // x.denominator)) for j, x in r]
+                for r in rows]
     return lambda v: tuple([sum([x * v[j] for j, x in row])
                             for row in rows])
 
@@ -403,14 +437,19 @@ def _insert(ring, table, v) -> bool:
 def _table_rows(ring, table, start=0) -> tuple:
     """The table's rows in pivot order, only those with pivots from
     `start` on, cut there: over Q each integer row divided by its pivot
-    entry, over a finite ring the Howell form once every entry above a
-    pivot d is reduced into [0, d) in place, by the pivot row's nonzeros
-    (over F_p, d = 1: the RREF)."""
+    entry d, in the normal form (x // d where d divides x, else
+    `Fraction(x, d)`), over a finite ring the Howell form once every
+    entry above a pivot d is reduced into [0, d) in place, by the pivot
+    row's nonzeros (over F_p, d = 1: the RREF)."""
     cols = sorted(p for p in table if p >= start)
     n = ring.modulus
     if n is None:
-        return tuple(tuple([Fraction(x, table[p][p]) if x else ring.zero
-                            for x in table[p][start:]]) for p in cols)
+        out = []
+        for p in cols:
+            d = table[p][p]
+            out.append(tuple([x // d if x % d == 0 else Fraction(x, d)
+                              for x in table[p][start:]]))
+        return tuple(out)
     for i, j in enumerate(cols):
         d = table[j][j]
         nz = [(k, y) for k, y in enumerate(table[j]) if y]

@@ -72,7 +72,7 @@ class Rep:
 
     def to_json_dict(self) -> dict:
         d = {"ring": self.ring.spec_string(), "dim": self.dim,
-             "matrices": [[str(x) for x in M.entries] for M in self.mats]}
+             "matrices": [M.entry_strings() for M in self.mats]}
         if self.matrix_ring != self.ring:
             d["matrix_ring"] = self.matrix_ring.spec_string()
         return d

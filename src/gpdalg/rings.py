@@ -1,11 +1,15 @@
 """Coefficient rings with exact arithmetic.
 
 Three kinds are supported: the rationals (``q``), prime fields (``fp:p``)
-and modular rings of integers (``zn:n``).  Elements are plain numbers:
-``fractions.Fraction`` over the rationals, ints in the canonical range
-[0, n) over the finite rings.  A ring only coerces values into that form
-(and inverts); arithmetic is Python's, each finished value reduced once
-with ``coerce`` or ``% modulus``.
+and modular rings of integers (``zn:n``).  Elements are plain numbers
+in one normal form: over the rationals an ``int`` when the value is
+integral and a ``fractions.Fraction`` only when its denominator exceeds
+1, over the finite rings ints in the canonical range [0, n).  A ring
+only coerces values into that form (and inverts); arithmetic is
+Python's, each finished value reduced once with ``coerce`` or
+``% modulus``.  ``Fraction(n, 1)`` equals, hashes and prints as ``n``,
+so the normal form changes no comparison and no output, and integer
+arithmetic runs in C.
 """
 
 from __future__ import annotations
@@ -92,15 +96,17 @@ class RationalField(ScalarRing):
     modulus = None
     is_field = True
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def spec_string(self):
         return "q"
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, bool):
             raise ConstructionError("cannot coerce %r into the rationals"
                                     % (x,))
@@ -111,7 +117,7 @@ class RationalField(ScalarRing):
                                     "no exponent notation" % (x,))
         if isinstance(x, (int, str)):
             try:
-                return Fraction(x)
+                return self.coerce(Fraction(x))
             except (ValueError, ZeroDivisionError):
                 pass
         raise ConstructionError("cannot coerce %r into the rationals" % (x,))
@@ -119,7 +125,7 @@ class RationalField(ScalarRing):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return self.coerce(1 / Fraction(a))
 
 
 class _FiniteRing(ScalarRing):

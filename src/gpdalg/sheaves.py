@@ -59,8 +59,7 @@ class SheafData:
     def to_json_dict(self) -> dict:
         d = {"ring": self.ring.spec_string(),
              "stalk_dims": list(self.stalk_dims),
-             "matrices": [[str(x) for x in M.entries]
-                          for M in self.arrow_mats]}
+             "matrices": [M.entry_strings() for M in self.arrow_mats]}
         if self.matrix_ring != self.ring:
             d["matrix_ring"] = self.matrix_ring.spec_string()
         return d

@@ -671,11 +671,24 @@ def test_large_stalk_jobs_keep_their_bytes(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_q_primitive_ideal_job_keeps_its_bytes(capsys):
+    # The primitive-ideal path over Q: annihilators induced from the
+    # companion modules of the cyclotomic factors, on Z/48.  Recorded
+    # with every rational held as a Fraction, before integral ones
+    # became ints.
+    code, out, err = run(capsys, "compute", "primitive-ideals",
+                         "--gen", "group:z48", "--ring", "q")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e0493f03a4831f43e1c74213fddb00a398c7282d98c45e635cc676b5c529f8f1"
+
+
 def test_disintegrate_jobs_read_no_dense_module_matrix(monkeypatch, capsys):
     # compute stalks writes each stalk matrix from the composition table
     # and builds no m x m matrix of the regular module: nothing of size
-    # m^2 is read dense (entries, rows, col or to_lists), only the small
-    # stalk matrices of the output are, and neither the module, its
+    # m^2 is read dense (entries, rows, col, to_lists or entry_strings),
+    # only the small stalk matrices of the output are, and neither the
+    # module, its
     # validation, the stalk bases nor the restriction is computed.  The
     # benchmark's five jobs.
     sys.path.insert(0, PERFBENCH)
@@ -707,7 +720,7 @@ def test_disintegrate_jobs_read_no_dense_module_matrix(monkeypatch, capsys):
 
     M = gpdalg.Matrix
     monkeypatch.setattr(M, "entries", property(counted(M.entries.fget)))
-    for name in ("rows", "col", "to_lists"):
+    for name in ("rows", "col", "to_lists", "entry_strings"):
         monkeypatch.setattr(M, name, counted(getattr(M, name)))
     for verb, what, spec, ring, extra in workloads.WORKLOADS["disintegrate"]:
         m = parse_generator_spec(spec).n_arrows

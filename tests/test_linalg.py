@@ -15,13 +15,20 @@ from gpdalg import (
     RingMismatchError,
     Subspace,
     canonical_rows,
+    Ideal,
     convolve,
+    cyclic_table,
+    group_groupoid,
     hom_space,
+    ideal_from_generators,
+    isotropy,
     left_kernel,
     mat_kernel,
     pair_groupoid,
     regular_rep,
+    regular_sheaf,
     ring_from_spec,
+    simple_modules_group,
     subspace_intersect,
     subspace_preimage,
 )
@@ -36,6 +43,7 @@ from gpdalg.linalg import (
     first_escape,
     invariant_lattice,
     nonzero_vectors,
+    poly_at,
     restrict,
     span_vectors,
 )
@@ -306,7 +314,10 @@ def test_q_kernel_matches_reference_on_large_entries():
                 want = _rref_of(rows, width)
                 got = canonical_rows(Q, rows, width)
                 assert got == want, (width, rows)
-                assert all(type(x) is Fraction for r in got for x in r)
+                # The normal form over Q: an int iff integral.
+                assert all(type(x) is (int if x.denominator == 1
+                                       else Fraction)
+                           for r in got for x in r)
                 cut = rng.randrange(len(rows) + 1)
                 S = Subspace(Q, width, rows[:cut])
                 T = Subspace(Q, width, rows[cut:])
@@ -1039,3 +1050,122 @@ def test_zero_and_full():
     assert F.is_full() and F.contains_subspace(Z)
     assert Z.join(F) == F
     assert subspace_intersect(Z, F) == Z
+
+
+def _normal(x):
+    # The normal form over Q: an int iff integral, else a Fraction.
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def test_q_values_are_ints_iff_integral():
+    # Every producer over Q hands out the normal form, on inputs whose
+    # Fraction arithmetic makes integral values (1/2 + 1/2, 2 * 1/2).
+    assert (Q.zero, Q.one) == (0, 1) and type(Q.zero) is type(Q.one) is int
+    for x, want in ((5, 5), ("-7", -7), ("6/3", 2), ("1/2", Fraction(1, 2)),
+                    (Fraction(4, 2), 2), (Fraction(1, 3), Fraction(1, 3)),
+                    (" 3 ", 3), ("0/5", 0)):
+        got = Q.coerce(x)
+        assert got == want and _normal(got), x
+    for x, want in ((Fraction(1, 2), 2), (3, Fraction(1, 3)), (1, 1),
+                    (Fraction(-2, 3), Fraction(-3, 2)), (-1, -1)):
+        got = Q.inv(x)
+        assert got == want and _normal(got), x
+    assert Q.coerce_vector([Fraction(2, 1), "1/2"]) == (2, Fraction(1, 2))
+
+    rng = random.Random("q-normal-form")
+    halves = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+              Fraction(1, 3), Fraction(2, 3)]
+
+    def matrix(n, k):
+        return Matrix(Q, n, k, [rng.choice(halves) for _ in range(n * k)])
+
+    def ok(M):
+        return all(map(_normal, M.entries))
+
+    def space_ok(S):
+        return all(_normal(x) for b in S.basis for x in b)
+
+    made_int = 0
+    for n, k, c in [(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5), (5, 5, 5)]:
+        for _ in range(6):
+            A, B, C = matrix(n, k), matrix(k, c), matrix(n, k)
+            for M in (A * B, A + C, A + A, A.transpose(), A.transpose() * C,
+                      poly_at([Fraction(1, 2), 3, Fraction(-1, 2)],
+                              matrix(k, k)),
+                      poly_at([2, 0, 1], A.transpose() * C)):
+                assert ok(M)
+                made_int += sum(1 for x in M.entries
+                                if x and type(x) is int)
+            v = tuple(rng.choice(halves) for _ in range(k))
+            assert all(map(_normal, A.apply(v)))
+            assert A.apply(v) == reference_apply(A, v)
+            target = Subspace(Q, n, matrix(2, n).rows())
+            for S in (Subspace(Q, k, A.rows()), mat_kernel(A),
+                      left_kernel(B), subspace_preimage(A, target),
+                      subspace_intersect(Subspace(Q, k, B.transpose().rows()),
+                                         Subspace(Q, k, C.rows()))):
+                assert space_ok(S) and all(map(_normal, S.reduce(v)))
+            assert all(_normal(x) for r in canonical_rows(Q, A.rows(), k)
+                       for x in r)
+    assert made_int > 0
+
+    # The sparse read-offs of the composition table and the companion
+    # modules of the cyclotomic factors.
+    for g in (pair_groupoid(3), group_groupoid(cyclic_table(6))):
+        S = regular_sheaf(g, Q)
+        assert all(ok(M) for M in S.arrow_mats)
+    for N in simple_modules_group(isotropy(group_groupoid(cyclic_table(12)),
+                                           0), Q):
+        assert all(ok(M) for M in N.mats)
+        assert all(type(x) is int for M in N.mats for x in M.entries)
+
+
+def test_q_twins_built_from_integral_fractions_are_equal():
+    # Fraction(n, 1) == n and hashes as n, so a Matrix, a Subspace and an
+    # Ideal compare and hash equal to their int-built twins, also when the
+    # Fractions are stored as given (`_sparse`, `_trusted`), and a set
+    # holds one of each pair (what deduplicating ideals relies on).
+    rows = [(1, 0, -2), (0, 3, 0)]
+    frows = [tuple(Fraction(x) for x in r) for r in rows]
+    M, N = Matrix.from_rows(Q, rows), Matrix.from_rows(Q, frows)
+    raw = Matrix._sparse(Q, 2, 3, [tuple((j, Fraction(x)) for j, x
+                                         in enumerate(r) if x) for r in rows])
+    assert M._nz == N._nz and all(type(x) is int for x in N.entries)
+    for twin in (N, raw):
+        assert M == twin and hash(M) == hash(twin)
+    assert len({M, N, raw}) == 1
+    S, T = Subspace(Q, 3, rows), Subspace(Q, 3, frows)
+    raw = Subspace._trusted(Q, 3, [tuple(Fraction(x) for x in b)
+                                   for b in S.basis])
+    for twin in (T, raw):
+        assert S == twin and hash(S) == hash(twin)
+    assert len({S, T, raw}) == 1
+    g = group_groupoid(cyclic_table(4))
+    I = ideal_from_generators(g, Q, [AlgebraElement(g, Q, [1, -1, 0, 0])])
+    J = ideal_from_generators(g, Q, [AlgebraElement(
+        g, Q, [Fraction(2, 2), Fraction(-3, 3), 0, 0])])
+    raw = Ideal(g, Q, Subspace._trusted(Q, 4, [tuple(Fraction(x) for x in b)
+                                             for b in I.basis]), check=False)
+    for twin in (J, raw):
+        assert I == twin and hash(I) == hash(twin)
+    assert len({I, J, raw}) == 1
+
+
+@pytest.mark.parametrize("spec", RING_SPECS + ("fp:7", "zn:12"))
+def test_entry_strings_match_the_dense_route(spec):
+    # The output layer's strings, read off the nonzero pairs, are those
+    # of every dense entry, and the JSON of a module and of a sheaf is
+    # the same list as before.
+    ring = ring_from_spec(spec)
+    rng = random.Random("strings/" + spec)
+    for density in (0, 0.3, 1):
+        for n, k in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (6, 6)]:
+            A = _random_matrix(rng, ring, n, k, density)
+            for M in (A, A.transpose(), A * A.transpose()):
+                assert M.entry_strings() == [str(x) for x in M.entries]
+    for g in (pair_groupoid(3), group_groupoid(cyclic_table(4))):
+        rho = regular_rep(g, ring)
+        S = regular_sheaf(g, ring)
+        for obj, mats in ((rho, rho.mats), (S, S.arrow_mats)):
+            assert obj.to_json_dict()["matrices"] \
+                == [[str(x) for x in M.entries] for M in mats]

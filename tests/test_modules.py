@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -624,6 +625,16 @@ def test_ideal_check_rejects_non_ideal():
     from gpdalg import Ideal
     with pytest.raises(NotAnIdealError):
         Ideal(g, F2, Subspace(F2, 2, [(0, 1)]))
+
+
+def test_ideal_check_message_over_q():
+    # The witness is the repr of a basis row in the normal form over Q:
+    # ints where integral, a Fraction only where not.
+    g = zg(3)
+    with pytest.raises(NotAnIdealError) as info:
+        Ideal(g, Q, Subspace(Q, 3, [(1, 0, Fraction(1, 2))]))
+    assert str(info.value) == "not closed under left multiplication by " \
+        "arrow 1 at (1, 0, Fraction(1, 2))"
 
 
 def test_ideal_check_names_a_generating_arrow():
