@@ -44,7 +44,6 @@ from .rings import ring_from_spec
 from .sheaves import regular_sheaf
 from .suite import (
     enumerate_primitive_ideals,
-    isotropy_simples,
     verify_ideal_is_intersection,
     verify_primitive_single_inducer,
     verify_primitive_ideals,
@@ -300,10 +299,14 @@ def cmd_verify(args) -> int:
             reports.append(verify_ideal_is_intersection(g, ring, I,
                                                         instance=name))
     elif args.check == "primitive-single":
-        for u, i, N in isotropy_simples(g, ring, args.bound):
-            reports.append(verify_primitive_single_inducer(
-                g, ring, induce(g, ring, u, N),
-                instance="%s@%d#%d" % (name, u, i), bound=args.bound))
+        # The walk's simples, in simple_modules_group's order: the
+        # instance names @u#i and the printed bases follow it.
+        for u in orbits(g).representatives:
+            for i, N in enumerate(simple_modules_group(
+                    isotropy(g, u), ring, bound=args.bound)):
+                reports.append(verify_primitive_single_inducer(
+                    g, ring, induce(g, ring, u, N),
+                    instance="%s@%d#%d" % (name, u, i), bound=args.bound))
     elif args.check == "primitive-ideals":
         reports.append(verify_primitive_ideals(
             g, ring, instance=name, bound=args.bound))
@@ -331,8 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
                        help="cap on the vectors one search enumerates, "
                             "counted as q^k for a k-dimensional space: "
-                            "the hom maps that pick maximal submodules, "
-                            "Norton kernels no word decides, each "
+                            "the hom maps that pick maximal submodules "
+                            "(simple-modules, simple:<i>, "
+                            "primitive-single), Norton kernels no word "
+                            "decides, each "
                             "isotropy algebra's ideals behind "
                             "--all-ideals (q^|G_u| per orbit), and the "
                             "number of ideals they combine to")

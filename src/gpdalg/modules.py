@@ -472,6 +472,15 @@ def simple_modules_group(G: IsotropyGroup, ring: ScalarRing,
     the companion module, per cyclotomic factor of x^n - 1 (cyclic groups).
     Z/p^k: the simples of the residue field group algebra, with scalars
     acting through reduction mod p.
+
+    Over F_p a cyclic group has F_p[G] = F_p[x]/(x^n - 1), so its classes
+    are also the companion modules of the irreducible factors of
+    x^n - 1, which is how the primitive-ideal verbs read them
+    (``suite._primitive_classes``): an annihilator depends only on the
+    class.  The walk stays here because these bases are printed
+    (``compute simple-modules``, ``--module simple:k``) and their sort
+    order names the ``primitive-single`` reports; a companion matrix
+    differs from the walk's basis for some simples of dimension above 1.
     """
     if ring.kind == "modular":
         residue = ring.residue_field()

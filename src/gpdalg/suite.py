@@ -16,14 +16,19 @@ from .errors import BoundExceededError, UnsupportedRingError
 from .groupoid import FiniteGroupoid, isotropy, orbits
 from .ideals import Ideal
 from .linalg import Subspace, subspace_intersect
+from .meataxe import irreducible_factors
 from .modules import (
     DEFAULT_BOUND,
+    IsotropyModule,
+    Rep,
+    _companion,
+    _cyclic_module,
     annihilator,
     composition_factors,
     module_annihilator_space,
+    regular_module,
     regular_rep,
     simple_modules_group,
-    Rep,
 )
 from .induction import (
     induce,
@@ -162,13 +167,41 @@ def verify_primitive_single_inducer(
                    witnesses=witnesses)
 
 
-def isotropy_simples(g: FiniteGroupoid, ring: ScalarRing, bound: int):
-    """(u, i, N) for the i-th simple isotropy module N, as
-    ``simple_modules_group`` lists them, at each orbit representative u."""
+def _primitive_classes(g: FiniteGroupoid, ring: ScalarRing, bound: int):
+    """(u, N): one simple isotropy module N per isomorphism class, at each
+    orbit representative u.  An annihilator depends only on the class, so
+    no composition series is walked to choose a basis for N.
+
+    Over F = F_p, or the residue field F_p of Z/p^k, a cyclic
+    G_u = <gen> of order n has F[G_u] = F[x]/(x^n - 1), gen acting as x.
+    That ring is commutative and its maximal ideals are the (f), f a
+    monic irreducible factor of x^n - 1, so its simple modules are the
+    fields F[x]/(f), gen acting by the companion matrix of f: one class
+    per distinct factor, the Q branch of ``simple_modules_group`` with
+    the factors over F_p in place of the cyclotomic polynomials.  A
+    non-cyclic G_u takes its classes straight from the composition
+    factors of the regular module, which every simple module is a
+    quotient of.  Over Z/p^k each class is carried over F_p, the scalars
+    acting through reduction mod p.  Over Q and composite Z/n the
+    classes are ``simple_modules_group``'s."""
+    F = ring if ring.kind == "prime_field" else \
+        ring.residue_field() if ring.kind == "modular" else None
     for u in orbits(g).representatives:
-        for i, N in enumerate(simple_modules_group(isotropy(g, u), ring,
-                                                   bound=bound)):
-            yield u, i, N
+        G = isotropy(g, u)
+        if F is None:
+            sims = simple_modules_group(G, ring, bound=bound)
+        else:
+            gen = G.generator_if_cyclic()
+            if gen is None:
+                sims = composition_factors(regular_module(G, F), bound)
+            else:
+                x_n_1 = [-1] + [0] * (G.order - 1) + [1]
+                sims = [_cyclic_module(G, gen, _companion(F, f))
+                        for f in irreducible_factors(x_n_1, F.modulus)]
+            sims = [IsotropyModule(G, ring, N.dim, N.mats, matrix_ring=F)
+                    for N in sims]
+        for N in sims:
+            yield u, N
 
 
 def _distinct_sorted(ideals) -> list[Ideal]:
@@ -179,9 +212,15 @@ def _distinct_sorted(ideals) -> list[Ideal]:
 def enumerate_primitive_ideals(g: FiniteGroupoid, ring: ScalarRing,
                                bound: int = DEFAULT_BOUND) -> list[Ideal]:
     """Annihilators induced from the simple isotropy modules of one
-    representative per orbit, deduplicated and sorted."""
+    representative per orbit, deduplicated and sorted.
+
+    The simples come one per isomorphism class from
+    ``_primitive_classes``: over F_p and Z/p^k with cyclic isotropy they
+    are the companion modules of the irreducible factors of x^n - 1 over
+    F_p.  There `bound` is charged only by the MeatAxe's exhaustive
+    fallback on a non-cyclic isotropy group."""
     return _distinct_sorted(induced_annihilator_direct(g, ring, u, N)
-                            for u, _, N in isotropy_simples(g, ring, bound))
+                            for u, N in _primitive_classes(g, ring, bound))
 
 
 def primitive_ideal_oracle(g: FiniteGroupoid, ring: ScalarRing,
@@ -202,14 +241,20 @@ def verify_primitive_ideals(
         bound: int = DEFAULT_BOUND) -> VerificationReport:
     """Check the induction enumeration of primitive ideals.
 
-    Over a finite field the enumeration must match the regular-module
-    oracle exactly.  Otherwise each enumerated ideal is checked to be the
+    The enumeration reads one simple per isomorphism class from
+    ``_primitive_classes`` (companion modules of the factors of x^n - 1
+    over F_p for cyclic isotropy), as ``enumerate_primitive_ideals``
+    does.  Over a finite field it must match the regular-module oracle
+    exactly.  Otherwise each enumerated ideal is checked to be the
     annihilator of a simple induced module, compared as a relation space
-    as in ``verify_primitive_single_inducer``."""
+    as in ``verify_primitive_single_inducer``.  `bound` is charged only
+    where the MeatAxe falls back to an exhaustive search: for a
+    non-cyclic isotropy group, in the oracle and in the simplicity
+    checks.  A trip makes the verdict ``skipped``."""
     t0 = time.perf_counter()
     try:
         found = [(u, N, induced_annihilator_direct(g, ring, u, N))
-                 for u, _, N in isotropy_simples(g, ring, bound)]
+                 for u, N in _primitive_classes(g, ring, bound)]
         prims = _distinct_sorted(J for _, _, J in found)
         witnesses = {"primitive_ideals": [_basis_strs(J.space)
                                           for J in prims]}

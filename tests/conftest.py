@@ -25,6 +25,7 @@ from gpdalg import (
     disjoint_union,
     group_groupoid,
     hom_space,
+    induced_annihilator_direct,
     isotropy,
     orbits,
     pair_groupoid,
@@ -33,6 +34,7 @@ from gpdalg import (
     rep_submodule,
     ring_from_spec,
     sheaf_of,
+    simple_modules_group,
     stalk_isotropy_module,
     subspace_preimage,
 )
@@ -946,6 +948,19 @@ def reference_simple_modules_group(G, ring, bound=DEFAULT_BOUND):
     out = [IsotropyModule(G, ring, S.dim, S.mats) for S in sims]
     out.sort(key=lambda N: N.sort_key())
     return out
+
+
+def reference_enumerate_primitive_ideals(g, ring, bound=DEFAULT_BOUND):
+    """Slow reference for ``suite.enumerate_primitive_ideals``: the
+    annihilators induced from every simple that ``simple_modules_group``
+    lists at each orbit representative, over F_p and Z/p^k through its
+    composition-series walk (the route before the classes were read off
+    the irreducible factors of x^n - 1)."""
+    return sorted({induced_annihilator_direct(g, ring, u, N)
+                   for u in orbits(g).representatives
+                   for N in simple_modules_group(isotropy(g, u), ring,
+                                                 bound=bound)},
+                  key=lambda J: (len(J.space.basis), J.space.basis))
 
 
 def reference_is_simple(module, bound=DEFAULT_BOUND):

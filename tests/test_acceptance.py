@@ -218,10 +218,11 @@ def test_ac8_cli_determinism_and_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert main(["verify", "ideal-intersection", "--in", str(bad)]) == 2
-    assert main(["verify", "primitive-ideals", "--gen", "group:z3",
+    # The composition-series walk of compute simple-modules visits 2^1
+    # hom vectors here, not the 2^3 of the lattice.
+    assert main(["compute", "simple-modules", "--gen", "group:z3",
                  "--ring", "fp:2", "--bound", "1"]) == 3
-    # The MeatAxe visits 2^1 hom vectors here, not the 2^3 of the lattice.
-    assert main(["verify", "primitive-ideals", "--gen", "group:z3",
+    assert main(["compute", "simple-modules", "--gen", "group:z3",
                  "--ring", "fp:2", "--bound", "2"]) == 0
     assert main(["verify", "ideal-intersection", "--gen", "group:z2",
                  "--ring", "fp:2", "--all-ideals", "--out",

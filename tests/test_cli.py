@@ -330,17 +330,31 @@ def test_verify_primitive_single(capsys):
 
 
 def test_bound_exceeded_exits_3(capsys):
-    # The bound counts the hom vectors the maximal-submodule search
-    # visits: Hom(F_2[Z3], trivial) holds 2^1 of them.
-    argv = ["verify", "primitive-ideals", "--gen", "group:z3", "--ring",
+    # The bound counts the hom vectors the maximal-submodule search of
+    # compute simple-modules visits: Hom(F_2[Z3], trivial) holds 2^1 of
+    # them.
+    argv = ["compute", "simple-modules", "--gen", "group:z3", "--ring",
             "fp:2"]
     code, out, err = run(capsys, *argv, "--bound", "1")
-    assert code == 3
-    assert json.loads(out)["reason"] == "state space 2^1 exceeds bound 1"
+    assert (code, out) == (3, "")
+    assert err == "bound exceeded: state space 2^1 exceeds bound 1\n"
     # --bound 2 used to trip the 2^3-state lattice search; it now prints
-    # the default-bound report.
+    # the default-bound output.
     assert run(capsys, *argv, "--bound", "2") == run(capsys, *argv)
     assert run(capsys, *argv)[0] == 0
+
+
+def test_primitive_ideals_search_nothing_on_cyclic_isotropy(capsys):
+    # The classes of F_2[Z3] are the companion modules of x + 1 and
+    # x^2 + x + 1: no hom space is searched, so --bound 1 does not trip
+    # and the report is the default-bound one.
+    argv = ["verify", "primitive-ideals", "--gen", "group:z3", "--ring",
+            "fp:2"]
+    got = run(capsys, *argv, "--bound", "1")
+    assert got == run(capsys, *argv)
+    code, out, err = got
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "verified"
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
@@ -683,6 +697,28 @@ def test_q_primitive_ideal_job_keeps_its_bytes(capsys):
         "e0493f03a4831f43e1c74213fddb00a398c7282d98c45e635cc676b5c529f8f1"
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("compute primitive-ideals --gen group:z35 --ring fp:2",
+     "b18b76a8145c2c6e015057e840e75f7c5b40c81e0029cf284898db7025528bf8"),
+    ("verify primitive-ideals --gen group:z35 --ring fp:2",
+     "e3605508e6b96beb75162c7b784b0566369486d590edf26d81fb1fc4c0acb173"),
+    ("compute primitive-ideals --gen group:z30 --ring fp:7",
+     "965977526bae93cac7e544f41ed652864d9275ca0e54f01b138eea1e154d9706"),
+    ("verify primitive-ideals --gen group:z30 --ring fp:7",
+     "79c837acd69b13544c8593f80effff013c4e50885fbd2003211ca6631be5a7a1"),
+    ("compute primitive-ideals --gen group:z60 --ring fp:7",
+     "0a65ab1f80a14b8be49dd18e9e570d9d835f904691240549d599c02b3894dca0"),
+])
+def test_cyclic_fp_primitive_ideal_jobs_keep_their_bytes(argv, digest,
+                                                         capsys):
+    # Annihilators of the companion modules of the factors of x^n - 1
+    # over F_p; the digests were recorded with the simples of a
+    # composition-series walk of F_p[Z/n], which took 2.5 to 37 s a job.
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_disintegrate_jobs_read_no_dense_module_matrix(monkeypatch, capsys):
     # compute stalks writes each stalk matrix from the composition table
     # and builds no m x m matrix of the regular module: nothing of size
@@ -830,12 +866,33 @@ def test_big_prime_modulus_is_refused_not_factored(capsys):
 @pytest.mark.parametrize("p", [10 ** 9 + 7, 2 ** 61 - 1])
 def test_large_prime_fields_exit_3_on_the_search_bound(p, capsys):
     # Norton's test splits F_p[Z2] without listing F_p; the bound then
-    # trips in the search of Hom(F_p[Z2], S), dim S = 1.
+    # trips in the search of Hom(F_p[Z2], S), dim S = 1, of the
+    # composition-series walk behind compute simple-modules.
+    code, out, err = run(capsys, "compute", "simple-modules", "--gen",
+                         "group:z2", "--ring", "fp:%d" % p)
+    assert (code, out) == (3, "")
+    assert err == "bound exceeded: state space %d^1 exceeds bound " \
+        "1048576\n" % p
+
+
+@pytest.mark.parametrize("p", [10 ** 9 + 7, 2 ** 61 - 1])
+def test_large_prime_fields_give_primitive_ideals_without_a_search(p,
+                                                                   capsys):
+    # x^2 - 1 = (x - 1)(x + 1) over F_p: two companion modules, whose
+    # induced annihilators are spanned by [1, 1] and [1, p - 1], and the
+    # oracle's Norton test agrees without listing F_p.
+    want = [[["1", "1"]], [["1", str(p - 1)]]]
     code, out, err = run(capsys, "verify", "primitive-ideals", "--gen",
                          "group:z2", "--ring", "fp:%d" % p)
-    assert code == 3
-    assert json.loads(out)["reason"] \
-        == "state space %d^1 exceeds bound 1048576" % p
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "verified"
+    assert report["witnesses"] == {"primitive_ideals": want,
+                                   "oracle_ideals": want}
+    code, out, err = run(capsys, "compute", "primitive-ideals", "--gen",
+                         "group:z2", "--ring", "fp:%d" % p)
+    assert (code, err) == (0, "")
+    assert [J["basis"] for J in json.loads(out)] == want
 
 
 def test_report_flags_belong_to_verify(capsys):

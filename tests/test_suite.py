@@ -4,11 +4,13 @@ import random
 import pytest
 
 from gpdalg import (
+    DEFAULT_BOUND,
     AlgebraElement,
     IsotropyModule,
     Matrix,
     UnsupportedRingError,
     all_submodules,
+    disjoint_union,
     enumerate_all_ideals,
     enumerate_primitive_ideals,
     full_ideal,
@@ -20,6 +22,7 @@ from gpdalg import (
     primitive_ideal_oracle,
     regular_module,
     regular_rep,
+    relabel_arrows,
     ring_from_spec,
     stalk_annihilator_space,
     trivial_module,
@@ -29,17 +32,22 @@ from gpdalg import (
     zero_ideal,
 )
 
+from gpdalg import meataxe
 from gpdalg.cli import parse_generator_spec
 from gpdalg.ideals import _closed_two_sided
 from gpdalg.modules import is_invariant
+from gpdalg.sheaves import simple_stalk
+from gpdalg.suite import _primitive_classes
 
 from conftest import (
     all_subspaces,
     klein_table,
+    layout_pool,
     named_pool,
     reference_arrow_actions,
     reference_arrow_witness,
     reference_closed_two_sided,
+    reference_enumerate_primitive_ideals,
     reference_ideal_space,
     reference_stalk_annihilator_space,
     swap3,
@@ -229,6 +237,38 @@ def test_oracle_matches_enumeration():
         primitive_ideal_oracle(zg(2), Q)
 
 
+def _primitive_pool():
+    """``named_pool``, ``layout_pool`` and the Klein group beside pair:2
+    (non-cyclic isotropy), each also under a seeded arrow relabelling."""
+    pool = named_pool() + layout_pool() + [
+        ("klein+pair:2", disjoint_union(group_groupoid(klein_table()),
+                                        pair_groupoid(2)))]
+    out = []
+    for name, g in pool:
+        perm = list(range(g.n_arrows))
+        random.Random(name).shuffle(perm)
+        out += [(name, g), (name + "/seeded", relabel_arrows(g, perm))]
+    return out
+
+
+@pytest.mark.parametrize("ring_spec", ["fp:2", "fp:3", "fp:5", "fp:7",
+                                       "zn:4", "zn:8", "zn:9"])
+def test_primitive_classes_match_the_composition_series_walk(ring_spec):
+    # One class per irreducible factor of x^n - 1 (or per composition
+    # factor on Klein isotropy) gives the ideals the walk over every
+    # simple gave; over F_p each class induces a simple module and the
+    # list is the oracle's.
+    ring = ring_from_spec(ring_spec)
+    for name, g in _primitive_pool():
+        got = enumerate_primitive_ideals(g, ring)
+        assert got == reference_enumerate_primitive_ideals(g, ring), name
+        if ring.kind == "prime_field":
+            assert got == primitive_ideal_oracle(g, ring), name
+            for u, N in _primitive_classes(g, ring, DEFAULT_BOUND):
+                assert simple_stalk(induce(g, ring, u, N)) is not None, \
+                    (name, u, N.dim)
+
+
 @pytest.mark.parametrize("ring_spec", ["fp:2", "fp:3"])
 @pytest.mark.parametrize("spec", ["pair:2", "group:z2", "group:z3",
                                   "group:z4", "action:z2:1,0,2",
@@ -317,13 +357,18 @@ def test_verify_primitive_ideals_reports():
                 == rep.witnesses["oracle_ideals"]
 
 
-def test_bound_produces_skipped_verdict():
-    # Hom(F_2[Z3], trivial) has 2^1 states; bound 2 used to trip the
-    # 2^3-state lattice search and now verifies.
-    rep = verify_primitive_ideals(zg(3), F2, bound=1)
+def test_bound_produces_skipped_verdict(monkeypatch):
+    # The classes of F_2[Z3] come from the factors of x^3 - 1 without a
+    # search.  With the word sequence cut to the identity, the oracle's
+    # MeatAxe decides no Norton kernel and spins every line of the
+    # 3-dimensional one, 2^3 states, against the bound.
+    monkeypatch.setattr(meataxe, "_words",
+                        lambda maps: iter([Matrix.identity(F2,
+                                                           maps[0].nrows)]))
+    rep = verify_primitive_ideals(zg(3), F2, bound=7)
     assert rep.verdict == "skipped"
-    assert "bound" in rep.reason
-    assert verify_primitive_ideals(zg(3), F2, bound=2).verified
+    assert rep.reason == "state space 2^3 exceeds bound 7"
+    assert verify_primitive_ideals(zg(3), F2, bound=8).verified
 
 
 def test_report_serialization():
